@@ -1,7 +1,7 @@
 """Block-coordinate adaptive-stepsize optimizers plus the numerical harness
 that verifies their convergence and estimator properties at desk scale."""
 
-from .core import BlockPartition, ParamVector, block_sq_norms, hadamard, sign_vec, vector
+from .core import BlockPartition, ParamVector, vector
 from .optim import (
     ALGORITHMS,
     MomentOracle,
@@ -23,12 +23,9 @@ __all__ = [
     "OptimizerState",
     "ParamVector",
     "StepSchedule",
-    "block_sq_norms",
     "conceptual_step",
-    "hadamard",
     "init_state",
     "optimal_stepsizes",
-    "sign_vec",
     "signal_fraction",
     "step",
     "value_at",

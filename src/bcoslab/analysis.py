@@ -17,17 +17,19 @@ import numpy as np
 
 from .core import BlockPartition, ParamVector
 from .optim import (
+    ALGORITHMS,
     MomentOracle,
     OptimizerConfig,
     OptimizerState,
     conceptual_step,
     init_state,
+    momentum_moments,
+    propose,
     step,
 )
 from .problems import (
     MC_STREAM,
     TRAJECTORY_STREAM,
-    MomentumMomentTracker,
     NoisyQuadratic,
     StochasticProblem,
     aiming_inner_product,
@@ -37,19 +39,16 @@ from .schedules import StepSchedule, value_at
 
 DIVERGENCE_THRESHOLD = 1e12
 
-# adam belongs with the momentum group: its direction is m_t even though its
-# second-moment estimate averages squared gradients
-_GRADIENT_DIRECTION = ("sgd", "sign_sgd", "bcos_g", "conceptual_bcos")
-_MOMENTUM_DIRECTION = ("sgd_momentum", "sign_momentum", "bcos_m", "bcos_c", "adam")
-
 
 class AnalysisError(ValueError):
     pass
 
 
 class DivergenceError(RuntimeError):
-    """A trajectory blew past the divergence threshold; carries the records
-    collected so far, the last one being the diagnostic."""
+    """A trajectory blew past the divergence threshold. The message names the
+    seed index, the step and the squared distance; ``records`` ends with the
+    diverged seed's record at that step (the per-seed engine also keeps the
+    records before it)."""
 
     def __init__(self, message: str, records):
         super().__init__(message)
@@ -123,15 +122,15 @@ def _direction_oracle(problem, config, state, x, partition):
     grad_oracle = problem.grad_moments(x, partition=partition, fold_lambda=fold)
     if grad_oracle is None:
         return None
-    if config.algorithm in _GRADIENT_DIRECTION:
+    # adam steps along the momentum even though its estimate averages
+    # squared gradients; the table says which
+    if ALGORITHMS[config.algorithm].direction == "gradient":
         return grad_oracle
-    if config.algorithm not in _MOMENTUM_DIRECTION:
-        raise AnalysisError(f"no direction model for algorithm {config.algorithm!r}")
     if state.m is None:
         return None
     coord = BlockPartition.singleton(problem.dim)
     g_coord = problem.grad_moments(x, partition=coord, fold_lambda=fold)
-    mean, second = MomentumMomentTracker.conditional_moments(
+    mean, second = momentum_moments(
         config.beta1, state.m, g_coord.mean_d, g_coord.second_moment_d
     )
     part = partition if partition is not None else coord
@@ -200,7 +199,7 @@ def run_trajectory(
         ):
             try:
                 diag = estimator_stats(problem, x.values, state, config,
-                                       sigma_n_mc, seed=base_seed * 1009 + t)
+                                       sigma_n_mc, seed=base_seed, key=(t,))
             except AnalysisError:
                 diag = None
         return TrajectoryRecord(
@@ -221,7 +220,7 @@ def run_trajectory(
             size = float(np.dot(x.values, x.values))
         if size > DIVERGENCE_THRESHOLD:
             raise DivergenceError(
-                f"trajectory diverged at t={t}: squared distance {size:.3e}", records
+                f"seed {seed_index} diverged at t={t}: squared distance {size:.3e}", records
             )
         alpha = value_at(schedule, t)
         g = problem.sample_gradient(x.values, rng)
@@ -375,7 +374,7 @@ def _conceptual_quadratic_ensemble(problem: NoisyQuadratic, config, schedule,
             noise[i] = rng.standard_normal((width, n))
         for j in range(width):
             if record(t + j) > DIVERGENCE_THRESHOLD:
-                raise DivergenceError(f"ensemble diverged at t={t + j}", [])
+                raise _ensemble_divergence(problem, X, t + j, alphas[t + j], lam)
             alpha = alphas[t + j]
             mean_g = h * (X - x_star)
             # expressions mirror sample_gradient/conceptual_step exactly so
@@ -393,6 +392,21 @@ def _conceptual_quadratic_ensemble(problem: NoisyQuadratic, config, schedule,
         alpha=alphas,
         aiming_min=aim_curve,
         n_seeds=n_seeds,
+    )
+
+
+def _ensemble_divergence(problem, X, t, alpha, lam) -> DivergenceError:
+    """The error for the first seed of a lockstep ensemble past the
+    threshold, with that seed's record at step t."""
+    diff = X - problem.x_star
+    dist = np.einsum("ij,ij->i", diff, diff)
+    i = int(np.flatnonzero(dist > DIVERGENCE_THRESHOLD)[0])
+    oracle = problem.grad_moments(X[i])
+    aiming = (aiming_inner_product(problem, X[i], lam, oracle)
+              if np.all(oracle.second_moment_d > 0) else None)
+    rec = TrajectoryRecord(t, float(dist[i]), problem.loss(X[i]), float(alpha), aiming)
+    return DivergenceError(
+        f"seed {i} diverged at t={t}: squared distance {rec.dist_sq:.3e}", [rec]
     )
 
 
@@ -541,47 +555,6 @@ class EstimatorStats:
     n_mc: int = 0
 
 
-def _estimator_samples(config: OptimizerConfig, state: OptimizerState,
-                       G: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-draw (direction, estimate) pairs for one hypothetical step from a
-    frozen state, coordinatewise."""
-    lam = config.weight_decay_lambda
-    D_in = G + lam * x if (lam > 0 and not config.decoupled) else G
-    alg = config.algorithm
-    b1, b2 = config.beta1, config.beta2
-    if alg in ("sgd", "sign_sgd"):
-        d = D_in
-        v = np.ones_like(D_in) if alg == "sgd" else D_in**2
-        return d, v
-    if alg == "bcos_g":
-        if state.v is None:
-            raise AnalysisError("bcos_g estimator stats need a v state")
-        return D_in, b1 * state.v + (1.0 - b1) * D_in**2
-    if state.m is None:
-        raise AnalysisError(f"{alg} estimator stats need a primed momentum state")
-    m_prev = state.m
-    m = b1 * m_prev + (1.0 - b1) * D_in
-    if alg in ("sgd_momentum", "sign_momentum"):
-        v = np.ones_like(m) if alg == "sgd_momentum" else m**2
-        return m, v
-    if alg == "bcos_m":
-        if state.v is None:
-            raise AnalysisError("bcos_m estimator stats need a v state")
-        return m, b2 * state.v + (1.0 - b2) * m**2
-    if alg == "adam":
-        if state.v is None:
-            raise AnalysisError("adam estimator stats need a v state")
-        return m, b2 * state.v + (1.0 - b2) * D_in**2
-    if alg == "bcos_c":
-        one_minus = 1.0 - b1
-        if config.conditional_full:
-            v = b1**2 * m_prev**2 + 2 * b1 * one_minus * m_prev * m + one_minus**2 * D_in**2
-        else:
-            v = (1.0 - one_minus**2) * m_prev**2 + one_minus**2 * D_in**2
-        return m, v
-    raise AnalysisError(f"no estimator model for algorithm {alg!r}")
-
-
 def estimator_stats(
     problem: StochasticProblem,
     x: np.ndarray,
@@ -590,12 +563,14 @@ def estimator_stats(
     n_mc: int,
     epsilon: float | None = None,
     seed: int = 0,
+    key: tuple[int, ...] = (),
 ) -> EstimatorStats:
-    """Freeze the optimizer state, draw n_mc fresh gradients at x, and measure
-    the estimator's bias, variance, SNRs and its correlation with the
-    direction, per coordinate. The bias reference E[d^2] is exact, from the
-    problem oracle (propagated through the momentum recursion when the
-    direction is the momentum)."""
+    """Freeze the optimizer state, draw n_mc fresh gradients at x from
+    make_rng(seed, MC_STREAM, *key), and measure the bias, variance, SNRs and
+    direction correlation of the estimate the next step would divide by, per
+    coordinate. Directions and estimates come from ``optim.propose``, which
+    ``step`` runs, with the draws as a batch axis. The bias reference E[d^2]
+    is exact, from the oracle of the direction the step uses."""
     if n_mc < 10**4:
         raise AnalysisError(f"n_mc must be >= 1e4 for stable estimates, got {n_mc}")
     for name, arr in (("m", state.m), ("v", state.v)):
@@ -604,27 +579,29 @@ def estimator_stats(
                 f"estimator stats are coordinatewise; state.{name} must have "
                 f"length {problem.dim}"
             )
+    alg = config.algorithm
+    spec = ALGORITHMS[alg]
+    if spec.estimate is None:
+        raise AnalysisError(f"{alg} uses exact moments; it has no estimator")
+    primed = state.initialized and all(getattr(state, name) is not None for name in spec.state)
+    if not primed and (state.initialized or spec.direction == "momentum"):
+        raise AnalysisError(f"{alg} estimator stats need a primed state holding {spec.state}")
     eps = config.epsilon if epsilon is None else float(epsilon)
+    x = np.asarray(x, dtype=np.float64)
     coord = BlockPartition.singleton(problem.dim)
-    lam = config.weight_decay_lambda
-    fold = lam if (lam > 0 and not config.decoupled) else 0.0
-    g_oracle = problem.grad_moments(x, partition=coord, fold_lambda=fold)
-    if g_oracle is None:
+    oracle = _direction_oracle(problem, config, state, x, coord)
+    if oracle is None:
         raise AnalysisError("estimator stats need a problem with exact moments")
-    rng = make_rng(seed, MC_STREAM)
-    G = problem.sample_gradients(np.asarray(x, dtype=np.float64), rng, n_mc)
-    d, v = _estimator_samples(config, state, G, np.asarray(x, dtype=np.float64))
-
-    if config.algorithm in _GRADIENT_DIRECTION:
-        exact_d2 = g_oracle.second_moment_d.copy()
-    elif config.algorithm in _MOMENTUM_DIRECTION:
-        _, exact_d2 = MomentumMomentTracker.conditional_moments(
-            config.beta1, state.m, g_oracle.mean_d, g_oracle.second_moment_d
-        )
-    else:  # pragma: no cover - closed algorithm set
-        raise AnalysisError(f"no direction model for algorithm {config.algorithm!r}")
+    exact_d2 = oracle.second_moment_d
+    if spec.direction == "momentum" and config.bias_correction == "zero_init_rescale":
+        # the step divides the corrected momentum m/c1
+        exact_d2 = exact_d2 / (1.0 - config.beta1 ** (state.t + 1)) ** 2
     if np.any(exact_d2 <= 0):
         raise AnalysisError("estimator stats need E[d^2] > 0 on every coordinate")
+    lam = config.weight_decay_lambda
+    fold = lam if (lam > 0 and not config.decoupled) else 0.0
+    G = problem.sample_gradients(x, make_rng(seed, MC_STREAM, *key), n_mc)
+    d, v, _, _ = propose(config, state, G + fold * x if fold else G, coord)
 
     mean_d = d.mean(axis=0)
     var_d = d.var(axis=0, ddof=1)

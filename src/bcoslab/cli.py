@@ -90,6 +90,13 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
+def _parse_seed(raw: str) -> int:
+    seed = int(raw)
+    if seed < 0:
+        raise ValueError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _parse_floats(raw: str) -> tuple:
     return tuple(float(tok) for tok in raw.split(",") if tok.strip() != "")
 
@@ -135,7 +142,7 @@ KEY_TABLE = {
     "schedule.alpha_min_ratio": ("alpha_min_ratio", float, repr),
     "run.steps": ("steps", int, str),
     "run.n_seeds": ("n_seeds", int, str),
-    "run.base_seed": ("base_seed", int, str),
+    "run.base_seed": ("base_seed", _parse_seed, str),
     "run.output_dir": ("output_dir", str.strip, str),
     "run.sigma_every": ("sigma_every", int, str),
     "verify.counterexamples": ("verify_counterexamples", _parse_bool, lambda b: str(bool(b)).lower()),
@@ -410,7 +417,10 @@ def _set_config_key(cfg: ExperimentConfig, key: str, value: float) -> Experiment
     current = getattr(cfg, attr)
     if isinstance(current, bool) or isinstance(current, (str, tuple)):
         raise ConfigError("sweep.param", f"{key!r} is not a numeric scalar key")
-    cast = int(value) if isinstance(current, int) else float(value)
+    try:
+        cast = parser(str(int(value))) if isinstance(current, int) else float(value)
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from exc
     return replace(cfg, **{attr: cast})
 
 

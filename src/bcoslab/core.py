@@ -78,10 +78,15 @@ class BlockPartition:
         return np.diff(bounds)
 
     def block_sums(self, a: np.ndarray) -> np.ndarray:
-        """Sum a length-n array within each block; returns length-m array."""
+        """Sum a (..., n) array within each block along the last axis;
+        returns a (..., m) array."""
         a = np.asarray(a)
         if a.shape[-1] != self.total_dim:
             raise ShapeError(f"expected length {self.total_dim}, got {a.shape[-1]}")
+        if self.num_blocks == self.total_dim:
+            # one coordinate per block: the sums are the entries themselves,
+            # and a copy is far cheaper than reduceat on batched draws
+            return a.copy()
         return np.add.reduceat(a, np.asarray(self.block_starts), axis=-1)
 
     def expand(self, per_block: np.ndarray) -> np.ndarray:
@@ -126,20 +131,3 @@ def vector(values, partition: BlockPartition | None = None) -> ParamVector:
     if partition is None:
         partition = BlockPartition.singleton(vals.shape[0])
     return ParamVector(vals, partition)
-
-
-def hadamard(a: ParamVector, b: ParamVector) -> ParamVector:
-    """Elementwise product out[i] = a[i] * b[i]."""
-    if len(a) != len(b):
-        raise ShapeError(f"length mismatch: {len(a)} vs {len(b)}")
-    return ParamVector(a.values * b.values, a.partition)
-
-
-def block_sq_norms(x: ParamVector) -> np.ndarray:
-    """Per-block squared Euclidean norms: out[k] = sum_{i in block k} x[i]^2."""
-    return x.partition.block_sums(x.values * x.values)
-
-
-def sign_vec(x: ParamVector) -> ParamVector:
-    """Elementwise sign with sign(0) = 0 exactly."""
-    return ParamVector(np.sign(x.values), x.partition)

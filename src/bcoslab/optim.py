@@ -9,29 +9,14 @@ All steps are functional: they take (config, state, x, g) and return a fresh
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import BlockPartition, NonFiniteError, ParamVector, ShapeError
 
-ALGORITHMS = (
-    "sgd",
-    "sgd_momentum",
-    "sign_sgd",
-    "sign_momentum",
-    "bcos_g",
-    "bcos_m",
-    "bcos_c",
-    "adam",
-    "conceptual_bcos",
-)
-
 EPSILON_PLACEMENTS = ("outside_sqrt", "inside_sqrt")
 BIAS_CORRECTIONS = ("init_first_sample", "zero_init_rescale")
-
-# Algorithms whose state carries a momentum vector / a second-moment vector.
-_HAS_M = ("sgd_momentum", "sign_momentum", "bcos_m", "bcos_c", "adam")
-_HAS_V = ("bcos_g", "bcos_m", "adam")
 
 
 class OptimizerError(ValueError):
@@ -99,10 +84,6 @@ def state_vector_count(state: OptimizerState) -> int:
     return int(state.m is not None) + int(state.v is not None)
 
 
-def expected_state_vectors(config: OptimizerConfig) -> int:
-    return int(config.algorithm in _HAS_M) + int(config.algorithm in _HAS_V)
-
-
 @dataclass(frozen=True)
 class MomentOracle:
     """Exact conditional moments of a search direction.
@@ -157,6 +138,162 @@ def _denominator(v_used: np.ndarray, config: OptimizerConfig) -> np.ndarray:
     return np.sqrt(v_used + config.epsilon)
 
 
+# ---------------------------------------------------------------------------
+# the algorithm table
+
+
+class StepInputs(NamedTuple):
+    """What an estimate sees: the step count before the step, the gradient
+    (coupled decay folded in), the direction to normalize and the previous
+    state; arrays are (..., n) or (..., m), so batch axes broadcast."""
+
+    t: int
+    partition: BlockPartition
+    g: np.ndarray
+    direction: np.ndarray
+    m_prev: np.ndarray | None
+    v_prev: np.ndarray | None
+
+
+@dataclass(frozen=True)
+class AlgorithmSpec:
+    """One algorithm: the vectors it keeps (``m``, ``v``), whether it steps
+    along the ``gradient`` or the ``momentum``, and how it normalizes that
+    direction: ``plain``, ``sign``, or ``sqrt`` (divide by the root of the
+    estimate). ``estimate(config, inputs)`` returns (estimate, v to store);
+    plain steps pair with the constant 1 and sign steps with d^2, as
+    sign(d) = d/sqrt(d^2). The conceptual method uses the exact moment."""
+
+    state: tuple[str, ...]
+    direction: str
+    normalize: str
+    estimate: Callable[[OptimizerConfig, StepInputs], tuple] | None
+
+
+def _rescaled(config: OptimizerConfig, value: np.ndarray, beta: float, t: int) -> np.ndarray:
+    """Zero-init bias correction of an EMA after t+1 updates."""
+    if config.bias_correction == "zero_init_rescale":
+        return value / (1.0 - beta ** (t + 1))
+    return value
+
+
+def _ema(config: OptimizerConfig, s: StepInputs, beta: float, u: np.ndarray) -> tuple:
+    """EMA of the per-block squared norm of u."""
+    v = beta * s.v_prev + (1.0 - beta) * s.partition.block_sums(u * u)
+    return _rescaled(config, v, beta, s.t), v
+
+
+def _conditional(config: OptimizerConfig, s: StepInputs) -> tuple:
+    """The conditional estimator: the previous momentum (read before the
+    momentum update) combined with the fresh gradient, so no v is stored."""
+    b1, t, part = config.beta1, s.t, s.partition
+    one_minus = 1.0 - b1
+    beta_eff = 1.0 - one_minus**2
+    m_prev, mass = s.m_prev, 1.0
+    if config.bias_correction == "zero_init_rescale":
+        # combine corrected quantities; with no history yet the missing
+        # momentum weight renormalizes away
+        m_prev = m_prev / (1.0 - b1**t) if t > 0 else m_prev
+        mass = (beta_eff if t > 0 else 0.0) + one_minus**2
+    if config.conditional_full:
+        v_t = (
+            b1**2 * part.block_sums(m_prev * m_prev)
+            + 2.0 * b1 * one_minus * part.block_sums(m_prev * s.direction)
+            + one_minus**2 * part.block_sums(s.g * s.g)
+        )
+    else:
+        v_t = (beta_eff * part.block_sums(m_prev * m_prev)
+               + one_minus**2 * part.block_sums(s.g * s.g))
+    return (v_t / mass if mass != 1.0 else v_t), None
+
+
+def _unit(config: OptimizerConfig, s: StepInputs) -> tuple:
+    return np.ones_like(s.direction), None
+
+
+def _own_square(config: OptimizerConfig, s: StepInputs) -> tuple:
+    return s.direction * s.direction, None
+
+
+ALGORITHMS = {
+    "sgd": AlgorithmSpec((), "gradient", "plain", _unit),
+    "sgd_momentum": AlgorithmSpec(("m",), "momentum", "plain", _unit),
+    "sign_sgd": AlgorithmSpec((), "gradient", "sign", _own_square),
+    "sign_momentum": AlgorithmSpec(("m",), "momentum", "sign", _own_square),
+    # squared-gradient EMA (RMSprop), smoothed with beta1
+    "bcos_g": AlgorithmSpec(("v",), "gradient", "sqrt", lambda c, s: _ema(c, s, c.beta1, s.g)),
+    # squared-momentum EMA; it tracks the direction the update uses, so under
+    # rescaling it averages the corrected momentum square
+    "bcos_m": AlgorithmSpec(("m", "v"), "momentum", "sqrt",
+                            lambda c, s: _ema(c, s, c.beta2, s.direction)),
+    "bcos_c": AlgorithmSpec(("m",), "momentum", "sqrt", _conditional),
+    "adam": AlgorithmSpec(("m", "v"), "momentum", "sqrt", lambda c, s: _ema(c, s, c.beta2, s.g)),
+    "conceptual_bcos": AlgorithmSpec((), "gradient", "sqrt", None),
+}
+
+
+def expected_state_vectors(config: OptimizerConfig) -> int:
+    return len(ALGORITHMS[config.algorithm].state)
+
+
+def momentum_moments(beta1: float, m_prev: np.ndarray, g_mean: np.ndarray,
+                     g_second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact conditional moments of the momentum m_t = b*m_{t-1} + (1-b)*g_t,
+    given the realized previous momentum and the gradient moments. Expanding
+    the square: E[m_t^2] = b^2 m_{t-1}^2 + 2 b (1-b) m_{t-1} E[g_t]
+    + (1-b)^2 E[g_t^2], coordinatewise."""
+    b = beta1
+    mean = b * m_prev + (1.0 - b) * g_mean
+    second = (
+        b * b * m_prev * m_prev
+        + 2.0 * b * (1.0 - b) * m_prev * g_mean
+        + (1.0 - b) ** 2 * g_second
+    )
+    return mean, second
+
+
+def propose(config: OptimizerConfig, state: OptimizerState, g: np.ndarray,
+            partition: BlockPartition) -> tuple:
+    """(direction, estimate, m to store, v to store) of one step from
+    ``state`` for the gradient g (coupled decay folded in). g may carry
+    leading batch axes, one per draw, sharing the state. An unprimed state
+    starts from zeros under zero-init rescaling, else from the first sample.
+    """
+    spec = ALGORITHMS[config.algorithm]
+    rescale = config.bias_correction == "zero_init_rescale"
+    t = state.t
+    m_prev, v_prev = state.m, state.v
+    if not state.initialized:
+        if rescale:
+            m_prev = np.zeros(partition.total_dim)
+            v_prev = np.zeros(partition.num_blocks)
+        else:
+            m_prev = g
+            v_prev = partition.block_sums(g * g) if "v" in spec.state else None
+    m_new = None
+    direction = g
+    if spec.direction == "momentum":
+        b1 = config.beta1
+        m_new = b1 * m_prev + (1.0 - b1) * g
+        direction = _rescaled(config, m_new, b1, t)
+    estimate, v_new = spec.estimate(
+        config, StepInputs(t, partition, g, direction, m_prev, v_prev)
+    )
+    return direction, estimate, m_new, v_new
+
+
+def normalize(config: OptimizerConfig, direction: np.ndarray, estimate: np.ndarray,
+              partition: BlockPartition) -> np.ndarray:
+    """The update the step subtracts (times alpha) for a direction and its
+    second-moment estimate."""
+    kind = ALGORITHMS[config.algorithm].normalize
+    if kind == "plain":
+        return direction
+    if kind == "sign":
+        return np.sign(direction)
+    return _safe_divide(direction, partition.expand(_denominator(estimate, config)))
+
+
 def step(
     config: OptimizerConfig,
     state: OptimizerState,
@@ -193,94 +330,11 @@ def step(
     else:
         d = gv
 
-    alg = config.algorithm
-    t = state.t
-    rescale = config.bias_correction == "zero_init_rescale"
-
-    m_prev = state.m
-    v_prev = state.v
-    if not state.initialized:
-        if rescale:
-            m_prev = np.zeros(len(x))
-            v_prev = np.zeros(part.num_blocks)
-        else:
-            m_prev = d.copy()
-            v_prev = part.block_sums(d * d)
-
-    b1, b2 = config.beta1, config.beta2
-    c1 = 1.0 - b1 ** (t + 1)
-    c2 = 1.0 - b2 ** (t + 1)
-
-    m_new = None
-    v_new = None
-    if alg == "sgd":
-        update = d
-    elif alg == "sign_sgd":
-        update = np.sign(d)
-    elif alg in ("sgd_momentum", "sign_momentum"):
-        m_new = b1 * m_prev + (1.0 - b1) * d
-        m_used = m_new / c1 if rescale else m_new
-        update = np.sign(m_used) if alg == "sign_momentum" else m_used
-    elif alg == "bcos_g":
-        v_new = b1 * v_prev + (1.0 - b1) * part.block_sums(d * d)
-        v_used = v_new / c1 if rescale else v_new
-        den = part.expand(_denominator(v_used, config))
-        update = _safe_divide(d, den)
-    elif alg == "bcos_m":
-        m_new = b1 * m_prev + (1.0 - b1) * d
-        m_used = m_new / c1 if rescale else m_new
-        # the estimate tracks the direction the update uses, so under
-        # rescaling it averages the corrected momentum square
-        v_new = b2 * v_prev + (1.0 - b2) * part.block_sums(m_used * m_used)
-        v_used = v_new / c2 if rescale else v_new
-        den = part.expand(_denominator(v_used, config))
-        update = _safe_divide(m_used, den)
-    elif alg == "adam":
-        m_new = b1 * m_prev + (1.0 - b1) * d
-        v_new = b2 * v_prev + (1.0 - b2) * part.block_sums(d * d)
-        m_used = m_new / c1 if rescale else m_new
-        v_used = v_new / c2 if rescale else v_new
-        den = part.expand(_denominator(v_used, config))
-        update = _safe_divide(m_used, den)
-    elif alg == "bcos_c":
-        # The previous momentum is read before the momentum update; the
-        # estimate combines it with the fresh gradient, so no v is stored.
-        m_new = b1 * m_prev + (1.0 - b1) * d
-        m_used = m_new / c1 if rescale else m_new
-        one_minus = 1.0 - b1
-        beta_eff = 1.0 - one_minus**2
-        if rescale:
-            # combine corrected quantities; with no history yet the missing
-            # momentum weight renormalizes away
-            m_prev_used = m_prev / (1.0 - b1**t) if t > 0 else m_prev
-            mass = (beta_eff if t > 0 else 0.0) + one_minus**2
-        else:
-            m_prev_used = m_prev
-            mass = 1.0
-        if config.conditional_full:
-            v_t = (
-                b1**2 * part.block_sums(m_prev_used * m_prev_used)
-                + 2.0 * b1 * one_minus * part.block_sums(m_prev_used * m_used)
-                + one_minus**2 * part.block_sums(d * d)
-            )
-        else:
-            v_t = (
-                beta_eff * part.block_sums(m_prev_used * m_prev_used)
-                + one_minus**2 * part.block_sums(d * d)
-            )
-        v_used = v_t / mass if mass != 1.0 else v_t
-        den = part.expand(_denominator(v_used, config))
-        update = _safe_divide(m_used, den)
-    else:  # pragma: no cover - guarded by the config validator
-        raise OptimizerError(f"unhandled algorithm {alg!r}")
-
-    x_new = decay * x.values - alpha_t * update
+    direction, estimate, m_new, v_new = propose(config, state, d, part)
+    x_new = decay * x.values - alpha_t * normalize(config, direction, estimate, part)
     if not np.all(np.isfinite(x_new)):
-        raise NonFiniteError(f"{alg} step produced non-finite parameters")
-
-    keep_m = m_new if alg in _HAS_M else None
-    keep_v = v_new if alg in _HAS_V else None
-    new_state = OptimizerState(t=t + 1, initialized=True, m=keep_m, v=keep_v)
+        raise NonFiniteError(f"{config.algorithm} step produced non-finite parameters")
+    new_state = OptimizerState(t=state.t + 1, initialized=True, m=m_new, v=v_new)
     return ParamVector(x_new, part), new_state
 
 
@@ -361,6 +415,7 @@ def trace_rows(
 
 __all__ = [
     "ALGORITHMS",
+    "AlgorithmSpec",
     "MomentOracle",
     "OptimizerConfig",
     "OptimizerError",
@@ -368,7 +423,10 @@ __all__ = [
     "conceptual_step",
     "expected_state_vectors",
     "init_state",
+    "momentum_moments",
+    "normalize",
     "optimal_stepsizes",
+    "propose",
     "signal_fraction",
     "state_vector_count",
     "step",

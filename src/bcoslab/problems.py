@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,46 +130,6 @@ class NoisyQuadratic(StochasticProblem):
 
     def default_start(self) -> np.ndarray:
         return self.x_star + 3.0
-
-
-@dataclass
-class MomentumMomentTracker:
-    """Exact conditional moments of the momentum m_t = b*m_{t-1} + (1-b)*g_t,
-    given the realized previous momentum and the gradient oracle.
-
-    Expanding the square: E[m_t^2] = b^2 m_{t-1}^2
-    + 2 b (1-b) m_{t-1} E[g_t] + (1-b)^2 E[g_t^2], coordinatewise.
-    """
-
-    beta1: float
-    m_mean: np.ndarray = field(default=None)
-    m_second: np.ndarray = field(default=None)
-
-    @staticmethod
-    def conditional_moments(beta1: float, m_prev: np.ndarray, g_mean: np.ndarray,
-                            g_second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        b = beta1
-        mean = b * m_prev + (1.0 - b) * g_mean
-        second = (
-            b * b * m_prev * m_prev
-            + 2.0 * b * (1.0 - b) * m_prev * g_mean
-            + (1.0 - b) ** 2 * g_second
-        )
-        return mean, second
-
-    def update(self, m_prev: np.ndarray, g_mean: np.ndarray, g_second: np.ndarray) -> None:
-        self.m_mean, self.m_second = self.conditional_moments(
-            self.beta1, m_prev, g_mean, g_second
-        )
-
-    def oracle(self, partition: BlockPartition | None = None) -> MomentOracle:
-        if self.m_mean is None:
-            raise ProblemError("tracker has no moments yet; call update first")
-        n = self.m_mean.shape[0]
-        if partition is None:
-            partition = BlockPartition.singleton(n)
-        second = partition.block_sums(self.m_second)
-        return MomentOracle(self.m_mean, second, partition)
 
 
 class LogisticSmokeProblem(StochasticProblem):

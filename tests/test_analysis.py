@@ -3,6 +3,8 @@ deterministic verifiers."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcoslab import analysis
 from bcoslab.analysis import (
@@ -24,10 +26,22 @@ from bcoslab.analysis import (
     tau_frontier,
     verify_ratio_expansion,
 )
-from bcoslab.core import BlockPartition
-from bcoslab.optim import MomentOracle, OptimizerConfig, OptimizerState, signal_fraction
+from bcoslab.core import BlockPartition, ParamVector, vector
+from bcoslab.optim import (
+    ALGORITHMS,
+    MomentOracle,
+    OptimizerConfig,
+    OptimizerState,
+    init_state,
+    momentum_moments,
+    normalize,
+    propose,
+    signal_fraction,
+    step,
+)
 from bcoslab.problems import (
     MC_STREAM,
+    TRAJECTORY_STREAM,
     NoisyQuadratic,
     aiming_inner_product,
     make_rng,
@@ -205,6 +219,36 @@ class TestMeanTrajectory:
         with pytest.raises(DivergenceError):
             mean_trajectory(prob, OptimizerConfig("sgd"), constant(4.0), 120,
                             n_seeds=2, base_seed=0, x0=np.array([1.0]))
+
+
+class TestDivergenceReport:
+    def test_per_seed_engine_names_seed_step_and_distance(self):
+        prob = NoisyQuadratic(h=[1.0], sigma=0.0, x_star=[0.0])
+        with pytest.raises(DivergenceError) as err:
+            run_trajectory(prob, OptimizerConfig("sgd"), constant(4.0), 100,
+                           base_seed=0, seed_index=3, x0=np.array([1.0]))
+        last = err.value.records[-1]
+        assert str(err.value) == (
+            f"seed 3 diverged at t={last.t}: squared distance {last.dist_sq:.3e}"
+        )
+
+    def test_vectorized_engine_attaches_the_seed_record(self):
+        """Conceptual updates at a huge constant stepsize blow up in the
+        lockstep ensemble; the error carries the same record the per-seed
+        replay of that seed ends with."""
+        prob = centered_quadratic(n=4)
+        cfg = OptimizerConfig("conceptual_bcos")
+        with pytest.raises(DivergenceError) as err:
+            mean_trajectory(prob, cfg, constant(1e6), 50, n_seeds=4, base_seed=0)
+        (rec,) = err.value.records
+        assert rec.dist_sq > analysis.DIVERGENCE_THRESHOLD
+        seed = int(str(err.value).split()[1])
+        assert str(err.value) == (
+            f"seed {seed} diverged at t={rec.t}: squared distance {rec.dist_sq:.3e}"
+        )
+        with pytest.raises(DivergenceError) as replay:
+            run_trajectory(prob, cfg, constant(1e6), 50, base_seed=0, seed_index=seed)
+        assert replay.value.records[-1] == rec
 
 
 class TestAimingForms:
@@ -436,8 +480,6 @@ class TestEstimatorStats:
     def test_adam_bias_reference_is_momentum_second_moment(self):
         """The squared-gradient EMA estimates the second moment of the
         momentum direction, so the bias reference must be E[m^2]."""
-        from bcoslab.problems import MomentumMomentTracker
-
         prob = centered_quadratic()
         x = np.array([1.0, -2.0, 0.5])
         m_prev = np.array([0.4, 0.1, -0.9])
@@ -446,10 +488,96 @@ class TestEstimatorStats:
         cfg = OptimizerConfig("adam", beta1=0.9, beta2=0.95)
         stats = estimator_stats(prob, x, state, cfg, 10**4, seed=7)
         oracle = prob.grad_moments(x)
-        _, m_second = MomentumMomentTracker.conditional_moments(
-            0.9, m_prev, oracle.mean_d, oracle.second_moment_d
-        )
+        _, m_second = momentum_moments(0.9, m_prev, oracle.mean_d, oracle.second_moment_d)
         np.testing.assert_array_equal(stats.exact_second_moment, m_second)
+
+
+PRACTICAL = [name for name, spec in ALGORITHMS.items() if spec.estimate is not None]
+
+
+class TestEstimatorMatchesStep:
+    @given(
+        alg=st.sampled_from(PRACTICAL),
+        bias_correction=st.sampled_from(["init_first_sample", "zero_init_rescale"]),
+        placement=st.sampled_from(["outside_sqrt", "inside_sqrt"]),
+        decoupled=st.booleans(),
+        full=st.booleans(),
+        priming=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_sampled_estimate_is_what_step_divides_by(
+        self, alg, bias_correction, placement, decoupled, full, priming, seed
+    ):
+        """For every Monte Carlo draw, one step on that gradient lands where
+        the harness's (direction, estimate) pair says it does, bit for bit."""
+        prob = NoisyQuadratic(h=[1.0, 2.0, 0.5], sigma=[0.5, 1.0, 1.5], x_star=np.zeros(3))
+        lam, alpha = 0.1, 0.05
+        cfg = OptimizerConfig(alg, beta1=0.9, beta2=0.95, epsilon=1e-6,
+                              epsilon_placement=placement, weight_decay_lambda=lam,
+                              decoupled=decoupled, bias_correction=bias_correction,
+                              conditional_full=full and alg == "bcos_c")
+        x, state = vector([1.2, -0.7, 2.0]), init_state()
+        rng = make_rng(seed, TRAJECTORY_STREAM, 0)
+        for _ in range(priming):
+            x, state = step(cfg, state, x, vector(prob.sample_gradient(x.values, rng)), alpha)
+        n_mc = 10**4
+        stats = estimator_stats(prob, x.values, state, cfg, n_mc, seed=seed)
+
+        G = prob.sample_gradients(x.values, make_rng(seed, MC_STREAM), n_mc)
+        part = x.partition
+        decay = 1.0 - alpha * lam if decoupled else 1.0
+        d, v, _, _ = propose(cfg, state, G if decoupled else G + lam * x.values, part)
+        # these are the draws the harness measured
+        assert stats.mean_d.tobytes() == d.mean(axis=0).tobytes()
+        assert stats.mean_v.tobytes() == v.mean(axis=0).tobytes()
+        expected = decay * x.values - alpha * normalize(cfg, d, v, part)
+        stepped = np.stack([step(cfg, state, x, ParamVector(g, part), alpha)[0].values for g in G])
+        assert stepped.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("alg", ["bcos_c", "adam", "sgd_momentum"])
+    def test_rescaled_exact_moment_matches_corrected_direction(self, alg):
+        """Without noise the direction is deterministic, so its exact second
+        moment is its square; under zero-init rescaling that is the square
+        of m/c1."""
+        prob = NoisyQuadratic(h=[1.0, 2.0], sigma=0.0, x_star=np.zeros(2))
+        cfg = OptimizerConfig(alg, beta1=0.9, bias_correction="zero_init_rescale")
+        state = OptimizerState(t=2, initialized=True, m=np.array([0.3, -0.4]),
+                               v=np.array([1.0, 2.0]))
+        stats = estimator_stats(prob, np.array([1.5, -1.0]), state, cfg, 10**4)
+        np.testing.assert_allclose(stats.exact_second_moment, stats.mean_d**2, rtol=1e-12)
+
+
+class TestEstimatorSeeds:
+    def test_default_stream_has_no_key(self):
+        prob = centered_quadratic()
+        x = np.array([1.0, -2.0, 0.5])
+        stats = estimator_stats(prob, x, OptimizerState(), OptimizerConfig("sgd"),
+                                10**4, seed=101)
+        G = prob.sample_gradients(x, make_rng(101, MC_STREAM), 10**4)
+        assert stats.mean_d.tobytes() == G.mean(axis=0).tobytes()
+
+    def test_keyed_streams_do_not_collide(self):
+        """The old seed base_seed*1009 + t made (0, 2018) and (1, 1009) draw
+        the same samples."""
+        prob = centered_quadratic()
+        x = np.array([1.0, -2.0, 0.5])
+        cfg = OptimizerConfig("sgd")
+        a = estimator_stats(prob, x, OptimizerState(), cfg, 10**4, seed=0, key=(2018,))
+        b = estimator_stats(prob, x, OptimizerState(), cfg, 10**4, seed=1, key=(1009,))
+        assert not np.array_equal(a.mean_d, b.mean_d)
+
+    def test_trajectory_diagnostic_uses_step_key(self):
+        prob = centered_quadratic()
+        cfg = OptimizerConfig("bcos_c", beta1=0.9)
+        records = run_trajectory(prob, cfg, constant(0.05), 2, base_seed=7,
+                                 sigma_every=2, sigma_n_mc=10**4)
+        x, state = vector(prob.default_start()), init_state()
+        rng = make_rng(7, TRAJECTORY_STREAM, 0)
+        for _ in range(2):
+            x, state = step(cfg, state, x, vector(prob.sample_gradient(x.values, rng)), 0.05)
+        expected = estimator_stats(prob, x.values, state, cfg, 10**4, seed=7, key=(2,))
+        assert records[2].estimator_diag.sigma_t == expected.sigma_t
 
 
 class TestMcHelpers:

@@ -71,6 +71,21 @@ class TestConfigFormat:
         with pytest.raises(ConfigError):
             parse_config("run.steps 5\n")
 
+    def test_negative_base_seed_named(self, tmp_path, capsys):
+        with pytest.raises(ConfigError) as err:
+            parse_config("run.base_seed = -1\n")
+        assert err.value.key == "run.base_seed"
+        path = write_config(tmp_path, minimal_quadratic_config(**{"run.base_seed": -1}))
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: config field 'run.base_seed'" in capsys.readouterr().err
+
+    def test_negative_base_seed_rejected_in_sweep(self, tmp_path, capsys):
+        text = minimal_quadratic_config(**{"sweep.param": "run.base_seed",
+                                           "sweep.values": "1,-1"})
+        path = write_config(tmp_path, text)
+        assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "'run.base_seed'" in capsys.readouterr().err
+
 
 class TestCmdRun:
     def test_row_count(self, tmp_path, capsys):

@@ -10,11 +10,9 @@ from bcoslab.core import (
     NonFiniteError,
     ParamVector,
     ShapeError,
-    block_sq_norms,
-    hadamard,
-    sign_vec,
     vector,
 )
+from bcoslab.optim import OptimizerConfig, normalize
 
 
 class TestBlockPartition:
@@ -67,51 +65,20 @@ class TestParamVector:
             x.values[0] = 5.0
 
 
-class TestHadamard:
-    def test_basic(self):
-        out = hadamard(vector([1.0, 2.0]), vector([3.0, 4.0]))
-        assert out.values.tolist() == [3.0, 8.0]
-
-    def test_identity(self):
-        x = vector([0.25, -7.0, 3.5])
-        out = hadamard(x, vector(np.ones(3)))
-        assert np.array_equal(out.values, x.values)
-
-    def test_sign_and_zero(self):
-        out = hadamard(vector([-1.0, 0.0]), vector([-1.0, 5.0]))
-        assert out.values.tolist() == [1.0, 0.0]
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            hadamard(vector([1.0]), vector([1.0, 2.0]))
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))
-    @settings(max_examples=100, deadline=None)
-    def test_commutative_bitwise(self, vals):
-        a = vector(vals)
-        b = vector(list(reversed(vals)))
-        assert np.array_equal(hadamard(a, b).values, hadamard(b, a).values)
-
-    def test_chained_products_replay_bitwise(self):
-        """Re-evaluating the same association order is bit-stable."""
-        rng = np.random.default_rng(8)
-        a, b, c = (vector(rng.standard_normal(16)) for _ in range(3))
-        first = hadamard(hadamard(a, b), c).values
-        second = hadamard(hadamard(a, b), c).values
-        assert np.array_equal(first, second)
-
-
 class TestBlockSqNorms:
+    """Per-block squared norms, as every step rule forms them."""
+
     def test_pythagorean(self):
         p = BlockPartition.from_sizes([2, 1])
-        assert block_sq_norms(vector([3.0, 4.0, 5.0], p)).tolist() == [25.0, 25.0]
+        assert p.block_sums(np.array([3.0, 4.0, 5.0]) ** 2).tolist() == [25.0, 25.0]
 
     def test_single_full_block(self):
         p = BlockPartition.full(2)
-        assert block_sq_norms(vector([1.0, 1.0], p)).tolist() == [2.0]
+        assert p.block_sums(np.array([1.0, 1.0]) ** 2).tolist() == [2.0]
 
     def test_singleton_blocks_square_coordinates(self):
-        assert block_sq_norms(vector([2.0, -3.0])).tolist() == [4.0, 9.0]
+        p = BlockPartition.singleton(2)
+        assert p.block_sums(np.array([2.0, -3.0]) ** 2).tolist() == [4.0, 9.0]
 
     @given(
         st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30),
@@ -125,17 +92,44 @@ class TestBlockSqNorms:
         n_blocks = int(rng.integers(1, n + 1))
         starts = (0,) + tuple(sorted(rng.choice(np.arange(1, n), size=n_blocks - 1, replace=False))) if n_blocks > 1 else (0,)
         p = BlockPartition(starts, n)
-        x = vector(vals, p)
-        total = float(np.sum(np.asarray(vals) ** 2))
-        np.testing.assert_allclose(block_sq_norms(x).sum(), total, rtol=1e-12, atol=1e-300)
+        sq = np.asarray(vals) ** 2
+        np.testing.assert_allclose(p.block_sums(sq).sum(), float(np.sum(sq)),
+                                   rtol=1e-12, atol=1e-300)
+
+
+def sign_step(values):
+    """The update direction of the sign method, sign(d) elementwise."""
+    d = np.asarray(values, dtype=float)
+    return normalize(OptimizerConfig("sign_sgd"), d, d * d, BlockPartition.singleton(d.size))
 
 
 class TestSignVec:
     def test_three_way_definition(self):
-        assert sign_vec(vector([0.5, -2.0, 0.0])).values.tolist() == [1.0, -1.0, 0.0]
+        assert sign_step([0.5, -2.0, 0.0]).tolist() == [1.0, -1.0, 0.0]
 
     def test_zero_maps_to_zero(self):
-        assert sign_vec(vector([0.0, 0.0])).values.tolist() == [0.0, 0.0]
+        assert sign_step([0.0, 0.0]).tolist() == [0.0, 0.0]
 
     def test_tiny_positive_maps_to_one(self):
-        assert sign_vec(vector([1e-300])).values.tolist() == [1.0]
+        assert sign_step([1e-300]).tolist() == [1.0]
+
+
+class TestSingletonBlockSums:
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.lists(st.integers(min_value=1, max_value=5), max_size=3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_copy_matches_reduceat_bitwise(self, n, batch, seed):
+        """The singleton shortcut returns exactly what reduceat returns, on
+        any leading batch axes, signed zeros and infinities included."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((*batch, n)) * 10.0 ** rng.integers(-300, 300, (*batch, n))
+        a.flat[rng.integers(0, a.size)] = rng.choice([0.0, -0.0, np.inf, -np.inf])
+        p = BlockPartition.singleton(n)
+        expected = np.add.reduceat(a, np.arange(n), axis=-1)
+        out = p.block_sums(a)
+        assert out.shape == expected.shape and out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+        assert out is not a and not np.shares_memory(out, a)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from bcoslab.core import BlockPartition
+from bcoslab.optim import momentum_moments
 from bcoslab.problems import (
     DATA_STREAM,
     MC_STREAM,
     TRAJECTORY_STREAM,
     LogisticSmokeProblem,
-    MomentumMomentTracker,
     NoisyQuadratic,
     ProblemError,
     aiming_inner_product,
@@ -126,25 +126,13 @@ class TestMomentumTracker:
         m_prev = np.array([0.3, 1.0, -0.7])
         beta = 0.9
         oracle = prob.grad_moments(x)
-        mean, second = MomentumMomentTracker.conditional_moments(
-            beta, m_prev, oracle.mean_d, oracle.second_moment_d
-        )
+        mean, second = momentum_moments(beta, m_prev, oracle.mean_d, oracle.second_moment_d)
         G = prob.sample_gradients(x, make_rng(5, MC_STREAM), 10**5)
         M = beta * m_prev + (1 - beta) * G
         se_mean = M.std(axis=0, ddof=1) / np.sqrt(10**5)
         se_second = (M**2).std(axis=0, ddof=1) / np.sqrt(10**5)
         assert np.all(np.abs(M.mean(axis=0) - mean) <= 3 * se_mean)
         assert np.all(np.abs((M**2).mean(axis=0) - second) <= 3 * se_second)
-
-    def test_tracker_updates_state(self):
-        tracker = MomentumMomentTracker(beta1=0.8)
-        tracker.update(np.array([1.0]), np.array([2.0]), np.array([5.0]))
-        np.testing.assert_allclose(tracker.m_mean, [0.8 + 0.2 * 2.0])
-        np.testing.assert_allclose(
-            tracker.m_second, [0.64 + 2 * 0.8 * 0.2 * 2.0 + 0.04 * 5.0]
-        )
-        oracle = tracker.oracle()
-        assert oracle.second_moment_d.shape == (1,)
 
 
 class TestLogisticSmoke:
