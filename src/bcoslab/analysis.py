@@ -119,17 +119,16 @@ def _direction_oracle(problem, config, state, x, partition):
     or None when unavailable (no problem oracle, or momentum not yet primed)."""
     lam = config.weight_decay_lambda
     fold = lam if (lam > 0 and not config.decoupled) else 0.0
-    grad_oracle = problem.grad_moments(x, partition=partition, fold_lambda=fold)
-    if grad_oracle is None:
-        return None
     # adam steps along the momentum even though its estimate averages
     # squared gradients; the table says which
     if ALGORITHMS[config.algorithm].direction == "gradient":
-        return grad_oracle
+        return problem.grad_moments(x, partition=partition, fold_lambda=fold)
     if state.m is None:
         return None
     coord = BlockPartition.singleton(problem.dim)
     g_coord = problem.grad_moments(x, partition=coord, fold_lambda=fold)
+    if g_coord is None:
+        return None
     mean, second = momentum_moments(
         config.beta1, state.m, g_coord.mean_d, g_coord.second_moment_d
     )
@@ -331,6 +330,11 @@ def mean_trajectory(
     )
 
 
+# steps per pass of the vectorized ensemble recorder: its numpy calls cost
+# the same for one row as for a few hundred, so they run once per block
+_BLOCK = 256
+
+
 def _conceptual_quadratic_ensemble(problem: NoisyQuadratic, config, schedule,
                                    T, n_seeds, base_seed, x0) -> MeanCurve:
     n = problem.dim
@@ -340,50 +344,57 @@ def _conceptual_quadratic_ensemble(problem: NoisyQuadratic, config, schedule,
     X = np.tile(start, (n_seeds, 1))
     rngs = [make_rng(base_seed, TRAJECTORY_STREAM, i) for i in range(n_seeds)]
 
-    mean_curve = np.empty(T + 1)
-    se_curve = np.empty(T + 1)
-    loss_curve = np.empty(T + 1)
-    aim_curve = np.empty(T + 1)
+    curves = tuple(np.empty(T + 1) for _ in range(4))
     alphas = np.array([value_at(schedule, t) for t in range(T + 1)])
     var = (h * sig) ** 2
 
-    def record(t: int) -> float:
-        diff = X - x_star
-        dist = np.einsum("ij,ij->i", diff, diff)
-        d0 = dist[0]
-        delta = dist - d0
-        s1 = delta.sum()
-        mean_curve[t] = d0 + s1 / n_seeds
-        v = (np.dot(delta, delta) - s1 * s1 / n_seeds) / (n_seeds - 1)
-        se_curve[t] = math.sqrt(max(v, 0.0) / n_seeds)
-        loss_curve[t] = float(np.mean(0.5 * np.sum(h * diff * diff, axis=1)))
-        mean_g = h * diff
-        second = mean_g * mean_g + var
-        aim = np.sum(diff * mean_g / np.sqrt(second), axis=1)
-        if lam > 0:
-            aim += lam * np.sum(diff * X, axis=1) - lam * dist
-        aim_curve[t] = float(np.min(aim))
-        return float(np.max(dist))
+    def update(X, xi, alpha):
+        # expressions mirror sample_gradient/conceptual_step exactly so each
+        # seed's path is bit-identical to its run_trajectory replay
+        mean_g = h * (X - x_star)
+        g = mean_g - h * (sig * xi)
+        den = np.sqrt(mean_g * mean_g + var)
+        return (1.0 - alpha * lam) * X - alpha * g / den
+
+    history = np.empty((min(_BLOCK, T + 1), n_seeds, n))
+    t0 = 0  # first step whose iterate is not yet recorded
+    caller_errors = np.geterr()
+
+    def flush(t_end: int) -> None:
+        nonlocal t0
+        if t_end > t0:
+            with np.errstate(**caller_errors):
+                _record_block(problem, lam, alphas, history[: t_end - t0], t0, curves)
+        t0 = t_end
 
     chunk = max(1, int(4_000_000 / max(1, n_seeds * n)))
+    noise = np.empty((n_seeds, min(chunk, T), n))
     t = 0
     while t < T:
         width = min(chunk, T - t)
-        noise = np.empty((n_seeds, width, n))
         for i, rng in enumerate(rngs):
-            noise[i] = rng.standard_normal((width, n))
-        for j in range(width):
-            if record(t + j) > DIVERGENCE_THRESHOLD:
-                raise _ensemble_divergence(problem, X, t + j, alphas[t + j], lam)
-            alpha = alphas[t + j]
-            mean_g = h * (X - x_star)
-            # expressions mirror sample_gradient/conceptual_step exactly so
-            # each seed's path is bit-identical to its run_trajectory replay
-            g = mean_g - h * (sig * noise[:, j, :])
-            den = np.sqrt(mean_g * mean_g + var)
-            X = (1.0 - alpha * lam) * X - alpha * g / den
+            rng.standard_normal(out=noise[i, :width])
+        # steps run on past a divergence until the block is recorded; raising
+        # here keeps their floating-point warnings from surfacing
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for j in range(width):
+                s = t + j
+                history[s - t0] = X
+                if s + 1 - t0 == len(history):
+                    flush(s + 1)
+                try:
+                    X = update(X, noise[:, j, :], alphas[s])
+                except FloatingPointError:
+                    # a recorded row past the threshold ends the run before
+                    # this step, as the per-step check did; otherwise the
+                    # step is repeated so the caller sees its warnings
+                    flush(s + 1)
+                    with np.errstate(**caller_errors):
+                        X = update(X, noise[:, j, :], alphas[s])
         t += width
-    record(T)
+    history[T - t0] = X
+    flush(T + 1)
+    mean_curve, se_curve, loss_curve, aim_curve = curves
     return MeanCurve(
         t=np.arange(T + 1),
         mean_dist_sq=mean_curve,
@@ -393,6 +404,45 @@ def _conceptual_quadratic_ensemble(problem: NoisyQuadratic, config, schedule,
         aiming_min=aim_curve,
         n_seeds=n_seeds,
     )
+
+
+def _record_block(problem: NoisyQuadratic, lam: float, alphas: np.ndarray,
+                  X: np.ndarray, t0: int, curves: tuple) -> None:
+    """Seed statistics of the lockstep iterates X (W, S, n) of steps t0 ..
+    t0+W-1, written into rows t0.. of the (mean, SE, loss, aiming-min)
+    curves. Raises the ensemble DivergenceError at the first step whose
+    largest squared distance passes the threshold.
+
+    Each row is reduced in the same order as a single (S, n) step would be:
+    einsum for the distances, sums along the contiguous last axis, and one
+    BLAS dot per row for the SE's sum of squares, so the curves do not depend
+    on how the steps are split into blocks."""
+    W, S, _ = X.shape
+    diff = X - problem.x_star
+    dist = np.einsum("wij,wij->wi", diff, diff)
+    crossed = np.flatnonzero(np.max(dist, axis=1) > DIVERGENCE_THRESHOLD)
+    if crossed.size:
+        k = int(crossed[0])
+        raise _ensemble_divergence(problem, X[k], t0 + k, alphas[t0 + k], lam)
+    mean_curve, se_curve, loss_curve, aim_curve = (c[t0 : t0 + W] for c in curves)
+    d0 = dist[:, 0]
+    delta = dist - d0[:, None]
+    s1 = delta.sum(axis=1)
+    sq = np.array([np.dot(row, row) for row in delta])
+    mean_curve[:] = d0 + s1 / S
+    v = (sq - s1 * s1 / S) / (S - 1)
+    se_curve[:] = np.sqrt(np.maximum(v, 0.0) / S)
+    mean_g = problem.h * diff
+    # h*diff*diff and diff*mean_g are the same product, bit for bit
+    h_diff_sq = mean_g * diff
+    loss_curve[:] = np.mean(0.5 * np.sum(h_diff_sq, axis=2), axis=1)
+    den = mean_g * mean_g
+    den += (problem.h * problem.sigma) ** 2
+    np.sqrt(den, out=den)
+    aim = np.sum(np.divide(h_diff_sq, den, out=den), axis=2)
+    if lam > 0:
+        aim += lam * np.sum(diff * X, axis=2) - lam * dist
+    aim_curve[:] = np.min(aim, axis=1)
 
 
 def _ensemble_divergence(problem, X, t, alpha, lam) -> DivergenceError:

@@ -6,7 +6,8 @@ Configs are flat key = value text files; every run writes a manifest with a
 config hash and content hashes of its outputs, and output bytes are a pure
 function of (config, base_seed).
 
-Exit codes: 0 success, 1 verifier failure or divergence, 2 config error.
+Exit codes: 0 success, 1 verifier failure, divergence or a numeric failure
+(non-finite parameters), 2 config error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import analysis, problems, schedules
 from .analysis import CheckResult, DivergenceError, MeanCurve
+from .core import NonFiniteError
 from .optim import OptimizerConfig, OptimizerState, init_state
 from .problems import LogisticSmokeProblem, NoisyQuadratic
 from .schedules import StepSchedule
@@ -124,7 +126,7 @@ KEY_TABLE = {
     "problem.noise": ("noise", str.strip, str),
     "problem.n_samples": ("n_samples", int, str),
     "problem.batch": ("batch", int, str),
-    "problem.data_seed": ("data_seed", int, str),
+    "problem.data_seed": ("data_seed", _parse_seed, str),
     "optimizer.algorithm": ("algorithm", str.strip, str),
     "optimizer.beta1": ("beta1", float, repr),
     "optimizer.beta2": ("beta2", float, repr),
@@ -196,10 +198,13 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _broadcast(values: tuple, dim: int, key: str) -> np.ndarray:
+    if len(values) not in (1, dim):
+        raise ConfigError(key, f"expected 1 or {dim} values, got {len(values)}")
+    # a non-finite value here is a config error, not a numeric failure
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(key, f"values must be finite, got {_fmt_floats(values)}")
     if len(values) == 1:
         return np.full(dim, float(values[0]))
-    if len(values) != dim:
-        raise ConfigError(key, f"expected 1 or {dim} values, got {len(values)}")
     return np.asarray(values, dtype=np.float64)
 
 
@@ -645,6 +650,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except NonFiniteError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,12 @@
 """Trajectory statistics, rate fits, estimator diagnostics, and the
 deterministic verifiers."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcoslab import analysis
@@ -46,7 +49,7 @@ from bcoslab.problems import (
     aiming_inner_product,
     make_rng,
 )
-from bcoslab.schedules import constant, inverse_time
+from bcoslab.schedules import constant, inverse_time, value_at
 
 
 def centered_quadratic(n=3, sigma=1.0):
@@ -249,6 +252,125 @@ class TestDivergenceReport:
         with pytest.raises(DivergenceError) as replay:
             run_trajectory(prob, cfg, constant(1e6), 50, base_seed=0, seed_index=seed)
         assert replay.value.records[-1] == rec
+
+
+def per_step_ensemble(problem, config, schedule, T, n_seeds, base_seed, x0=None):
+    """The lockstep conceptual ensemble with its diagnostics recorded one step
+    at a time, as the library did before it recorded blocks of steps: the
+    reference the block recorder must match bit for bit."""
+    n = problem.dim
+    h, sig, x_star = problem.h, problem.sigma, problem.x_star
+    lam = config.weight_decay_lambda if config.decoupled else 0.0
+    start = problem.default_start() if x0 is None else np.asarray(x0, dtype=np.float64)
+    X = np.tile(start, (n_seeds, 1))
+    rngs = [make_rng(base_seed, TRAJECTORY_STREAM, i) for i in range(n_seeds)]
+    mean_curve, se_curve, loss_curve, aim_curve = (np.empty(T + 1) for _ in range(4))
+    alphas = np.array([value_at(schedule, t) for t in range(T + 1)])
+    var = (h * sig) ** 2
+
+    def record(t):
+        diff = X - x_star
+        dist = np.einsum("ij,ij->i", diff, diff)
+        d0 = dist[0]
+        delta = dist - d0
+        s1 = delta.sum()
+        mean_curve[t] = d0 + s1 / n_seeds
+        v = (np.dot(delta, delta) - s1 * s1 / n_seeds) / (n_seeds - 1)
+        se_curve[t] = math.sqrt(max(v, 0.0) / n_seeds)
+        loss_curve[t] = float(np.mean(0.5 * np.sum(h * diff * diff, axis=1)))
+        mean_g = h * diff
+        second = mean_g * mean_g + var
+        aim = np.sum(diff * mean_g / np.sqrt(second), axis=1)
+        if lam > 0:
+            aim += lam * np.sum(diff * X, axis=1) - lam * dist
+        aim_curve[t] = float(np.min(aim))
+        return float(np.max(dist))
+
+    chunk = max(1, int(4_000_000 / max(1, n_seeds * n)))
+    t = 0
+    while t < T:
+        width = min(chunk, T - t)
+        noise = np.empty((n_seeds, width, n))
+        for i, rng in enumerate(rngs):
+            noise[i] = rng.standard_normal((width, n))
+        for j in range(width):
+            if record(t + j) > analysis.DIVERGENCE_THRESHOLD:
+                raise analysis._ensemble_divergence(problem, X, t + j, alphas[t + j], lam)
+            alpha = alphas[t + j]
+            mean_g = h * (X - x_star)
+            g = mean_g - h * (sig * noise[:, j, :])
+            den = np.sqrt(mean_g * mean_g + var)
+            X = (1.0 - alpha * lam) * X - alpha * g / den
+        t += width
+    record(T)
+    return mean_curve, se_curve, loss_curve, alphas, aim_curve
+
+
+def curve_bytes(curve):
+    return [a.tobytes() for a in (curve.mean_dist_sq, curve.se_dist_sq,
+                                  curve.mean_loss, curve.alpha, curve.aiming_min)]
+
+
+class TestEnsembleBlockRecorder:
+    B = analysis._BLOCK
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        S=st.integers(2, 300),
+        n=st.integers(1, 12),
+        T=st.integers(0, 3 * analysis._BLOCK).filter(lambda T: T % analysis._BLOCK != 0 or T == 0),
+        lam=st.sampled_from([0.0, 0.7, 1.5]),
+        seed=st.integers(0, 2**16),
+    )
+    # T = 1200 also crosses a noise chunk (1111 steps at S*n = 3600)
+    @example(S=300, n=12, T=1200, lam=1.5, seed=0)
+    @example(S=2, n=1, T=0, lam=0.0, seed=0)
+    def test_matches_per_step_reference(self, S, n, T, lam, seed):
+        prob = NoisyQuadratic(h=np.linspace(1.0, 2.0, n), sigma=np.linspace(0.5, 1.5, n),
+                              x_star=np.linspace(-1.0, 1.0, n))
+        cfg = OptimizerConfig("conceptual_bcos", weight_decay_lambda=lam, decoupled=True)
+        sch = inverse_time(0.5)
+        ref = per_step_ensemble(prob, cfg, sch, T, S, seed)
+        curve = mean_trajectory(prob, cfg, sch, T, n_seeds=S, base_seed=seed)
+        assert curve_bytes(curve) == [a.tobytes() for a in ref]
+        assert curve.t.tobytes() == np.arange(T + 1).tobytes()
+
+    @pytest.mark.parametrize("alpha", [1e3, 2.03])
+    def test_divergence_mid_block_matches_per_step_reference(self, alpha):
+        """Decay past 1 makes the iterates grow geometrically. At alpha=1e3
+        the steps run after the crossing, before the block is recorded,
+        overflow; none of their warnings may reach the caller. At 2.03 the
+        crossing falls in the second block."""
+        prob = NoisyQuadratic(h=[1.0, 2.0], sigma=0.5, x_star=[0.0, 1.0])
+        cfg = OptimizerConfig("conceptual_bcos", weight_decay_lambda=1.0, decoupled=True)
+        sch = constant(alpha)
+        with pytest.raises(DivergenceError) as ref:
+            per_step_ensemble(prob, cfg, sch, 3 * self.B, 5, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError) as err:
+                mean_trajectory(prob, cfg, sch, 3 * self.B, n_seeds=5, base_seed=0)
+        assert str(err.value) == str(ref.value)
+        assert err.value.records == ref.value.records
+        assert err.value.records[0].t % self.B != 0
+
+    def test_step_warnings_before_divergence_reach_the_caller(self):
+        """A noiseless seed that lands exactly on the target makes the
+        conceptual direction 0/0. The record and the step at that point warn
+        as in the per-step reference, and the NaN curves match it."""
+        prob = NoisyQuadratic(h=[1.0], sigma=0.0, x_star=[0.0])
+        cfg = OptimizerConfig("conceptual_bcos")
+        x0 = np.array([3.0])
+        with warnings.catch_warnings(record=True) as ref_warned:
+            warnings.simplefilter("always")
+            ref = per_step_ensemble(prob, cfg, constant(1.0), 6, 2, 0, x0)
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            curve = mean_trajectory(prob, cfg, constant(1.0), 6, n_seeds=2, base_seed=0, x0=x0)
+        assert len(ref_warned) == 2
+        assert ([(w.category, str(w.message)) for w in warned]
+                == [(w.category, str(w.message)) for w in ref_warned])
+        assert curve_bytes(curve) == [a.tobytes() for a in ref]
 
 
 class TestAimingForms:

@@ -87,6 +87,59 @@ class TestConfigFormat:
         assert "'run.base_seed'" in capsys.readouterr().err
 
 
+    def test_negative_data_seed_named(self, tmp_path, capsys):
+        with pytest.raises(ConfigError) as err:
+            parse_config("problem.data_seed = -1\n")
+        assert err.value.key == "problem.data_seed"
+        text = "\n".join([
+            "problem.kind = logistic",
+            "problem.dim = 3",
+            "problem.n_samples = 50",
+            "problem.batch = 8",
+            "problem.data_seed = -1",
+            "optimizer.algorithm = sgd",
+            "run.steps = 5",
+            "run.n_seeds = 2",
+        ]) + "\n"
+        path = write_config(tmp_path, text)
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: config field 'problem.data_seed'" in capsys.readouterr().err
+
+
+SGD_NO_DECAY = {"optimizer.algorithm": "sgd", "optimizer.weight_decay_lambda": 0.0}
+
+
+class TestExitCodes:
+    """0 success; 1 divergence or a numeric failure while computing; 2 a
+    config error."""
+
+    @pytest.mark.parametrize(
+        "command, overrides, code, message",
+        [
+            ("run", {}, 0, ""),
+            ("run", {**SGD_NO_DECAY, "problem.sigma": 0.0, "schedule.alpha": 4.0}, 1,
+             "run aborted: seed 0 diverged at t="),
+            pytest.param(
+                "run", {**SGD_NO_DECAY, "schedule.alpha": 1e308}, 1,
+                "numeric error: sgd step produced non-finite parameters",
+                marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning"),
+            ),
+            pytest.param(
+                "sweep", {**SGD_NO_DECAY, "sweep.param": "schedule.alpha",
+                          "sweep.values": "0.1,1e308"}, 1,
+                "numeric error: sgd step produced non-finite parameters",
+                marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning"),
+            ),
+            ("run", {"problem.x0": "nan"}, 2, "config error: config field 'problem.x0'"),
+        ],
+    )
+    def test_exit_code(self, tmp_path, capsys, command, overrides, code, message):
+        path = write_config(tmp_path, minimal_quadratic_config(**overrides))
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) if message else err == ""
+
+
 class TestCmdRun:
     def test_row_count(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal_quadratic_config())

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcoslab.core import BlockPartition
 from bcoslab.optim import momentum_moments
@@ -115,6 +117,20 @@ class TestMakeRng:
         b = make_rng(42, MC_STREAM, 0).standard_normal(5)
         c = make_rng(42, DATA_STREAM, 0).standard_normal(5)
         assert not np.array_equal(a, b) and not np.array_equal(b, c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.integers(0, 300), b=st.integers(0, 300), n=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_gaussian_draws_are_chunk_invariant(self, a, b, n, seed):
+        """The stream contract the chunked ensemble noise relies on: one draw
+        of a+b rows equals a rows then b rows, and a draw into a caller's
+        buffer equals a draw of that shape, bit for bit."""
+        whole = make_rng(seed, TRAJECTORY_STREAM, 1).standard_normal((a + b, n))
+        rng = make_rng(seed, TRAJECTORY_STREAM, 1)
+        head = rng.standard_normal((a, n))
+        tail = np.empty((b, n))
+        rng.standard_normal(out=tail)
+        assert np.concatenate([head, tail]).tobytes() == whole.tobytes()
 
 
 class TestMomentumTracker:
