@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import BlockPartition, ParamVector
+from .core import BlockPartition, NonFiniteError, ParamVector
 from .optim import (
     ALGORITHMS,
     MomentOracle,
@@ -30,7 +30,6 @@ from .optim import (
 from .problems import (
     MC_STREAM,
     TRAJECTORY_STREAM,
-    NoisyQuadratic,
     StochasticProblem,
     aiming_inner_product,
     make_rng,
@@ -38,6 +37,8 @@ from .problems import (
 from .schedules import StepSchedule, value_at
 
 DIVERGENCE_THRESHOLD = 1e12
+# Monte Carlo draws per sampled estimator diagnostic along a trajectory
+SIGMA_N_MC = 10**4
 
 
 class AnalysisError(ValueError):
@@ -47,7 +48,7 @@ class AnalysisError(ValueError):
 class DivergenceError(RuntimeError):
     """A trajectory blew past the divergence threshold. The message names the
     seed index, the step and the squared distance; ``records`` ends with the
-    diverged seed's record at that step (the per-seed engine also keeps the
+    diverged seed's record at that step (run_trajectory also keeps the
     records before it)."""
 
     def __init__(self, message: str, records):
@@ -102,42 +103,75 @@ class MeanCurve:
     alpha: np.ndarray
     aiming_min: np.ndarray
     n_seeds: int
-    sigma: np.ndarray | None = None
-
-    def sigma_column(self) -> np.ndarray:
-        if self.sigma is None:
-            return np.full(self.t.shape[0], np.nan)
-        return self.sigma
+    sigma: np.ndarray
 
 
 # ---------------------------------------------------------------------------
 # trajectories
 
 
-def _direction_oracle(problem, config, state, x, partition):
-    """Exact moments of the search direction the optimizer is about to use,
-    or None when unavailable (no problem oracle, or momentum not yet primed)."""
+def _direction_moments(problem, config, x, m, partition):
+    """Exact moments of the search direction the optimizer is about to use at
+    the iterates x (..., n): the per-coordinate mean and the per-block second
+    moment. m holds the momentum before the step (None before the first).
+    None when unavailable (no problem oracle, or momentum not yet primed)."""
     lam = config.weight_decay_lambda
     fold = lam if (lam > 0 and not config.decoupled) else 0.0
+    moments = problem.moments(x, fold)
+    if moments is None:
+        return None
+    mean, second = moments
     # adam steps along the momentum even though its estimate averages
     # squared gradients; the table says which
-    if ALGORITHMS[config.algorithm].direction == "gradient":
-        return problem.grad_moments(x, partition=partition, fold_lambda=fold)
-    if state.m is None:
-        return None
-    coord = BlockPartition.singleton(problem.dim)
-    g_coord = problem.grad_moments(x, partition=coord, fold_lambda=fold)
-    if g_coord is None:
-        return None
-    mean, second = momentum_moments(
-        config.beta1, state.m, g_coord.mean_d, g_coord.second_moment_d
-    )
-    part = partition if partition is not None else coord
-    return MomentOracle(mean, part.block_sums(second), part)
+    if ALGORITHMS[config.algorithm].direction == "momentum":
+        if m is None:
+            return None
+        mean, second = momentum_moments(config.beta1, m, mean, second)
+    return mean, partition.block_sums(second)
+
+
+def _direction_oracle(problem, config, x, m, partition) -> MomentOracle | None:
+    moments = _direction_moments(problem, config, np.asarray(x, dtype=np.float64), m, partition)
+    return None if moments is None else MomentOracle(*moments, partition)
 
 
 def _aiming_lambda(config: OptimizerConfig) -> float:
     return config.weight_decay_lambda if config.decoupled else 0.0
+
+
+def _seed_record(problem, config, schedule, t, x, oracle, diag=None) -> TrajectoryRecord:
+    """The record of one seed at step t, from its iterate x and the moment
+    oracle of the direction it is about to take (None: no aiming value)."""
+    if problem.x_star is not None:
+        diff = x - problem.x_star
+        # einsum matches the batched ensemble recorder bit for bit
+        dist_sq = float(np.einsum("i,i->", diff, diff))
+    else:
+        dist_sq = float("nan")
+    aiming = None
+    # a zero second moment means the direction is degenerate (converged
+    # noiseless state); the aiming value is undefined there
+    if problem.x_star is not None and oracle is not None and np.all(oracle.second_moment_d > 0):
+        aiming = aiming_inner_product(problem, x, _aiming_lambda(config), oracle)
+    return TrajectoryRecord(t, dist_sq, float(problem.loss(x)), value_at(schedule, t),
+                            aiming, diag)
+
+
+def _estimator_diag(problem, config, state, x, t, sigma_every, base_seed, n_mc):
+    """The estimator diagnostics due at step t, or None."""
+    if (sigma_every <= 0 or t == 0 or t % sigma_every != 0
+            or config.algorithm == "conceptual_bcos" or not state.initialized):
+        return None
+    try:
+        return estimator_stats(problem, x, state, config, n_mc, seed=base_seed, key=(t,))
+    except AnalysisError:
+        return None
+
+
+def _nonfinite(config: OptimizerConfig, seed: int, t: int) -> NonFiniteError:
+    return NonFiniteError(
+        f"{config.algorithm} step produced non-finite parameters at seed {seed}, t={t}"
+    )
 
 
 def run_trajectory(
@@ -151,15 +185,15 @@ def run_trajectory(
     partition: BlockPartition | None = None,
     record_aiming: bool = True,
     sigma_every: int = 0,
-    sigma_n_mc: int = 10**4,
+    sigma_n_mc: int = SIGMA_N_MC,
 ) -> list[TrajectoryRecord]:
     """Run T steps from x0, recording one row per iterate (T+1 rows total).
 
     Deterministic given (base_seed, seed_index). Aborts with DivergenceError
-    once the squared distance (or the squared norm, when no target is known)
-    exceeds 1e12. With sigma_every > 0, Monte Carlo estimator diagnostics are
-    attached to every sigma_every-th record (needs a moment oracle and a
-    practical algorithm; skipped otherwise).
+    once a recorded squared distance (or the squared norm, when no target is
+    known) exceeds 1e12, the last one included. With sigma_every > 0, Monte
+    Carlo estimator diagnostics are attached to every sigma_every-th record
+    (needs a moment oracle and a practical algorithm; skipped otherwise).
     """
     if T < 0:
         raise AnalysisError("T must be >= 0")
@@ -170,47 +204,18 @@ def run_trajectory(
     rng = make_rng(base_seed, TRAJECTORY_STREAM, seed_index)
     state = init_state()
     lam = config.weight_decay_lambda
-    lam_aim = _aiming_lambda(config)
     conceptual = config.algorithm == "conceptual_bcos"
     records: list[TrajectoryRecord] = []
 
     def snapshot(t: int) -> TrajectoryRecord:
-        if problem.x_star is not None:
-            diff = x.values - problem.x_star
-            # einsum matches the batched ensemble kernel bit for bit
-            dist_sq = float(np.einsum("i,i->", diff, diff))
-        else:
-            dist_sq = float("nan")
-        aiming = None
+        oracle = None
         if record_aiming and problem.x_star is not None:
-            oracle = _direction_oracle(problem, config, state, x.values, partition)
-            # a zero second moment means the direction is degenerate
-            # (converged noiseless state); the aiming value is undefined there
-            if oracle is not None and np.all(oracle.second_moment_d > 0):
-                aiming = aiming_inner_product(problem, x.values, lam_aim, oracle)
-        diag = None
-        if (
-            sigma_every > 0
-            and t > 0
-            and t % sigma_every == 0
-            and not conceptual
-            and state.initialized
-        ):
-            try:
-                diag = estimator_stats(problem, x.values, state, config,
-                                       sigma_n_mc, seed=base_seed, key=(t,))
-            except AnalysisError:
-                diag = None
-        return TrajectoryRecord(
-            t=t,
-            dist_sq=dist_sq,
-            loss=problem.loss(x.values),
-            alpha_t=value_at(schedule, t),
-            aiming_value=aiming,
-            estimator_diag=diag,
-        )
+            oracle = _direction_oracle(problem, config, x.values, state.m, partition)
+        diag = _estimator_diag(problem, config, state, x.values, t, sigma_every,
+                               base_seed, sigma_n_mc)
+        return _seed_record(problem, config, schedule, t, x.values, oracle, diag)
 
-    for t in range(T):
+    for t in range(T + 1):
         records.append(snapshot(t))
         gauge = records[-1].dist_sq
         if not math.isnan(gauge):
@@ -221,44 +226,25 @@ def run_trajectory(
             raise DivergenceError(
                 f"seed {seed_index} diverged at t={t}: squared distance {size:.3e}", records
             )
+        if t == T:
+            return records
         alpha = value_at(schedule, t)
-        g = problem.sample_gradient(x.values, rng)
         if conceptual:
-            fold = lam if (lam > 0 and not config.decoupled) else 0.0
-            oracle = problem.grad_moments(x.values, partition=partition, fold_lambda=fold)
+            # the sampled direction is its exact mean minus the additive noise
+            oracle = _direction_oracle(problem, config, x.values, None, partition)
             if oracle is None:
                 raise AnalysisError("conceptual runs need a problem with exact moments")
-            d = g + fold * x.values if fold else g
+            d = ParamVector(oracle.mean_d - problem.draw(rng), partition)
             lam_step = lam if config.decoupled else 0.0
-            x = conceptual_step(oracle, x, ParamVector(d, partition), alpha, lam_step)
+            x = conceptual_step(oracle, x, d, alpha, lam_step)
         else:
+            g = problem.sample_gradient(x.values, rng)
             x, state = step(config, state, x, ParamVector(g, partition), alpha)
-    records.append(snapshot(T))
-    return records
 
 
-def _shifted_mean_se(reference: np.ndarray, delta_sum: np.ndarray,
-                     delta_sq_sum: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error from sums of deviations against a reference
-    curve. Exactly zero SE when every curve equals the reference."""
-    mean = reference + delta_sum / n
-    var = (delta_sq_sum - delta_sum**2 / n) / (n - 1)
-    var = np.maximum(var, 0.0)
-    return mean, np.sqrt(var / n)
-
-
-def uses_vectorized_ensemble(problem, config: OptimizerConfig,
-                             partition: BlockPartition | None = None) -> bool:
-    """True when mean_trajectory will take the seed-vectorized path
-    (conceptual updates on a Gaussian quadratic with coordinatewise blocks)."""
-    singleton = partition is None or partition.num_blocks == problem.dim
-    return (
-        config.algorithm == "conceptual_bcos"
-        and isinstance(problem, NoisyQuadratic)
-        and problem.noise == "gaussian"
-        and singleton
-        and not (config.weight_decay_lambda > 0 and not config.decoupled)
-    )
+# steps per pass of the ensemble recorder: its numpy calls cost the same for
+# one row as for a few hundred, so they run once per block
+_BLOCK = 256
 
 
 def mean_trajectory(
@@ -274,125 +260,126 @@ def mean_trajectory(
 ) -> MeanCurve:
     """Pointwise mean and standard error of dist_sq over independent seeds.
 
-    Seeds are derived by splitting base_seed so streams never overlap; the
-    reduction runs in seed-index order, so the output is reproducible. A
-    vectorized path covers the heavy conceptual-on-quadratic ensembles and
-    reproduces the per-seed loop bit for bit. Estimator diagnostics
-    (sigma_every > 0) are sampled along the first seed only.
+    The seeds advance in lockstep on an (S, n) iterate array. Seed i draws
+    its noise in chunks from make_rng(base_seed, TRAJECTORY_STREAM, i), so
+    its path is the run_trajectory(seed_index=i) replay bit for bit. The
+    conceptual method steps every seed at once with its exact moments; the
+    practical methods call ``step`` once per seed. The diagnostics of each
+    block of steps are recorded at once and reduced in seed-index order, so
+    the output is reproducible. Estimator diagnostics (sigma_every > 0) are
+    sampled along the first seed only.
     """
     if n_seeds < 2:
         raise AnalysisError("n_seeds must be >= 2")
-    if uses_vectorized_ensemble(problem, config, partition) and sigma_every == 0:
-        return _conceptual_quadratic_ensemble(problem, config, schedule, T, n_seeds,
-                                              base_seed, x0)
-
-    ref = None
-    d_sum = d_sq = None
-    loss_sum = None
-    aim_min = None
-    alphas = None
-    sigma = None
-    for i in range(n_seeds):
-        records = run_trajectory(problem, config, schedule, T, base_seed,
-                                 seed_index=i, x0=x0, partition=partition,
-                                 sigma_every=sigma_every if i == 0 else 0)
-        dist = np.array([r.dist_sq for r in records])
-        loss = np.array([r.loss for r in records])
-        aim = np.array([np.nan if r.aiming_value is None else r.aiming_value
-                        for r in records])
-        if ref is None:
-            ref = dist
-            d_sum = np.zeros_like(dist)
-            d_sq = np.zeros_like(dist)
-            loss_sum = np.zeros_like(loss)
-            aim_min = aim
-            alphas = np.array([r.alpha_t for r in records])
-            sigma = np.array([
-                np.nan if r.estimator_diag is None else r.estimator_diag.sigma_t
-                for r in records
-            ])
-        else:
-            delta = dist - ref
-            d_sum += delta
-            d_sq += delta * delta
-            aim_min = np.fmin(aim_min, aim)
-        loss_sum += loss
-    mean, se = _shifted_mean_se(ref, d_sum, d_sq, n_seeds)
-    return MeanCurve(
-        t=np.arange(T + 1),
-        mean_dist_sq=mean,
-        se_dist_sq=se,
-        mean_loss=loss_sum / n_seeds,
-        alpha=alphas,
-        aiming_min=aim_min,
-        n_seeds=n_seeds,
-        sigma=sigma,
-    )
-
-
-# steps per pass of the vectorized ensemble recorder: its numpy calls cost
-# the same for one row as for a few hundred, so they run once per block
-_BLOCK = 256
-
-
-def _conceptual_quadratic_ensemble(problem: NoisyQuadratic, config, schedule,
-                                   T, n_seeds, base_seed, x0) -> MeanCurve:
-    n = problem.dim
-    h, sig, x_star = problem.h, problem.sigma, problem.x_star
-    lam = config.weight_decay_lambda if config.decoupled else 0.0
+    if T < 0:
+        raise AnalysisError("T must be >= 0")
+    if partition is None:
+        partition = BlockPartition.singleton(problem.dim)
     start = problem.default_start() if x0 is None else np.asarray(x0, dtype=np.float64)
-    X = np.tile(start, (n_seeds, 1))
+    conceptual = config.algorithm == "conceptual_bcos"
+    if conceptual and problem.moments(start) is None:
+        raise AnalysisError("conceptual runs need a problem with exact moments")
+    momentum = ALGORITHMS[config.algorithm].direction == "momentum"
     rngs = [make_rng(base_seed, TRAJECTORY_STREAM, i) for i in range(n_seeds)]
-
-    curves = tuple(np.empty(T + 1) for _ in range(4))
     alphas = np.array([value_at(schedule, t) for t in range(T + 1)])
-    var = (h * sig) ** 2
+    curves = tuple(np.empty(T + 1) for _ in range(4))
+    sigma = np.full(T + 1, np.nan)
+    X = np.tile(start, (n_seeds, 1))
+    points = [ParamVector(start, partition)] * n_seeds
+    states = [init_state()] * n_seeds
 
-    def update(X, xi, alpha):
-        # expressions mirror sample_gradient/conceptual_step exactly so each
-        # seed's path is bit-identical to its run_trajectory replay
-        mean_g = h * (X - x_star)
-        g = mean_g - h * (sig * xi)
-        den = np.sqrt(mean_g * mean_g + var)
-        return (1.0 - alpha * lam) * X - alpha * g / den
+    def advance(Z, s, moments):
+        """The iterates, points and states after step s for the draws Z, from
+        the direction's moments at X; the current ones stay as they are, so a
+        failed step can be repeated."""
+        if conceptual:
+            return _conceptual_update(config, partition, X, Z, alphas[s], *moments), \
+                points, states
+        new_points, new_states = [], []
+        for i in range(n_seeds):
+            g = ParamVector(problem.gradient(X[i], Z[i]), partition)
+            try:
+                x, state = step(config, states[i], points[i], g, alphas[s])
+            except NonFiniteError as exc:
+                raise _nonfinite(config, i, s) from exc
+            new_points.append(x)
+            new_states.append(state)
+        return np.stack([x.values for x in new_points]), new_points, new_states
 
-    history = np.empty((min(_BLOCK, T + 1), n_seeds, n))
+    # the iterates before each step of the current block and the exact
+    # moments of the direction each seed takes there, NaN without an oracle
+    # (no problem oracle, or a momentum not yet primed)
+    rows = min(_BLOCK, T + 1)
+    history = np.empty((rows, n_seeds, problem.dim))
+    mean_history = np.full_like(history, np.nan)
+    second_history = np.full((rows, n_seeds, partition.num_blocks), np.nan)
     t0 = 0  # first step whose iterate is not yet recorded
     caller_errors = np.geterr()
 
     def flush(t_end: int) -> None:
         nonlocal t0
         if t_end > t0:
+            w = t_end - t0
             with np.errstate(**caller_errors):
-                _record_block(problem, lam, alphas, history[: t_end - t0], t0, curves)
+                _record_block(problem, config, schedule, partition, history[:w],
+                              mean_history[:w], second_history[:w], t0, curves)
         t0 = t_end
 
-    chunk = max(1, int(4_000_000 / max(1, n_seeds * n)))
-    noise = np.empty((n_seeds, min(chunk, T), n))
+    def keep(s: int):
+        """Keep the iterates before step s and their direction moments for
+        the recorder; returns the moments (None without an oracle)."""
+        primed = not momentum or s > 0
+        m = np.stack([state.m for state in states]) if momentum and primed else None
+        try:
+            moments = _direction_moments(problem, config, X, m, partition) if primed else None
+        except FloatingPointError:
+            # as for a step: a kept row past the threshold ends the run first
+            flush(s)
+            with np.errstate(**caller_errors):
+                moments = _direction_moments(problem, config, X, m, partition)
+        history[s - t0] = X
+        if moments is not None:
+            mean_history[s - t0], second_history[s - t0] = moments
+        if not conceptual:
+            with np.errstate(**caller_errors):
+                diag = _estimator_diag(problem, config, states[0], X[0], s, sigma_every,
+                                       base_seed, SIGMA_N_MC)
+            if diag is not None:
+                sigma[s] = diag.sigma_t
+        if s + 1 - t0 == rows:
+            flush(s + 1)
+        return moments
+
+    # a zero-width draw gives the shape and type of one draw and takes none
+    probe = problem.draw(rngs[0], (0,))
+    chunk = max(1, int(4_000_000 / max(1, n_seeds * probe.shape[-1])))
+    noise = np.empty((n_seeds, min(chunk, T)) + probe.shape[1:], probe.dtype)
     t = 0
     while t < T:
         width = min(chunk, T - t)
         for i, rng in enumerate(rngs):
-            rng.standard_normal(out=noise[i, :width])
+            noise[i, :width] = problem.draw(rng, (width,))
         # steps run on past a divergence until the block is recorded; raising
         # here keeps their floating-point warnings from surfacing
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for j in range(width):
                 s = t + j
-                history[s - t0] = X
-                if s + 1 - t0 == len(history):
-                    flush(s + 1)
+                moments = keep(s)
                 try:
-                    X = update(X, noise[:, j, :], alphas[s])
-                except FloatingPointError:
+                    new = advance(noise[:, j], s, moments)
+                except (FloatingPointError, ValueError):
                     # a recorded row past the threshold ends the run before
-                    # this step, as the per-step check did; otherwise the
-                    # step is repeated so the caller sees its warnings
+                    # this step, as in run_trajectory; otherwise the step is
+                    # repeated so the caller sees its warnings and errors
                     flush(s + 1)
                     with np.errstate(**caller_errors):
-                        X = update(X, noise[:, j, :], alphas[s])
+                        new = advance(noise[:, j], s, moments)
+                    bad = np.flatnonzero(~np.all(np.isfinite(new[0]), axis=1))
+                    if bad.size:
+                        raise _nonfinite(config, int(bad[0]), s)
+                X, points, states = new
         t += width
-    history[T - t0] = X
+    keep(T)
     flush(T + 1)
     mean_curve, se_curve, loss_curve, aim_curve = curves
     return MeanCurve(
@@ -403,28 +390,49 @@ def _conceptual_quadratic_ensemble(problem: NoisyQuadratic, config, schedule,
         alpha=alphas,
         aiming_min=aim_curve,
         n_seeds=n_seeds,
+        sigma=sigma,
     )
 
 
-def _record_block(problem: NoisyQuadratic, lam: float, alphas: np.ndarray,
-                  X: np.ndarray, t0: int, curves: tuple) -> None:
+def _conceptual_update(config, partition, X, Z, alpha, mean, second) -> np.ndarray:
+    """The exact-moment step of every row of X (S, n): the direction E[d] - Z
+    for the noise terms Z, over the root of its per-block second moments, as
+    in run_trajectory, so each seed's path is bit-identical to its replay."""
+    d = mean - Z
+    d *= alpha
+    d /= partition.expand(np.sqrt(second))
+    lam = config.weight_decay_lambda if config.decoupled else 0.0
+    x_new = (1.0 - alpha * lam) * X
+    x_new -= d
+    return x_new
+
+
+def _record_block(problem, config, schedule, partition, X, mean, second, t0, curves) -> None:
     """Seed statistics of the lockstep iterates X (W, S, n) of steps t0 ..
     t0+W-1, written into rows t0.. of the (mean, SE, loss, aiming-min)
-    curves. Raises the ensemble DivergenceError at the first step whose
-    largest squared distance passes the threshold.
+    curves; mean (W, S, n) and second (W, S, m) are the exact moments of the
+    direction each seed takes there, NaN without an oracle. Raises the
+    ensemble DivergenceError at the first step whose largest squared distance
+    (squared norm, with no target) passes the threshold.
 
     Each row is reduced in the same order as a single (S, n) step would be:
     einsum for the distances, sums along the contiguous last axis, and one
     BLAS dot per row for the SE's sum of squares, so the curves do not depend
     on how the steps are split into blocks."""
     W, S, _ = X.shape
-    diff = X - problem.x_star
+    x_star = problem.x_star
+    diff = X if x_star is None else X - x_star
     dist = np.einsum("wij,wij->wi", diff, diff)
     crossed = np.flatnonzero(np.max(dist, axis=1) > DIVERGENCE_THRESHOLD)
     if crossed.size:
         k = int(crossed[0])
-        raise _ensemble_divergence(problem, X[k], t0 + k, alphas[t0 + k], lam)
+        raise _divergence(problem, config, schedule, partition, t0 + k, X[k], mean[k], second[k])
     mean_curve, se_curve, loss_curve, aim_curve = (c[t0 : t0 + W] for c in curves)
+    loss_curve[:] = np.mean(problem.loss(X), axis=1)
+    if x_star is None:
+        for curve in (mean_curve, se_curve, aim_curve):
+            curve[:] = np.nan
+        return
     d0 = dist[:, 0]
     delta = dist - d0[:, None]
     s1 = delta.sum(axis=1)
@@ -432,31 +440,32 @@ def _record_block(problem: NoisyQuadratic, lam: float, alphas: np.ndarray,
     mean_curve[:] = d0 + s1 / S
     v = (sq - s1 * s1 / S) / (S - 1)
     se_curve[:] = np.sqrt(np.maximum(v, 0.0) / S)
-    mean_g = problem.h * diff
-    # h*diff*diff and diff*mean_g are the same product, bit for bit
-    h_diff_sq = mean_g * diff
-    loss_curve[:] = np.mean(0.5 * np.sum(h_diff_sq, axis=2), axis=1)
-    den = mean_g * mean_g
-    den += (problem.h * problem.sigma) ** 2
-    np.sqrt(den, out=den)
-    aim = np.sum(np.divide(h_diff_sq, den, out=den), axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        aim = np.sum(diff * mean / partition.expand(np.sqrt(second)), axis=2)
+    lam = _aiming_lambda(config)
     if lam > 0:
         aim += lam * np.sum(diff * X, axis=2) - lam * dist
-    aim_curve[:] = np.min(aim, axis=1)
+    # as in _seed_record: no aiming value without an oracle or where a second
+    # moment is zero
+    if not np.all(second > 0):
+        aim[~np.all(second > 0, axis=2)] = np.nan
+    aim_curve[:] = np.fmin.reduce(aim, axis=1)
 
 
-def _ensemble_divergence(problem, X, t, alpha, lam) -> DivergenceError:
-    """The error for the first seed of a lockstep ensemble past the
-    threshold, with that seed's record at step t."""
-    diff = X - problem.x_star
-    dist = np.einsum("ij,ij->i", diff, diff)
-    i = int(np.flatnonzero(dist > DIVERGENCE_THRESHOLD)[0])
-    oracle = problem.grad_moments(X[i])
-    aiming = (aiming_inner_product(problem, X[i], lam, oracle)
-              if np.all(oracle.second_moment_d > 0) else None)
-    rec = TrajectoryRecord(t, float(dist[i]), problem.loss(X[i]), float(alpha), aiming)
+def _divergence(problem, config, schedule, partition, t, X, mean, second) -> DivergenceError:
+    """The error for the first seed of the lockstep iterates X (S, n) past
+    the threshold at step t, with the record its run_trajectory replay ends
+    with; mean and second are the direction's moments there, as in
+    _record_block."""
+    gauge = X if problem.x_star is None else X - problem.x_star
+    size = np.einsum("ij,ij->i", gauge, gauge)
+    i = int(np.flatnonzero(size > DIVERGENCE_THRESHOLD)[0])
+    oracle = None
+    if not np.isnan(second[i]).any():
+        oracle = MomentOracle(mean[i], second[i], partition)
+    rec = _seed_record(problem, config, schedule, t, X[i], oracle)
     return DivergenceError(
-        f"seed {i} diverged at t={t}: squared distance {rec.dist_sq:.3e}", [rec]
+        f"seed {i} diverged at t={t}: squared distance {size[i]:.3e}", [rec]
     )
 
 
@@ -639,7 +648,7 @@ def estimator_stats(
     eps = config.epsilon if epsilon is None else float(epsilon)
     x = np.asarray(x, dtype=np.float64)
     coord = BlockPartition.singleton(problem.dim)
-    oracle = _direction_oracle(problem, config, state, x, coord)
+    oracle = _direction_oracle(problem, config, x, state.m, coord)
     if oracle is None:
         raise AnalysisError("estimator stats need a problem with exact moments")
     exact_d2 = oracle.second_moment_d

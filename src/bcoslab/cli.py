@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -99,12 +99,19 @@ def _parse_seed(raw: str) -> int:
     return seed
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {raw.strip()}")
+    return value
+
+
 def _parse_floats(raw: str) -> tuple:
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip() != "")
+    return tuple(_parse_float(tok) for tok in raw.split(",") if tok.strip() != "")
 
 
 def _parse_opt_float(raw: str):
-    return None if raw.strip().lower() in ("", "none") else float(raw)
+    return None if raw.strip().lower() in ("", "none") else _parse_float(raw)
 
 
 def _fmt_opt_float(v) -> str:
@@ -128,20 +135,20 @@ KEY_TABLE = {
     "problem.batch": ("batch", int, str),
     "problem.data_seed": ("data_seed", _parse_seed, str),
     "optimizer.algorithm": ("algorithm", str.strip, str),
-    "optimizer.beta1": ("beta1", float, repr),
-    "optimizer.beta2": ("beta2", float, repr),
-    "optimizer.epsilon": ("epsilon", float, repr),
+    "optimizer.beta1": ("beta1", _parse_float, repr),
+    "optimizer.beta2": ("beta2", _parse_float, repr),
+    "optimizer.epsilon": ("epsilon", _parse_float, repr),
     "optimizer.epsilon_placement": ("epsilon_placement", str.strip, str),
-    "optimizer.weight_decay_lambda": ("weight_decay_lambda", float, repr),
+    "optimizer.weight_decay_lambda": ("weight_decay_lambda", _parse_float, repr),
     "optimizer.decoupled": ("decoupled", _parse_bool, lambda b: str(bool(b)).lower()),
     "optimizer.bias_correction": ("bias_correction", str.strip, str),
     "optimizer.conditional_full": ("conditional_full", _parse_bool, lambda b: str(bool(b)).lower()),
     "schedule.kind": ("schedule_kind", str.strip, str),
-    "schedule.alpha": ("alpha", float, repr),
-    "schedule.p": ("p", float, repr),
+    "schedule.alpha": ("alpha", _parse_float, repr),
+    "schedule.p": ("p", _parse_float, repr),
     "schedule.warmup_steps": ("warmup_steps", int, str),
     "schedule.total_steps": ("total_steps", int, str),
-    "schedule.alpha_min_ratio": ("alpha_min_ratio", float, repr),
+    "schedule.alpha_min_ratio": ("alpha_min_ratio", _parse_float, repr),
     "run.steps": ("steps", int, str),
     "run.n_seeds": ("n_seeds", int, str),
     "run.base_seed": ("base_seed", _parse_seed, str),
@@ -200,9 +207,6 @@ def load_config(path: str) -> ExperimentConfig:
 def _broadcast(values: tuple, dim: int, key: str) -> np.ndarray:
     if len(values) not in (1, dim):
         raise ConfigError(key, f"expected 1 or {dim} values, got {len(values)}")
-    # a non-finite value here is a config error, not a numeric failure
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(key, f"values must be finite, got {_fmt_floats(values)}")
     if len(values) == 1:
         return np.full(dim, float(values[0]))
     return np.asarray(values, dtype=np.float64)
@@ -287,7 +291,7 @@ def _fmt(x: float) -> str:
 
 def curve_csv(curve: MeanCurve) -> str:
     lines = ["t,mean_dist_sq,se_dist_sq,alpha_t,aiming_min,sigma_t"]
-    sigma = curve.sigma_column()
+    sigma = curve.sigma
     for i in range(curve.t.shape[0]):
         lines.append(
             ",".join(
@@ -331,78 +335,18 @@ def write_outputs(out_dir: str, cfg: ExperimentConfig, named_texts: dict[str, st
 # run
 
 
-def _run_one_seed(args):
-    problem, opt, schedule, T, base_seed, index, x0 = args
-    records = analysis.run_trajectory(
-        problem, opt, schedule, T, base_seed, seed_index=index, x0=x0
-    )
-    dist = np.array([r.dist_sq for r in records])
-    loss = np.array([r.loss for r in records])
-    aim = np.array(
-        [np.nan if r.aiming_value is None else r.aiming_value for r in records]
-    )
-    return dist, loss, aim
-
-
-def _parallel_mean_curve(problem, opt, schedule, T, n_seeds, base_seed, x0,
-                         workers: int) -> MeanCurve:
-    """Seed-parallel ensemble with a deterministic seed-index reduction; the
-    arithmetic mirrors analysis.mean_trajectory exactly, so the output bytes
-    do not depend on the worker count."""
-    jobs = [(problem, opt, schedule, T, base_seed, i, x0) for i in range(n_seeds)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_run_one_seed, jobs))
-    ref, loss_sum, aim_min = results[0]
-    ref = ref.copy()
-    loss_sum = loss_sum.copy()
-    d_sum = np.zeros_like(ref)
-    d_sq = np.zeros_like(ref)
-    for dist, loss, aim in results[1:]:
-        delta = dist - ref
-        d_sum += delta
-        d_sq += delta * delta
-        loss_sum += loss
-        aim_min = np.fmin(aim_min, aim)
-    mean = ref + d_sum / n_seeds
-    var = np.maximum((d_sq - d_sum**2 / n_seeds) / (n_seeds - 1), 0.0)
-    alphas = np.array([schedules.value_at(schedule, t) for t in range(T + 1)])
-    return MeanCurve(
-        t=np.arange(T + 1),
-        mean_dist_sq=mean,
-        se_dist_sq=np.sqrt(var / n_seeds),
-        mean_loss=loss_sum / n_seeds,
-        alpha=alphas,
-        aiming_min=aim_min,
-        n_seeds=n_seeds,
-    )
-
-
-def cmd_run(cfg: ExperimentConfig, out_dir: str | None = None, parallel: int = 1) -> int:
+def cmd_run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     problem = build_problem(cfg)
     opt = build_optimizer(cfg)
     schedule = build_schedule(cfg)
     _check_schedule_safety(cfg, schedule)
     x0 = _x0(cfg, problem)
     out = out_dir or cfg.output_dir
-    # the vectorized ensemble path is already parallel-free, and diagnostic
-    # sampling runs along the first seed only; worker fan-out is engaged just
-    # where the plain per-seed loop would run, so output bytes stay a pure
-    # function of (config, base_seed) regardless of --parallel
-    fan_out = (
-        parallel > 1
-        and cfg.sigma_every == 0
-        and not analysis.uses_vectorized_ensemble(problem, opt)
-    )
     try:
-        if fan_out:
-            curve = _parallel_mean_curve(
-                problem, opt, schedule, cfg.steps, cfg.n_seeds, cfg.base_seed, x0, parallel
-            )
-        else:
-            curve = analysis.mean_trajectory(
-                problem, opt, schedule, cfg.steps, cfg.n_seeds, cfg.base_seed,
-                x0=x0, sigma_every=cfg.sigma_every,
-            )
+        curve = analysis.mean_trajectory(
+            problem, opt, schedule, cfg.steps, cfg.n_seeds, cfg.base_seed,
+            x0=x0, sigma_every=cfg.sigma_every,
+        )
     except DivergenceError as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 1
@@ -633,7 +577,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=(name != "counterexamples"), help="config file path")
         p.add_argument("--seeds", type=int, default=None, help="override run.n_seeds")
         p.add_argument("--out", default=None, help="override run.output_dir")
-        p.add_argument("--parallel", type=int, default=1, help="seed-parallel workers")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
@@ -641,7 +584,7 @@ def main(argv=None) -> int:
             cfg = replace(cfg, n_seeds=args.seeds)
         out_dir = args.out or os.environ.get("OUTPUT_DIR") or None
         if args.command == "run":
-            return cmd_run(cfg, out_dir, parallel=args.parallel)
+            return cmd_run(cfg, out_dir)
         if args.command == "sweep":
             return cmd_sweep(cfg, out_dir)
         if args.command == "verify":

@@ -94,6 +94,8 @@ class BlockPartition:
         per_block = np.asarray(per_block)
         if per_block.shape[-1] != self.num_blocks:
             raise ShapeError(f"expected {self.num_blocks} blocks, got {per_block.shape[-1]}")
+        if self.num_blocks == self.total_dim:
+            return per_block
         return np.repeat(per_block, self.block_sizes, axis=-1)
 
 

@@ -37,7 +37,11 @@ def make_rng(base_seed: int, *key: int) -> np.random.Generator:
 class StochasticProblem(ABC):
     """Interface every problem exposes to the harness.
 
-    ``grad_moments`` returns None when exact conditional moments are not
+    A stochastic gradient is a ``draw`` from a caller-owned Generator fed to
+    ``gradient``, a pure function; the lockstep ensemble draws in chunks and
+    replays the gradients ``sample_gradient`` would give.
+
+    ``moments`` returns None when exact conditional moments are not
     available (the logistic smoke problem); everything that needs an oracle
     checks for that.
     """
@@ -47,19 +51,40 @@ class StochasticProblem(ABC):
     lambda_reg: float = 0.0
 
     @abstractmethod
-    def loss(self, x: np.ndarray) -> float: ...
+    def loss(self, x: np.ndarray): ...
 
     @abstractmethod
-    def sample_gradient(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray: ...
+    def draw(self, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+        """The draws behind ``shape`` gradients, shape + (k,); drawing
+        shape (a+b,) equals drawing (a,) then (b,)."""
+
+    @abstractmethod
+    def gradient(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """The stochastic gradient at x for the draw z."""
+
+    def sample_gradient(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return self.gradient(x, self.draw(rng))
 
     def sample_gradients(self, x: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
         """size independent draws, stacked (size, dim). The default loops
         sample_gradient; subclasses may vectorize."""
         return np.stack([self.sample_gradient(x, rng) for _ in range(size)])
 
+    def moments(self, x: np.ndarray, fold_lambda: float = 0.0):
+        """Exact per-coordinate (E[g], E[g^2]) at x, a (..., n) array, with
+        lambda*x folded into the gradient; None without an oracle. A problem
+        with an oracle draws additive noise: gradient(x, z) is E[g] - z."""
+        return None
+
     def grad_moments(self, x: np.ndarray, partition: BlockPartition | None = None,
                      fold_lambda: float = 0.0) -> MomentOracle | None:
-        return None
+        """The moment oracle of the gradient at x, per block of ``partition``
+        (coordinatewise by default)."""
+        moments = self.moments(np.asarray(x, dtype=np.float64), fold_lambda)
+        if moments is None:
+            return None
+        partition = partition or BlockPartition.singleton(self.dim)
+        return MomentOracle(moments[0], partition.block_sums(moments[1]), partition)
 
     def default_start(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -96,37 +121,47 @@ class NoisyQuadratic(StochasticProblem):
         self.lambda_reg = float(lambda_reg)
         self.noise = noise
         self.student_df = float(student_df)
-
-    def loss(self, x: np.ndarray) -> float:
-        diff = np.asarray(x) - self.x_star
-        return 0.5 * float(np.sum(self.h * diff * diff))
-
-    def _noise(self, rng: np.random.Generator, shape) -> np.ndarray:
-        if self.noise == "gaussian":
-            return self.sigma * rng.standard_normal(shape)
+        # scales the standard draws to variance sigma^2 (Student-t: unit variance first)
         df = self.student_df
-        scale = math.sqrt((df - 2.0) / df)  # unit-variance Student-t
-        return self.sigma * scale * rng.standard_t(df, size=shape)
+        self._noise_scale = sigma * (1.0 if noise == "gaussian" else math.sqrt((df - 2.0) / df))
+        self._variance = (h * sigma) ** 2
 
-    def sample_gradient(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self.h * (np.asarray(x) - self.x_star) - self.h * self._noise(rng, self.dim)
+    def loss(self, x: np.ndarray):
+        """0.5 * sum h (x - x*)^2 at x, or at each row of a (..., n) stack."""
+        diff = np.asarray(x) - self.x_star
+        sq = self.h * diff
+        sq *= diff
+        return 0.5 * np.sum(sq, axis=-1)
+
+    def draw(self, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+        """The noise terms h*xi, shape + (n,), of shape gradients."""
+        size = shape + (self.dim,)
+        z = (rng.standard_normal(size) if self.noise == "gaussian"
+             else rng.standard_t(self.student_df, size=size))
+        z *= self._noise_scale
+        z *= self.h
+        return z
+
+    def gradient(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """E[g] = h*(x - x*) minus the noise term z; x and z broadcast."""
+        return self._mean(np.asarray(x)) - z
+
+    def _mean(self, x: np.ndarray) -> np.ndarray:
+        mean = x - self.x_star
+        mean *= self.h
+        return mean
 
     def sample_gradients(self, x: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
-        mean = self.h * (np.asarray(x) - self.x_star)
-        return mean - self.h * self._noise(rng, (size, self.dim))
+        return self.gradient(x, self.draw(rng, (size,)))
 
-    def grad_moments(self, x: np.ndarray, partition: BlockPartition | None = None,
-                     fold_lambda: float = 0.0) -> MomentOracle:
-        """Exact oracle for the raw gradient, optionally with lambda*x folded
+    def moments(self, x: np.ndarray, fold_lambda: float = 0.0):
+        """Exact moments for the raw gradient, optionally with lambda*x folded
         in (the non-decoupled regularization rule, which shifts the mean by
         lambda*x and leaves the variance unchanged)."""
-        if partition is None:
-            partition = BlockPartition.singleton(self.dim)
-        x = np.asarray(x, dtype=np.float64)
-        mean = self.h * (x - self.x_star) + fold_lambda * x
-        var = (self.h * self.sigma) ** 2
-        second = partition.block_sums(mean * mean + var)
-        return MomentOracle(mean, second, partition)
+        mean = self._mean(x)
+        if fold_lambda:
+            mean += fold_lambda * x
+        return mean, mean * mean + self._variance
 
     def default_start(self) -> np.ndarray:
         return self.x_star + 3.0
@@ -151,8 +186,12 @@ class LogisticSmokeProblem(StochasticProblem):
         self.batch = batch
         self.x_star = None
 
-    def loss(self, x: np.ndarray) -> float:
-        z = self.features @ np.asarray(x)
+    def loss(self, x: np.ndarray):
+        """Mean logistic loss at x, or at each row of a (..., n) stack."""
+        x = np.asarray(x)
+        if x.ndim > 1:
+            return np.apply_along_axis(self.loss, -1, x)
+        z = self.features @ x
         # log(1 + exp(-s*z)) written stably
         s = 2.0 * self.labels - 1.0
         return float(np.mean(np.logaddexp(0.0, -s * z)))
@@ -161,13 +200,18 @@ class LogisticSmokeProblem(StochasticProblem):
         p = _sigmoid(self.features @ np.asarray(x))
         return self.features.T @ (p - self.labels) / self.n_samples
 
-    def sample_gradient(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+        """Minibatch indices; none when the batch is the whole data set."""
+        size = 0 if self.batch == self.n_samples else self.batch
+        return rng.integers(0, self.n_samples, size=shape + (size,))
+
+    def gradient(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Minibatch gradient at x (n,) over the indices z (batch,)."""
         if self.batch == self.n_samples:
             return self.full_gradient(x)
-        idx = rng.integers(0, self.n_samples, size=self.batch)
-        xb = self.features[idx]
+        xb = self.features[z]
         p = _sigmoid(xb @ np.asarray(x))
-        return xb.T @ (p - self.labels[idx]) / self.batch
+        return xb.T @ (p - self.labels[z]) / self.batch
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -3,10 +3,11 @@ deterministic verifiers."""
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bcoslab import analysis
@@ -29,7 +30,7 @@ from bcoslab.analysis import (
     tau_frontier,
     verify_ratio_expansion,
 )
-from bcoslab.core import BlockPartition, ParamVector, vector
+from bcoslab.core import BlockPartition, NonFiniteError, ParamVector, vector
 from bcoslab.optim import (
     ALGORITHMS,
     MomentOracle,
@@ -45,6 +46,7 @@ from bcoslab.optim import (
 from bcoslab.problems import (
     MC_STREAM,
     TRAJECTORY_STREAM,
+    LogisticSmokeProblem,
     NoisyQuadratic,
     aiming_inner_product,
     make_rng,
@@ -187,21 +189,6 @@ class TestMeanTrajectory:
         manual = d[0] + ((d[0] - d[0]) + (d[1] - d[0])) / 2
         np.testing.assert_array_equal(curve.mean_dist_sq, manual)
 
-    def test_fast_path_matches_loop_path(self):
-        """The vectorized ensemble and the per-seed loop agree to float
-        reassociation (the iterates themselves are bit-identical)."""
-        prob = centered_quadratic(n=3)
-        cfg = OptimizerConfig("conceptual_bcos", weight_decay_lambda=0.3, decoupled=True)
-        sch = constant(0.1)
-        fast = mean_trajectory(prob, cfg, sch, 50, n_seeds=11, base_seed=4)
-        heavy = NoisyQuadratic(h=prob.h, sigma=prob.sigma, x_star=prob.x_star,
-                               noise="student_t")
-        heavy.noise = "gaussian"  # same draws, but skips the fast-path dispatch
-        slow = mean_trajectory(heavy, cfg, sch, 50, n_seeds=11, base_seed=4)
-        np.testing.assert_allclose(fast.mean_dist_sq, slow.mean_dist_sq, rtol=1e-13)
-        np.testing.assert_allclose(fast.se_dist_sq, slow.se_dist_sq, rtol=1e-10, atol=1e-15)
-        np.testing.assert_allclose(fast.aiming_min, slow.aiming_min, rtol=1e-12)
-
     def test_doubling_seeds_shrinks_se(self):
         """SE^2 halves when the seed count doubles, within 20%."""
         prob = centered_quadratic()
@@ -254,6 +241,21 @@ class TestDivergenceReport:
         assert replay.value.records[-1] == rec
 
 
+    def test_last_row_is_checked_on_both_engines(self):
+        """A run whose final iterate passes the threshold diverged: the
+        replay and the ensemble both stop there with the same record."""
+        prob = NoisyQuadratic(h=[1.0], sigma=0.0, x_star=[0.0])
+        cfg = OptimizerConfig("sgd")
+        with pytest.raises(DivergenceError) as replay:
+            run_trajectory(prob, cfg, constant(4.0), 13, base_seed=0, x0=np.array([1.0]))
+        with pytest.raises(DivergenceError) as err:
+            mean_trajectory(prob, cfg, constant(4.0), 13, n_seeds=2, base_seed=0,
+                            x0=np.array([1.0]))
+        assert replay.value.records[-1].t == 13
+        assert err.value.records == [replay.value.records[-1]]
+        assert str(err.value) == str(replay.value)
+
+
 def per_step_ensemble(problem, config, schedule, T, n_seeds, base_seed, x0=None):
     """The lockstep conceptual ensemble with its diagnostics recorded one step
     at a time, as the library did before it recorded blocks of steps: the
@@ -295,7 +297,9 @@ def per_step_ensemble(problem, config, schedule, T, n_seeds, base_seed, x0=None)
             noise[i] = rng.standard_normal((width, n))
         for j in range(width):
             if record(t + j) > analysis.DIVERGENCE_THRESHOLD:
-                raise analysis._ensemble_divergence(problem, X, t + j, alphas[t + j], lam)
+                part = BlockPartition.singleton(n)
+                oracle = analysis._direction_moments(problem, config, X, None, part)
+                raise analysis._divergence(problem, config, schedule, part, t + j, X, *oracle)
             alpha = alphas[t + j]
             mean_g = h * (X - x_star)
             g = mean_g - h * (sig * noise[:, j, :])
@@ -356,21 +360,106 @@ class TestEnsembleBlockRecorder:
 
     def test_step_warnings_before_divergence_reach_the_caller(self):
         """A noiseless seed that lands exactly on the target makes the
-        conceptual direction 0/0. The record and the step at that point warn
-        as in the per-step reference, and the NaN curves match it."""
-        prob = NoisyQuadratic(h=[1.0], sigma=0.0, x_star=[0.0])
+        conceptual direction 0/0. The step's warning reaches the caller, and
+        the run ends with a numeric error naming the seed and the step
+        instead of recording NaN iterates, whatever the noise law."""
         cfg = OptimizerConfig("conceptual_bcos")
-        x0 = np.array([3.0])
-        with warnings.catch_warnings(record=True) as ref_warned:
-            warnings.simplefilter("always")
-            ref = per_step_ensemble(prob, cfg, constant(1.0), 6, 2, 0, x0)
-        with warnings.catch_warnings(record=True) as warned:
-            warnings.simplefilter("always")
-            curve = mean_trajectory(prob, cfg, constant(1.0), 6, n_seeds=2, base_seed=0, x0=x0)
-        assert len(ref_warned) == 2
-        assert ([(w.category, str(w.message)) for w in warned]
-                == [(w.category, str(w.message)) for w in ref_warned])
-        assert curve_bytes(curve) == [a.tobytes() for a in ref]
+        for noise in ("gaussian", "student_t"):
+            prob = NoisyQuadratic(h=[1.0], sigma=0.0, x_star=[0.0], noise=noise)
+            with warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter("always")
+                with pytest.raises(NonFiniteError) as err:
+                    mean_trajectory(prob, cfg, constant(1.0), 6, n_seeds=2, base_seed=0,
+                                    x0=np.array([3.0]))
+            assert str(err.value) == (
+                "conceptual_bcos step produced non-finite parameters at seed 0, t=3"
+            )
+            assert [(w.category, str(w.message)) for w in warned] == [
+                (RuntimeWarning, "invalid value encountered in divide")
+            ]
+
+
+def lockstep_run(problem, config, schedule, T, S, seed, **kwargs):
+    """mean_trajectory's curve and the (T+1, S, n) iterates of its seeds,
+    copied from the blocks it records."""
+    blocks = []
+    record = analysis._record_block
+
+    def capture(problem, config, schedule, partition, X, *rest):
+        blocks.append(X.copy())
+        record(problem, config, schedule, partition, X, *rest)
+
+    with mock.patch.object(analysis, "_record_block", capture):
+        curve = mean_trajectory(problem, config, schedule, T, n_seeds=S, base_seed=seed,
+                                **kwargs)
+    return curve, np.concatenate(blocks)
+
+
+class TestLockstepEngine:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        alg=st.sampled_from(sorted(ALGORITHMS)),
+        kind=st.sampled_from(["gaussian", "student_t", "logistic"]),
+        sizes=st.sampled_from([(1, 1, 1, 1), (2, 2), (4,)]),
+        coupled=st.booleans(),
+        S=st.integers(2, 9),
+        T=st.integers(0, 600),
+        sigma_every=st.sampled_from([0, 50]),
+        seed=st.integers(0, 2**16),
+    )
+    # crosses two 256-step blocks with a momentum oracle in block mode
+    @example(alg="bcos_c", kind="student_t", sizes=(2, 2), coupled=True, S=9, T=600,
+             sigma_every=50, seed=0)
+    @example(alg="conceptual_bcos", kind="student_t", sizes=(2, 2), coupled=True, S=9,
+             T=300, sigma_every=0, seed=1)
+    def test_seeds_replay_run_trajectory(self, alg, kind, sizes, coupled, S, T,
+                                         sigma_every, seed):
+        """Each seed of the lockstep ensemble follows its run_trajectory
+        replay bit for bit (distances, losses, the sigma_t column along seed
+        0), and the curves equal a seed-order reduction of the replays up to
+        float reassociation."""
+        assume(not (alg == "conceptual_bcos" and kind == "logistic"))
+        if kind == "logistic":
+            prob = LogisticSmokeProblem(n_features=4, n_samples=50, batch=8)
+        else:
+            prob = NoisyQuadratic(h=[1.0, 2.0, 0.5, 1.5], sigma=[0.5, 1.0, 1.5, 1.0],
+                                  x_star=[1.0, -1.0, 0.0, 0.5], noise=kind)
+        part = BlockPartition.from_sizes(sizes)
+        cfg = OptimizerConfig(alg, weight_decay_lambda=0.1, decoupled=not coupled)
+        sch = constant(0.05)
+        curve, X = lockstep_run(prob, cfg, sch, T, S, seed, partition=part,
+                                sigma_every=sigma_every)
+        replays = [
+            run_trajectory(prob, cfg, sch, T, seed, seed_index=i, partition=part,
+                           sigma_every=sigma_every if i == 0 else 0)
+            for i in range(S)
+        ]
+        dist = np.array([[r.dist_sq for r in rec] for rec in replays])
+        loss = np.array([[r.loss for r in rec] for rec in replays])
+        if prob.x_star is not None:
+            diff = X - prob.x_star
+            assert np.einsum("tij,tij->it", diff, diff).tobytes() == dist.tobytes()
+        assert prob.loss(X).T.tobytes() == loss.tobytes()
+        sigma = [np.nan if r.estimator_diag is None else r.estimator_diag.sigma_t
+                 for r in replays[0]]
+        np.testing.assert_array_equal(curve.sigma, sigma)
+        assert curve.alpha.tolist() == [r.alpha_t for r in replays[0]]
+
+        ref = dist[0]
+        delta = dist - ref
+        d_sum = np.zeros_like(ref)
+        d_sq = np.zeros_like(ref)
+        for row in delta[1:]:
+            d_sum += row
+            d_sq += row * row
+        var = np.maximum((d_sq - d_sum**2 / S) / (S - 1), 0.0)
+        aim = np.array([[np.nan if r.aiming_value is None else r.aiming_value for r in rec]
+                        for rec in replays])
+        np.testing.assert_allclose(curve.mean_dist_sq, ref + d_sum / S, rtol=1e-13)
+        np.testing.assert_allclose(curve.se_dist_sq, np.sqrt(var / S), rtol=1e-10, atol=1e-15)
+        np.testing.assert_allclose(curve.aiming_min, np.fmin.reduce(aim, axis=0),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(curve.mean_loss, loss.sum(axis=0) / S, rtol=1e-13)
 
 
 class TestAimingForms:

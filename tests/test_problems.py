@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcoslab.core import BlockPartition
@@ -29,6 +29,20 @@ def default_quadratic(**kw):
 
 
 class TestNoisyQuadratic:
+    @pytest.mark.parametrize("noise", ["gaussian", "student_t"])
+    def test_gradient_is_mean_minus_drawn_noise(self, noise):
+        """The contract the conceptual update relies on: with exact moments
+        the noise is additive, so gradient(x, z) is E[g] - z bit for bit on a
+        stack of iterates, and sample_gradient is gradient of one draw."""
+        prob = NoisyQuadratic(h=[1.0, 2.0, 0.5], sigma=[0.5, 1.0, 1.5],
+                              x_star=[1.0, -1.0, 0.0], noise=noise)
+        x = np.array([[0.3, -2.0, 4.0], [1.0, 1.0, 1.0]])
+        z = prob.draw(make_rng(3, TRAJECTORY_STREAM), (2,))
+        assert prob.gradient(x, z).tobytes() == (prob.moments(x)[0] - z).tobytes()
+        g = prob.sample_gradient(x[0], make_rng(4, TRAJECTORY_STREAM))
+        z0 = prob.draw(make_rng(4, TRAJECTORY_STREAM))
+        assert g.tobytes() == prob.gradient(x[0], z0).tobytes()
+
     def test_zero_noise_gradient_exact(self):
         prob = default_quadratic(sigma=0.0)
         x = np.array([1.0, 1.0, 1.0])
@@ -120,17 +134,25 @@ class TestMakeRng:
 
     @settings(max_examples=100, deadline=None)
     @given(a=st.integers(0, 300), b=st.integers(0, 300), n=st.integers(1, 12),
-           seed=st.integers(0, 2**32 - 1))
-    def test_gaussian_draws_are_chunk_invariant(self, a, b, n, seed):
+           n_samples=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1))
+    @example(a=3, b=5, n=7, n_samples=1000, seed=0)
+    @example(a=2, b=4, n=8, n_samples=50, seed=1)
+    def test_gaussian_draws_are_chunk_invariant(self, a, b, n, n_samples, seed):
         """The stream contract the chunked ensemble noise relies on: one draw
-        of a+b rows equals a rows then b rows, and a draw into a caller's
-        buffer equals a draw of that shape, bit for bit."""
+        of a+b rows equals a rows then b rows, for Gaussian, Student-t and
+        minibatch-index draws at odd and even widths, and a draw into a
+        caller's buffer equals a draw of that shape, bit for bit."""
         whole = make_rng(seed, TRAJECTORY_STREAM, 1).standard_normal((a + b, n))
         rng = make_rng(seed, TRAJECTORY_STREAM, 1)
         head = rng.standard_normal((a, n))
         tail = np.empty((b, n))
         rng.standard_normal(out=tail)
         assert np.concatenate([head, tail]).tobytes() == whole.tobytes()
+        for draw in (lambda rng, rows: rng.standard_t(5.0, size=(rows, n)),
+                     lambda rng, rows: rng.integers(0, n_samples, size=(rows, n))):
+            whole = draw(make_rng(seed, TRAJECTORY_STREAM, 1), a + b)
+            rng = make_rng(seed, TRAJECTORY_STREAM, 1)
+            assert np.concatenate([draw(rng, a), draw(rng, b)]).tobytes() == whole.tobytes()
 
 
 class TestMomentumTracker:
