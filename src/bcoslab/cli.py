@@ -25,7 +25,7 @@ from . import analysis, problems, schedules
 from .analysis import CheckResult, DivergenceError, MeanCurve
 from .core import NonFiniteError
 from .optim import OptimizerConfig, OptimizerState, init_state
-from .problems import LogisticSmokeProblem, NoisyQuadratic
+from .problems import LogisticSmokeProblem, NoisyQuadratic, ProblemError
 from .schedules import StepSchedule
 
 
@@ -92,11 +92,16 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_seed(raw: str) -> int:
-    seed = int(raw)
-    if seed < 0:
-        raise ValueError(f"must be >= 0, got {seed}")
-    return seed
+def _int_at_least(low: int):
+    """The parser of an integer no smaller than low."""
+
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_float(raw: str) -> float:
@@ -125,7 +130,7 @@ def _fmt_floats(vals: tuple) -> str:
 # key -> (attribute, parser, formatter)
 KEY_TABLE = {
     "problem.kind": ("problem_kind", str.strip, str),
-    "problem.dim": ("dim", int, str),
+    "problem.dim": ("dim", _int_at_least(1), str),
     "problem.h": ("h", _parse_floats, _fmt_floats),
     "problem.sigma": ("sigma", _parse_floats, _fmt_floats),
     "problem.x_star": ("x_star", _parse_floats, _fmt_floats),
@@ -133,7 +138,7 @@ KEY_TABLE = {
     "problem.noise": ("noise", str.strip, str),
     "problem.n_samples": ("n_samples", int, str),
     "problem.batch": ("batch", int, str),
-    "problem.data_seed": ("data_seed", _parse_seed, str),
+    "problem.data_seed": ("data_seed", _int_at_least(0), str),
     "optimizer.algorithm": ("algorithm", str.strip, str),
     "optimizer.beta1": ("beta1", _parse_float, repr),
     "optimizer.beta2": ("beta2", _parse_float, repr),
@@ -149,9 +154,9 @@ KEY_TABLE = {
     "schedule.warmup_steps": ("warmup_steps", int, str),
     "schedule.total_steps": ("total_steps", int, str),
     "schedule.alpha_min_ratio": ("alpha_min_ratio", _parse_float, repr),
-    "run.steps": ("steps", int, str),
-    "run.n_seeds": ("n_seeds", int, str),
-    "run.base_seed": ("base_seed", _parse_seed, str),
+    "run.steps": ("steps", _int_at_least(0), str),
+    "run.n_seeds": ("n_seeds", _int_at_least(2), str),
+    "run.base_seed": ("base_seed", _int_at_least(0), str),
     "run.output_dir": ("output_dir", str.strip, str),
     "run.sigma_every": ("sigma_every", int, str),
     "verify.counterexamples": ("verify_counterexamples", _parse_bool, lambda b: str(bool(b)).lower()),
@@ -182,12 +187,18 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in KEY_TABLE:
             raise ConfigError(key, "unknown key")
-        attr, parser, _ = KEY_TABLE[key]
-        try:
-            setattr(cfg, attr, parser(value.strip()))
-        except ValueError as exc:
-            raise ConfigError(key, str(exc)) from exc
+        _assign(cfg, key, value)
     return cfg
+
+
+def _assign(cfg: ExperimentConfig, key: str, raw: str) -> None:
+    """Parse raw text for the known key into cfg; a bad value is a
+    ConfigError naming the key."""
+    attr, parser, _ = KEY_TABLE[key]
+    try:
+        setattr(cfg, attr, parser(raw.strip()))
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from exc
 
 
 def config_text(cfg: ExperimentConfig) -> str:
@@ -213,20 +224,23 @@ def _broadcast(values: tuple, dim: int, key: str) -> np.ndarray:
 
 
 def build_problem(cfg: ExperimentConfig):
-    if cfg.problem_kind == "quadratic":
-        return NoisyQuadratic(
-            h=_broadcast(cfg.h, cfg.dim, "problem.h"),
-            sigma=_broadcast(cfg.sigma, cfg.dim, "problem.sigma"),
-            x_star=_broadcast(cfg.x_star, cfg.dim, "problem.x_star"),
-            noise=cfg.noise,
-        )
-    if cfg.problem_kind == "logistic":
-        return LogisticSmokeProblem(
-            n_features=cfg.dim,
-            n_samples=cfg.n_samples,
-            batch=cfg.batch,
-            data_seed=cfg.data_seed,
-        )
+    try:
+        if cfg.problem_kind == "quadratic":
+            return NoisyQuadratic(
+                h=_broadcast(cfg.h, cfg.dim, "problem.h"),
+                sigma=_broadcast(cfg.sigma, cfg.dim, "problem.sigma"),
+                x_star=_broadcast(cfg.x_star, cfg.dim, "problem.x_star"),
+                noise=cfg.noise,
+            )
+        if cfg.problem_kind == "logistic":
+            return LogisticSmokeProblem(
+                n_features=cfg.dim,
+                n_samples=cfg.n_samples,
+                batch=cfg.batch,
+                data_seed=cfg.data_seed,
+            )
+    except ProblemError as exc:
+        raise ConfigError("problem", str(exc)) from exc
     raise ConfigError("problem.kind", f"unknown problem kind {cfg.problem_kind!r}")
 
 
@@ -290,22 +304,10 @@ def _fmt(x: float) -> str:
 
 
 def curve_csv(curve: MeanCurve) -> str:
-    lines = ["t,mean_dist_sq,se_dist_sq,alpha_t,aiming_min,sigma_t"]
-    sigma = curve.sigma
-    for i in range(curve.t.shape[0]):
-        lines.append(
-            ",".join(
-                [
-                    str(int(curve.t[i])),
-                    _fmt(curve.mean_dist_sq[i]),
-                    _fmt(curve.se_dist_sq[i]),
-                    _fmt(curve.alpha[i]),
-                    _fmt(curve.aiming_min[i]),
-                    _fmt(sigma[i]),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    floats = (curve.mean_dist_sq, curve.se_dist_sq, curve.alpha, curve.aiming_min, curve.sigma)
+    columns = [map(str, curve.t.tolist())] + [map(repr, c.tolist()) for c in floats]
+    rows = map(",".join, zip(*columns))
+    return "\n".join(["t,mean_dist_sq,se_dist_sq,alpha_t,aiming_min,sigma_t", *rows]) + "\n"
 
 
 def _sha256(data: bytes) -> str:
@@ -362,15 +364,12 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
 def _set_config_key(cfg: ExperimentConfig, key: str, value: float) -> ExperimentConfig:
     if key not in KEY_TABLE:
         raise ConfigError("sweep.param", f"unknown config key {key!r}")
-    attr, parser, _ = KEY_TABLE[key]
-    current = getattr(cfg, attr)
-    if isinstance(current, bool) or isinstance(current, (str, tuple)):
+    current = getattr(cfg, KEY_TABLE[key][0])
+    if isinstance(current, (bool, str, tuple)):
         raise ConfigError("sweep.param", f"{key!r} is not a numeric scalar key")
-    try:
-        cast = parser(str(int(value))) if isinstance(current, int) else float(value)
-    except ValueError as exc:
-        raise ConfigError(key, str(exc)) from exc
-    return replace(cfg, **{attr: cast})
+    point = replace(cfg)
+    _assign(point, key, str(int(value)) if isinstance(current, int) else repr(float(value)))
+    return point
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
@@ -446,8 +445,8 @@ def _estimator_fixture_checks(cfg: ExperimentConfig) -> list[CheckResult]:
     nc = cfg.negative_control_beta
     exp_beta1 = beta1 if nc is None else nc
     exp_beta2 = beta2 if nc is None else nc
-    state_mv = OptimizerState(t=1, initialized=True, m=m_prev, v=v_prev)
-    state_m = OptimizerState(t=1, initialized=True, m=m_prev, v=None)
+    state_mv = OptimizerState(t=1, m=m_prev, v=v_prev)
+    state_m = OptimizerState(t=1, m=m_prev, v=None)
     checks = []
 
     def max_dev(observed, expected, se):
@@ -493,7 +492,7 @@ def _estimator_fixture_checks(cfg: ExperimentConfig) -> list[CheckResult]:
 
     # sign mode: v = d^2 is unbiased
     opt = OptimizerConfig("sign_sgd", beta1=0.0, epsilon=0.0)
-    stats = analysis.estimator_stats(problem, x, init_state(), opt, n_mc, epsilon=0.0, seed=104)
+    stats = analysis.estimator_stats(problem, x, init_state(), opt, n_mc, seed=104)
     rng = problems.make_rng(104, problems.MC_STREAM)
     G = problem.sample_gradients(x, rng, n_mc)
     dev = max_dev(stats.mean_v, stats.exact_second_moment, analysis.mc_mean_se(G**2))
@@ -501,7 +500,7 @@ def _estimator_fixture_checks(cfg: ExperimentConfig) -> list[CheckResult]:
 
     # constant estimator: exactly zero variance
     opt = OptimizerConfig("sgd", beta1=0.0, epsilon=0.0)
-    stats = analysis.estimator_stats(problem, x, init_state(), opt, n_mc, epsilon=0.0, seed=105)
+    stats = analysis.estimator_stats(problem, x, init_state(), opt, n_mc, seed=105)
     obs = float(np.max(stats.variance))
     checks.append(CheckResult("constant_variance_zero", obs, 0.0, "exact", obs == 0.0))
     return checks
@@ -575,13 +574,13 @@ def main(argv=None) -> int:
     for name in ("run", "sweep", "verify", "counterexamples"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=(name != "counterexamples"), help="config file path")
-        p.add_argument("--seeds", type=int, default=None, help="override run.n_seeds")
+        p.add_argument("--seeds", default=None, help="override run.n_seeds")
         p.add_argument("--out", default=None, help="override run.output_dir")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.seeds is not None:
-            cfg = replace(cfg, n_seeds=args.seeds)
+            _assign(cfg, "run.n_seeds", args.seeds)
         out_dir = args.out or os.environ.get("OUTPUT_DIR") or None
         if args.command == "run":
             return cmd_run(cfg, out_dir)

@@ -60,13 +60,13 @@ class OptimizerConfig:
 class OptimizerState:
     """Persistent per-optimizer state.
 
-    ``m`` is a per-coordinate momentum vector, ``v`` a per-block second-moment
-    estimate; either is None when the algorithm does not store it (bcos_c in
-    particular keeps no ``v`` between steps).
+    ``t`` counts the steps taken; a state with t = 0 is unprimed. ``m`` is a
+    per-coordinate momentum vector, ``v`` a per-block second-moment estimate;
+    either is None when the algorithm does not store it (bcos_c in particular
+    keeps no ``v`` between steps).
     """
 
     t: int = 0
-    initialized: bool = False
     m: np.ndarray | None = None
     v: np.ndarray | None = None
 
@@ -263,7 +263,7 @@ def propose(config: OptimizerConfig, state: OptimizerState, g: np.ndarray,
     rescale = config.bias_correction == "zero_init_rescale"
     t = state.t
     m_prev, v_prev = state.m, state.v
-    if not state.initialized:
+    if t == 0:
         if rescale:
             m_prev = np.zeros(partition.total_dim)
             v_prev = np.zeros(partition.num_blocks)
@@ -334,7 +334,7 @@ def step(
     x_new = decay * x.values - alpha_t * normalize(config, direction, estimate, part)
     if not np.all(np.isfinite(x_new)):
         raise NonFiniteError(f"{config.algorithm} step produced non-finite parameters")
-    new_state = OptimizerState(t=state.t + 1, initialized=True, m=m_new, v=v_new)
+    new_state = OptimizerState(t=state.t + 1, m=m_new, v=v_new)
     return ParamVector(x_new, part), new_state
 
 
@@ -383,9 +383,10 @@ def trace_rows(
     gradients: np.ndarray,
     alphas,
 ) -> list[str]:
-    """Replay a fixed gradient stream and emit one CSV row per step with the
-    full state (t, x..., m..., v...), using round-trip float formatting so two
-    replays can be compared byte for byte."""
+    """Replay a fixed gradient stream, stepping with alphas[t] at step t, and
+    emit one CSV row per step with the full state (t, x..., m..., v...),
+    using round-trip float formatting so two replays can be compared byte
+    for byte."""
     x = x0
     state = init_state()
     rows = []
@@ -405,8 +406,7 @@ def trace_rows(
     )
     rows.append(",".join(header))
     for t, g in enumerate(np.asarray(gradients, dtype=np.float64)):
-        alpha = alphas[t] if hasattr(alphas, "__getitem__") else alphas
-        x, state = step(config, state, x, ParamVector(g, x0.partition), float(alpha))
+        x, state = step(config, state, x, ParamVector(g, x0.partition), float(alphas[t]))
         rows.append(
             ",".join([str(state.t)] + fmt(x.values, n) + fmt(state.m, n) + fmt(state.v, m))
         )

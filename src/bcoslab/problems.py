@@ -23,6 +23,9 @@ TRAJECTORY_STREAM = 0
 MC_STREAM = 1
 DATA_STREAM = 2
 
+# degrees of freedom of the Student-t noise (> 2, so its variance is finite)
+_STUDENT_DF = 5.0
+
 
 class ProblemError(ValueError):
     pass
@@ -48,7 +51,6 @@ class StochasticProblem(ABC):
 
     dim: int
     x_star: np.ndarray | None
-    lambda_reg: float = 0.0
 
     @abstractmethod
     def loss(self, x: np.ndarray): ...
@@ -100,8 +102,7 @@ class NoisyQuadratic(StochasticProblem):
     first two moments but heavier tails, to stress estimator variance.
     """
 
-    def __init__(self, h, sigma, x_star, lambda_reg: float = 0.0,
-                 noise: str = "gaussian", student_df: float = 5.0):
+    def __init__(self, h, sigma, x_star, noise: str = "gaussian"):
         h = np.asarray(h, dtype=np.float64)
         if np.any(h <= 0):
             raise ProblemError("curvatures h must be positive")
@@ -112,17 +113,13 @@ class NoisyQuadratic(StochasticProblem):
         x_star = np.broadcast_to(np.asarray(x_star, dtype=np.float64), (n,)).copy()
         if noise not in ("gaussian", "student_t"):
             raise ProblemError(f"unknown noise kind {noise!r}")
-        if noise == "student_t" and student_df <= 2:
-            raise ProblemError("student_t noise needs df > 2 for a finite variance")
         self.h = h
         self.sigma = sigma
         self.x_star = x_star
         self.dim = n
-        self.lambda_reg = float(lambda_reg)
         self.noise = noise
-        self.student_df = float(student_df)
         # scales the standard draws to variance sigma^2 (Student-t: unit variance first)
-        df = self.student_df
+        df = _STUDENT_DF
         self._noise_scale = sigma * (1.0 if noise == "gaussian" else math.sqrt((df - 2.0) / df))
         self._variance = (h * sigma) ** 2
 
@@ -137,7 +134,7 @@ class NoisyQuadratic(StochasticProblem):
         """The noise terms h*xi, shape + (n,), of shape gradients."""
         size = shape + (self.dim,)
         z = (rng.standard_normal(size) if self.noise == "gaussian"
-             else rng.standard_t(self.student_df, size=size))
+             else rng.standard_t(_STUDENT_DF, size=size))
         z *= self._noise_scale
         z *= self.h
         return z
@@ -173,12 +170,13 @@ class LogisticSmokeProblem(StochasticProblem):
     used only for qualitative loss-decrease checks."""
 
     def __init__(self, n_features: int = 20, n_samples: int = 1000, batch: int = 32,
-                 data_seed: int = 2024, margin: float = 2.0):
+                 data_seed: int = 2024):
         if batch < 1 or batch > n_samples:
             raise ProblemError("batch must lie in [1, n_samples]")
         rng = make_rng(data_seed, DATA_STREAM)
         self.features = rng.standard_normal((n_samples, n_features)) / math.sqrt(n_features)
-        w_true = margin * rng.standard_normal(n_features)
+        # the margin scale of the true weights
+        w_true = 2.0 * rng.standard_normal(n_features)
         p = _sigmoid(self.features @ w_true * math.sqrt(n_features))
         self.labels = (rng.random(n_samples) < p).astype(np.float64)
         self.dim = n_features

@@ -229,8 +229,8 @@ def test_criterion_07_estimator_catalog():
     mu_g, sd_g = h * x, h * sigma
     beta1, beta2 = 0.9, 0.95
     n_mc = 10**5
-    state_mv = OptimizerState(t=1, initialized=True, m=m_prev, v=v_prev)
-    state_m = OptimizerState(t=1, initialized=True, m=m_prev)
+    state_mv = OptimizerState(t=1, m=m_prev, v=v_prev)
+    state_m = OptimizerState(t=1, m=m_prev)
 
     def draws_for(seed):
         return problem.sample_gradients(x, make_rng(seed, MC_STREAM), n_mc)
@@ -268,14 +268,12 @@ def test_criterion_07_estimator_catalog():
 
     # sign mode: v = d^2 is unbiased
     stats = estimator_stats(problem, x, init_state(),
-                            OptimizerConfig("sign_sgd", epsilon=0.0), n_mc,
-                            epsilon=0.0, seed=74)
+                            OptimizerConfig("sign_sgd", epsilon=0.0), n_mc, seed=74)
     assert np.all(stats.bias <= 3 * mc_mean_se(draws_for(74) ** 2))
 
     # constant estimator: exactly zero variance
     stats = estimator_stats(problem, x, init_state(),
-                            OptimizerConfig("sgd", epsilon=0.0), n_mc,
-                            epsilon=0.0, seed=75)
+                            OptimizerConfig("sgd", epsilon=0.0), n_mc, seed=75)
     assert np.all(stats.variance == 0.0)
     report(7, "estimator bias/variance catalog")
 

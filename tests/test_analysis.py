@@ -255,6 +255,25 @@ class TestDivergenceReport:
         assert err.value.records == [replay.value.records[-1]]
         assert str(err.value) == str(replay.value)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("alg, alpha, t", [
+        # a noiseless iterate lands on the target at t=3, where the direction is 0/0
+        ("conceptual_bcos", 1.0, 3),
+        ("sgd", 1e308, 0),
+    ])
+    def test_nonfinite_step_named_on_both_engines(self, alg, alpha, t):
+        prob = NoisyQuadratic(h=[1.0], sigma=0.0, x_star=[0.0])
+        cfg = OptimizerConfig(alg)
+        x0 = np.array([3.0])
+        with pytest.raises(NonFiniteError) as replay:
+            run_trajectory(prob, cfg, constant(alpha), 10, base_seed=0, x0=x0)
+        with pytest.raises(NonFiniteError) as err:
+            mean_trajectory(prob, cfg, constant(alpha), 10, n_seeds=2, base_seed=0, x0=x0)
+        assert str(replay.value) == str(err.value) == (
+            f"{alg} step produced non-finite parameters at seed 0, t={t}"
+        )
+
 
 def per_step_ensemble(problem, config, schedule, T, n_seeds, base_seed, x0=None):
     """The lockstep conceptual ensemble with its diagnostics recorded one step
@@ -623,7 +642,7 @@ class TestEstimatorStats:
         prob = centered_quadratic()
         cfg = OptimizerConfig("sign_sgd", epsilon=0.0)
         stats = estimator_stats(prob, np.array([1.0, -2.0, 0.5]),
-                                OptimizerState(), cfg, 10**4, epsilon=0.0, seed=3)
+                                OptimizerState(), cfg, 10**4, seed=3)
         se = 4.0 * np.sqrt(stats.variance / stats.n_mc)
         assert np.all(stats.bias <= se)
 
@@ -631,7 +650,7 @@ class TestEstimatorStats:
         prob = centered_quadratic()
         cfg = OptimizerConfig("sgd", epsilon=0.0)
         stats = estimator_stats(prob, np.array([1.0, -2.0, 0.5]),
-                                OptimizerState(), cfg, 10**4, epsilon=0.0, seed=4)
+                                OptimizerState(), cfg, 10**4, seed=4)
         assert np.all(stats.variance == 0.0)
         assert np.all(stats.corr_dv == 0.0)
 
@@ -640,14 +659,14 @@ class TestEstimatorStats:
         the direction."""
         prob = NoisyQuadratic(h=[1.0], sigma=[0.3], x_star=[0.0])
         cfg = OptimizerConfig("bcos_c", beta1=0.9)
-        state = OptimizerState(t=1, initialized=True, m=np.array([2.0]))
+        state = OptimizerState(t=1, m=np.array([2.0]))
         stats = estimator_stats(prob, np.array([2.0]), state, cfg, 10**4, seed=5)
         assert stats.corr_dv[0] > 0.5
 
     def test_tau_frontier_monotone(self):
         prob = centered_quadratic()
         cfg = OptimizerConfig("bcos_c", beta1=0.9)
-        state = OptimizerState(t=1, initialized=True, m=np.array([3.0, 3.0, 3.0]))
+        state = OptimizerState(t=1, m=np.array([3.0, 3.0, 3.0]))
         stats = estimator_stats(prob, np.array([1.0, 1.0, 1.0]), state, cfg, 10**4, seed=6)
         frontier = tau_frontier(stats, [0.0, 0.1, 1.0, 10.0])
         taus = [tau for _, tau in frontier]
@@ -667,7 +686,7 @@ class TestEstimatorStats:
         prob = NoisyQuadratic(h=[1.0, 2.0], sigma=[0.6, 1.2], x_star=np.zeros(2))
         x = np.array([1.5, -1.0])
         m_prev = np.array([2.0, 0.8])
-        state = OptimizerState(t=1, initialized=True, m=m_prev)
+        state = OptimizerState(t=1, m=m_prev)
         simple = estimator_stats(prob, x, state,
                                  OptimizerConfig("bcos_c", beta1=beta),
                                  10**5, seed=8)
@@ -694,7 +713,7 @@ class TestEstimatorStats:
         prob = centered_quadratic()
         x = np.array([1.0, -2.0, 0.5])
         m_prev = np.array([0.4, 0.1, -0.9])
-        state = OptimizerState(t=1, initialized=True, m=m_prev,
+        state = OptimizerState(t=1, m=m_prev,
                                v=np.array([1.0, 1.0, 1.0]))
         cfg = OptimizerConfig("adam", beta1=0.9, beta2=0.95)
         stats = estimator_stats(prob, x, state, cfg, 10**4, seed=7)
@@ -753,7 +772,7 @@ class TestEstimatorMatchesStep:
         of m/c1."""
         prob = NoisyQuadratic(h=[1.0, 2.0], sigma=0.0, x_star=np.zeros(2))
         cfg = OptimizerConfig(alg, beta1=0.9, bias_correction="zero_init_rescale")
-        state = OptimizerState(t=2, initialized=True, m=np.array([0.3, -0.4]),
+        state = OptimizerState(t=2, m=np.array([0.3, -0.4]),
                                v=np.array([1.0, 2.0]))
         stats = estimator_stats(prob, np.array([1.5, -1.0]), state, cfg, 10**4)
         np.testing.assert_allclose(stats.exact_second_moment, stats.mean_d**2, rtol=1e-12)
@@ -782,13 +801,26 @@ class TestEstimatorSeeds:
         prob = centered_quadratic()
         cfg = OptimizerConfig("bcos_c", beta1=0.9)
         records = run_trajectory(prob, cfg, constant(0.05), 2, base_seed=7,
-                                 sigma_every=2, sigma_n_mc=10**4)
+                                 sigma_every=2)
         x, state = vector(prob.default_start()), init_state()
         rng = make_rng(7, TRAJECTORY_STREAM, 0)
         for _ in range(2):
             x, state = step(cfg, state, x, vector(prob.sample_gradient(x.values, rng)), 0.05)
         expected = estimator_stats(prob, x.values, state, cfg, 10**4, seed=7, key=(2,))
         assert records[2].estimator_diag.sigma_t == expected.sigma_t
+
+    def test_block_mode_has_no_diagnostic(self):
+        """The diagnostic measures the coordinatewise estimate, which a step
+        on coarser blocks does not divide by, so block mode reports none."""
+        prob = centered_quadratic(n=4)
+        cfg = OptimizerConfig("bcos_c", beta1=0.9)
+        part = BlockPartition.from_sizes([2, 2])
+        curve = mean_trajectory(prob, cfg, constant(0.05), 100, n_seeds=2, base_seed=7,
+                                partition=part, sigma_every=50)
+        assert np.all(np.isnan(curve.sigma))
+        records = run_trajectory(prob, cfg, constant(0.05), 100, base_seed=7,
+                                 partition=part, sigma_every=50)
+        assert all(r.estimator_diag is None for r in records)
 
 
 class TestMcHelpers:

@@ -146,11 +146,24 @@ class TestExitCodes:
                 "at seed 0, t=3",
                 marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning"),
             ) for noise in ("gaussian", "student_t")],
+            ("run", {"run.n_seeds": 1}, 2,
+             "config error: config field 'run.n_seeds': must be >= 2, got 1"),
+            ("run --seeds 1", {}, 2,
+             "config error: config field 'run.n_seeds': must be >= 2, got 1"),
+            ("run", {"run.steps": -1}, 2,
+             "config error: config field 'run.steps': must be >= 0, got -1"),
+            ("run", {"problem.dim": 0}, 2,
+             "config error: config field 'problem.dim': must be >= 1, got 0"),
+            ("run", {"problem.h": -1.0}, 2,
+             "config error: config field 'problem': curvatures h must be positive"),
+            ("run", {"problem.noise": "cauchy"}, 2,
+             "config error: config field 'problem': unknown noise kind 'cauchy'"),
         ],
     )
     def test_exit_code(self, tmp_path, capsys, command, overrides, code, message):
         path = write_config(tmp_path, minimal_quadratic_config(**overrides))
-        assert cli.main([command, "--config", path, "--out", str(tmp_path / "out")]) == code
+        argv = [*command.split(), "--config", path, "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith(message) if message else err == ""
         assert code == 0 or not (tmp_path / "out").exists()

@@ -39,7 +39,7 @@ class TestStepHandValues:
 
     def test_bcos_c_single_step(self):
         cfg = OptimizerConfig("bcos_c", beta1=0.9, epsilon=0.0)
-        state = OptimizerState(t=1, initialized=True, m=np.array([1.0]))
+        state = OptimizerState(t=1, m=np.array([1.0]))
         x, new_state = step(cfg, state, vector([0.0]), vector([0.0]), 1.0)
         np.testing.assert_allclose(new_state.m, [0.9], rtol=0, atol=0)
         np.testing.assert_allclose(x.values, [-0.9 / np.sqrt(0.99)], rtol=1e-15)
@@ -48,7 +48,7 @@ class TestStepHandValues:
     def test_decoupled_decay_only(self):
         cfg = OptimizerConfig("bcos_c", beta1=0.9, epsilon=0.0,
                               weight_decay_lambda=0.1, decoupled=True)
-        state = OptimizerState(t=1, initialized=True, m=np.array([0.0, 0.0]))
+        state = OptimizerState(t=1, m=np.array([0.0, 0.0]))
         x, _ = step(cfg, state, vector([2.0, -4.0]), vector([0.0, 0.0]), 0.5)
         np.testing.assert_allclose(x.values, [0.95 * 2.0, 0.95 * -4.0], rtol=1e-15)
 
@@ -196,7 +196,7 @@ class TestStateLayout:
 
     def test_negative_v_state_rejected(self):
         with pytest.raises(OptimizerError):
-            OptimizerState(t=1, initialized=True, v=np.array([-1.0]))
+            OptimizerState(t=1, v=np.array([-1.0]))
 
 
 class TestBlockMode:
@@ -247,7 +247,7 @@ class TestConditionalEstimators:
         g = np.array([0.5, 2.0])
         m_t = beta * m_prev + (1 - beta) * g
         cfg = OptimizerConfig("bcos_c", beta1=beta, epsilon=0.0, conditional_full=True)
-        state = OptimizerState(t=1, initialized=True, m=m_prev)
+        state = OptimizerState(t=1, m=m_prev)
         x1, _ = step(cfg, state, vector([0.0, 0.0]), vector(g), 1.0)
         v_expected = beta**2 * m_prev**2 + 2 * beta * (1 - beta) * m_prev * m_t + (1 - beta) ** 2 * g**2
         np.testing.assert_allclose(x1.values, -m_t / np.sqrt(v_expected), rtol=1e-14)
