@@ -18,11 +18,9 @@ import numpy as np
 from .core import BlockPartition, NonFiniteError, ParamVector
 from .optim import (
     ALGORITHMS,
-    MomentOracle,
     OptimizerConfig,
-    OptimizerError,
     OptimizerState,
-    conceptual_step,
+    conceptual_update,
     init_state,
     momentum_moments,
     propose,
@@ -33,6 +31,7 @@ from .problems import (
     TRAJECTORY_STREAM,
     StochasticProblem,
     aiming_inner_product,
+    aiming_values,
     make_rng,
 )
 from .schedules import StepSchedule, value_at
@@ -132,29 +131,30 @@ def _direction_moments(problem, config, x, m, partition):
     return mean, partition.block_sums(second)
 
 
-def _direction_oracle(problem, config, x, m, partition) -> MomentOracle | None:
-    moments = _direction_moments(problem, config, np.asarray(x, dtype=np.float64), m, partition)
-    return None if moments is None else MomentOracle(*moments, partition)
-
-
-def _aiming_lambda(config: OptimizerConfig) -> float:
+def _decay_lambda(config: OptimizerConfig) -> float:
+    """The lambda of the decay factor (1 - alpha*lambda) that the conceptual
+    step and the aiming value apply; coupled decay is folded into the
+    gradient instead."""
     return config.weight_decay_lambda if config.decoupled else 0.0
 
 
-def _seed_record(problem, config, schedule, t, x, oracle, diag=None) -> TrajectoryRecord:
-    """The record of one seed at step t, from its iterate x and the moment
-    oracle of the direction it is about to take (None: no aiming value)."""
+def _seed_record(problem, config, schedule, partition, t, x, moments,
+                 diag=None) -> TrajectoryRecord:
+    """The record of one seed at step t, from its iterate x and the
+    _direction_moments of the direction it is about to take. The aiming value
+    is None without moments (or with NaN ones) and where a second moment is
+    zero: the direction is degenerate there (a converged noiseless state)."""
+    aiming = None
     if problem.x_star is not None:
         diff = x - problem.x_star
         # einsum matches the batched ensemble recorder bit for bit
         dist_sq = float(np.einsum("i,i->", diff, diff))
+        if moments is not None:
+            value = float(aiming_values(x, diff, dist_sq, _decay_lambda(config), *moments,
+                                        partition))
+            aiming = None if math.isnan(value) else value
     else:
         dist_sq = float("nan")
-    aiming = None
-    # a zero second moment means the direction is degenerate (converged
-    # noiseless state); the aiming value is undefined there
-    if problem.x_star is not None and oracle is not None and np.all(oracle.second_moment_d > 0):
-        aiming = aiming_inner_product(problem, x, _aiming_lambda(config), oracle)
     return TrajectoryRecord(t, dist_sq, float(problem.loss(x)), value_at(schedule, t),
                             aiming, diag)
 
@@ -208,20 +208,17 @@ def run_trajectory(
     x = ParamVector(start, partition)
     rng = make_rng(base_seed, TRAJECTORY_STREAM, seed_index)
     state = init_state()
-    lam = config.weight_decay_lambda
     conceptual = config.algorithm == "conceptual_bcos"
+    if conceptual and problem.moments(start) is None:
+        raise AnalysisError("conceptual runs need a problem with exact moments")
+    lam = _decay_lambda(config)
     records: list[TrajectoryRecord] = []
-
-    def snapshot(t: int) -> TrajectoryRecord:
-        oracle = None
-        if problem.x_star is not None:
-            oracle = _direction_oracle(problem, config, x.values, state.m, partition)
+    for t in range(T + 1):
+        moments = _direction_moments(problem, config, x.values, state.m, partition)
         diag = _estimator_diag(problem, config, state, x.values, t, sigma_every,
                                base_seed, partition)
-        return _seed_record(problem, config, schedule, t, x.values, oracle, diag)
-
-    for t in range(T + 1):
-        records.append(snapshot(t))
+        records.append(_seed_record(problem, config, schedule, partition, t, x.values,
+                                    moments, diag))
         gauge = records[-1].dist_sq
         if not math.isnan(gauge):
             size = gauge
@@ -234,26 +231,19 @@ def run_trajectory(
         if t == T:
             return records
         alpha = value_at(schedule, t)
-        if conceptual:
-            # the sampled direction is its exact mean minus the additive noise
-            oracle = _direction_oracle(problem, config, x.values, None, partition)
-            if oracle is None:
-                raise AnalysisError("conceptual runs need a problem with exact moments")
-            d = ParamVector(oracle.mean_d - problem.draw(rng), partition)
-            lam_step = lam if config.decoupled else 0.0
-            try:
-                x = conceptual_step(oracle, x, d, alpha, lam_step)
-            except OptimizerError as exc:
-                # a zero second moment: the sampled direction is 0/0
-                raise _nonfinite(config, seed_index, t) from exc
-            if not np.all(np.isfinite(x.values)):
-                raise _nonfinite(config, seed_index, t)
-        else:
-            g = problem.sample_gradient(x.values, rng)
-            try:
+        try:
+            if conceptual:
+                # the sampled direction is its exact mean minus the additive
+                # noise; a zero second moment makes x non-finite
+                mean, second = moments
+                x_new = conceptual_update(x.values, mean - problem.draw(rng), second, alpha,
+                                          lam, partition)
+                x = ParamVector(x_new, partition)
+            else:
+                g = problem.sample_gradient(x.values, rng)
                 x, state = step(config, state, x, ParamVector(g, partition), alpha)
-            except NonFiniteError as exc:
-                raise _nonfinite(config, seed_index, t) from exc
+        except NonFiniteError as exc:
+            raise _nonfinite(config, seed_index, t) from exc
 
 
 # steps per pass of the ensemble recorder: its numpy calls cost the same for
@@ -301,14 +291,19 @@ def mean_trajectory(
     X = np.tile(start, (n_seeds, 1))
     points = [ParamVector(start, partition)] * n_seeds
     states = [init_state()] * n_seeds
+    # the conceptual direction E[d] - Z of every seed, rewritten each step
+    direction = np.empty_like(X)
+    lam = _decay_lambda(config)
 
     def advance(Z, s, moments):
         """The iterates, points and states after step s for the draws Z, from
         the direction's moments at X; the current ones stay as they are, so a
         failed step can be repeated."""
         if conceptual:
-            return _conceptual_update(config, partition, X, Z, alphas[s], *moments), \
-                points, states
+            mean, second = moments
+            np.subtract(mean, Z, out=direction)
+            x_new = conceptual_update(X, direction, second, alphas[s], lam, partition)
+            return x_new, points, states
         new_points, new_states = [], []
         for i in range(n_seeds):
             g = ParamVector(problem.gradient(X[i], Z[i]), partition)
@@ -408,19 +403,6 @@ def mean_trajectory(
     )
 
 
-def _conceptual_update(config, partition, X, Z, alpha, mean, second) -> np.ndarray:
-    """The exact-moment step of every row of X (S, n): the direction E[d] - Z
-    for the noise terms Z, over the root of its per-block second moments, as
-    in run_trajectory, so each seed's path is bit-identical to its replay."""
-    d = mean - Z
-    d *= alpha
-    d /= partition.expand(np.sqrt(second))
-    lam = config.weight_decay_lambda if config.decoupled else 0.0
-    x_new = (1.0 - alpha * lam) * X
-    x_new -= d
-    return x_new
-
-
 def _record_block(problem, config, schedule, partition, X, mean, second, t0, curves) -> None:
     """Seed statistics of the lockstep iterates X (W, S, n) of steps t0 ..
     t0+W-1, written into rows t0.. of the (mean, SE, loss, aiming-min)
@@ -454,15 +436,8 @@ def _record_block(problem, config, schedule, partition, X, mean, second, t0, cur
     mean_curve[:] = d0 + s1 / S
     v = (sq - s1 * s1 / S) / (S - 1)
     se_curve[:] = np.sqrt(np.maximum(v, 0.0) / S)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        aim = np.sum(diff * mean / partition.expand(np.sqrt(second)), axis=2)
-    lam = _aiming_lambda(config)
-    if lam > 0:
-        aim += lam * np.sum(diff * X, axis=2) - lam * dist
-    # as in _seed_record: no aiming value without an oracle or where a second
-    # moment is zero
-    if not np.all(second > 0):
-        aim[~np.all(second > 0, axis=2)] = np.nan
+    # NaN, skipped by fmin, without an oracle or where a second moment is zero
+    aim = aiming_values(X, diff, dist, _decay_lambda(config), mean, second, partition)
     aim_curve[:] = np.fmin.reduce(aim, axis=1)
 
 
@@ -474,10 +449,7 @@ def _divergence(problem, config, schedule, partition, t, X, mean, second) -> Div
     gauge = X if problem.x_star is None else X - problem.x_star
     size = np.einsum("ij,ij->i", gauge, gauge)
     i = int(np.flatnonzero(size > DIVERGENCE_THRESHOLD)[0])
-    oracle = None
-    if not np.isnan(second[i]).any():
-        oracle = MomentOracle(mean[i], second[i], partition)
-    rec = _seed_record(problem, config, schedule, t, X[i], oracle)
+    rec = _seed_record(problem, config, schedule, partition, t, X[i], (mean[i], second[i]))
     return DivergenceError(
         f"seed {i} diverged at t={t}: squared distance {size[i]:.3e}", [rec]
     )
@@ -576,8 +548,8 @@ def one_step_contraction_check(
     aiming = aiming_inner_product(problem, x, lam, oracle)
     rng = make_rng(seed, MC_STREAM)
     G = problem.sample_gradients(x, rng, n_mc)
-    den = np.sqrt(oracle.partition.expand(oracle.second_moment_d))
-    X1 = (1.0 - alpha * lam) * np.asarray(x) - alpha * G / den
+    X1 = conceptual_update(np.asarray(x), G, oracle.second_moment_d, alpha, lam,
+                           oracle.partition)
     diff = X1 - problem.x_star
     dsq = np.einsum("ij,ij->i", diff, diff)
     mc_mean = float(dsq.mean())
@@ -661,10 +633,10 @@ def estimator_stats(
     eps = config.epsilon
     x = np.asarray(x, dtype=np.float64)
     coord = BlockPartition.singleton(problem.dim)
-    oracle = _direction_oracle(problem, config, x, state.m, coord)
-    if oracle is None:
+    moments = _direction_moments(problem, config, x, state.m, coord)
+    if moments is None:
         raise AnalysisError("estimator stats need a problem with exact moments")
-    exact_d2 = oracle.second_moment_d
+    exact_d2 = moments[1]
     if spec.direction == "momentum" and config.bias_correction == "zero_init_rescale":
         # the step divides the corrected momentum m/c1
         exact_d2 = exact_d2 / (1.0 - config.beta1 ** (state.t + 1)) ** 2

@@ -136,8 +136,8 @@ KEY_TABLE = {
     "problem.x_star": ("x_star", _parse_floats, _fmt_floats),
     "problem.x0": ("x0", _parse_floats, _fmt_floats),
     "problem.noise": ("noise", str.strip, str),
-    "problem.n_samples": ("n_samples", int, str),
-    "problem.batch": ("batch", int, str),
+    "problem.n_samples": ("n_samples", _int_at_least(1), str),
+    "problem.batch": ("batch", _int_at_least(1), str),
     "problem.data_seed": ("data_seed", _int_at_least(0), str),
     "optimizer.algorithm": ("algorithm", str.strip, str),
     "optimizer.beta1": ("beta1", _parse_float, repr),
@@ -151,14 +151,14 @@ KEY_TABLE = {
     "schedule.kind": ("schedule_kind", str.strip, str),
     "schedule.alpha": ("alpha", _parse_float, repr),
     "schedule.p": ("p", _parse_float, repr),
-    "schedule.warmup_steps": ("warmup_steps", int, str),
-    "schedule.total_steps": ("total_steps", int, str),
+    "schedule.warmup_steps": ("warmup_steps", _int_at_least(0), str),
+    "schedule.total_steps": ("total_steps", _int_at_least(0), str),
     "schedule.alpha_min_ratio": ("alpha_min_ratio", _parse_float, repr),
     "run.steps": ("steps", _int_at_least(0), str),
     "run.n_seeds": ("n_seeds", _int_at_least(2), str),
     "run.base_seed": ("base_seed", _int_at_least(0), str),
     "run.output_dir": ("output_dir", str.strip, str),
-    "run.sigma_every": ("sigma_every", int, str),
+    "run.sigma_every": ("sigma_every", _int_at_least(0), str),
     "verify.counterexamples": ("verify_counterexamples", _parse_bool, lambda b: str(bool(b)).lower()),
     "verify.chung": ("verify_chung", _parse_bool, lambda b: str(bool(b)).lower()),
     "verify.ratio_expansion": ("verify_ratio_expansion", _parse_bool, lambda b: str(bool(b)).lower()),
@@ -245,6 +245,10 @@ def build_problem(cfg: ExperimentConfig):
 
 
 def build_optimizer(cfg: ExperimentConfig) -> OptimizerConfig:
+    if cfg.algorithm == "conceptual_bcos" and cfg.problem_kind == "logistic":
+        raise ConfigError("optimizer.algorithm",
+                          "conceptual_bcos needs exact moments, which problem.kind = "
+                          "logistic does not have")
     try:
         return OptimizerConfig(
             algorithm=cfg.algorithm,

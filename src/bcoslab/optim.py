@@ -79,11 +79,6 @@ def init_state() -> OptimizerState:
     return OptimizerState()
 
 
-def state_vector_count(state: OptimizerState) -> int:
-    """Number of persistent vectors the state stores (memory footprint)."""
-    return int(state.m is not None) + int(state.v is not None)
-
-
 @dataclass(frozen=True)
 class MomentOracle:
     """Exact conditional moments of a search direction.
@@ -232,10 +227,6 @@ ALGORITHMS = {
 }
 
 
-def expected_state_vectors(config: OptimizerConfig) -> int:
-    return len(ALGORITHMS[config.algorithm].state)
-
-
 def momentum_moments(beta1: float, m_prev: np.ndarray, g_mean: np.ndarray,
                      g_second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact conditional moments of the momentum m_t = b*m_{t-1} + (1-b)*g_t,
@@ -346,13 +337,24 @@ def conceptual_step(
     lam: float = 0.0,
 ) -> ParamVector:
     """Idealized update with the exact per-block second moment in the
-    denominator (no epsilon): x <- (1 - alpha*lambda) x - alpha * d / sqrt(E[d^2])."""
+    denominator (no epsilon): conceptual_update at one point, after checking
+    that every second moment is positive."""
     second = oracle.second_moment_d
     if np.any(second <= 0):
         raise OptimizerError("conceptual step needs strictly positive second moments")
-    den = oracle.partition.expand(np.sqrt(second))
-    x_new = (1.0 - alpha_t * lam) * x.values - alpha_t * d_sample.values / den
+    x_new = conceptual_update(x.values, d_sample.values, second, alpha_t, lam, oracle.partition)
     return ParamVector(x_new, x.partition)
+
+
+def conceptual_update(x: np.ndarray, d: np.ndarray, second: np.ndarray, alpha: float,
+                      lam: float, partition: BlockPartition) -> np.ndarray:
+    """x <- (1 - alpha*lambda) x - alpha * d / sqrt(E[d^2]) on raw arrays: the
+    sampled directions d (..., n), the per-block second moments of d (..., m)
+    and iterates x that broadcast against d. Unchecked: a zero second moment
+    gives inf or NaN entries. Allocates the result and the decayed x only."""
+    step = alpha * d
+    step /= partition.expand(np.sqrt(second))
+    return np.subtract((1.0 - alpha * lam) * x, step, out=step)
 
 
 def optimal_stepsizes(oracle: MomentOracle, x: ParamVector, x_star: ParamVector) -> np.ndarray:
@@ -421,14 +423,13 @@ __all__ = [
     "OptimizerError",
     "OptimizerState",
     "conceptual_step",
-    "expected_state_vectors",
+    "conceptual_update",
     "init_state",
     "momentum_moments",
     "normalize",
     "optimal_stepsizes",
     "propose",
     "signal_fraction",
-    "state_vector_count",
     "step",
     "trace_rows",
 ]

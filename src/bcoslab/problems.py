@@ -221,9 +221,26 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def aiming_values(x: np.ndarray, diff: np.ndarray, dist, lam: float, mean: np.ndarray,
+                  second: np.ndarray, partition: BlockPartition):
+    """<x - x*, E[d]/sqrt(E[d^2]) + lambda*x> - lambda*||x - x*||^2 for each
+    row of x (..., n), given diff = x - x*, its squared norms dist (...), and
+    the direction's mean (..., n) and per-block second moments (..., m).
+
+    NaN where a block's second moment is not positive (NaN moments included):
+    the direction is degenerate there and the value undefined."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        aim = np.sum(diff * mean / partition.expand(np.sqrt(second)), axis=-1)
+    if lam > 0:
+        aim += lam * np.sum(diff * x, axis=-1) - lam * dist
+    if np.all(second > 0):
+        return aim
+    return np.where(np.all(second > 0, axis=-1), aim, np.nan)
+
+
 def aiming_inner_product(problem: StochasticProblem, x: np.ndarray, lam: float,
                          direction_oracle: MomentOracle) -> float:
-    """<x - x*, E[d]/sqrt(E[d^2]) + lambda*x> - lambda*||x - x*||^2.
+    """The aiming value (see aiming_values) at one point x.
 
     Nonnegative exactly when the expected (normalized, decayed) update
     direction points toward the target strongly enough."""
@@ -234,9 +251,8 @@ def aiming_inner_product(problem: StochasticProblem, x: np.ndarray, lam: float,
         raise ProblemError("aiming needs strictly positive direction second moments")
     x = np.asarray(x, dtype=np.float64)
     diff = x - problem.x_star
-    normalized = direction_oracle.mean_d / direction_oracle.partition.expand(np.sqrt(second))
-    value = float(np.dot(diff, normalized + lam * x)) - lam * float(np.dot(diff, diff))
-    return value
+    return float(aiming_values(x, diff, np.einsum("i,i->", diff, diff), lam,
+                               direction_oracle.mean_d, second, direction_oracle.partition))
 
 
 @dataclass(frozen=True)

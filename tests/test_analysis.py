@@ -478,6 +478,7 @@ class TestLockstepEngine:
         np.testing.assert_allclose(curve.se_dist_sq, np.sqrt(var / S), rtol=1e-10, atol=1e-15)
         np.testing.assert_allclose(curve.aiming_min, np.fmin.reduce(aim, axis=0),
                                    rtol=1e-12)
+        assert curve.aiming_min.tobytes() == np.fmin.reduce(aim, axis=0).tobytes()
         np.testing.assert_allclose(curve.mean_loss, loss.sum(axis=0) / S, rtol=1e-13)
 
 

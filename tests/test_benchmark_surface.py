@@ -7,7 +7,7 @@ import inspect
 
 import pytest
 
-from bcoslab import analysis, cli, optim
+from bcoslab import analysis, cli, optim, problems, schedules
 from bcoslab.optim import OptimizerConfig
 from bcoslab.problems import NoisyQuadratic
 
@@ -25,6 +25,15 @@ def test_counted_parameters(fn, parameter):
     # the traced hook checks count calls of these two
     (optim, "step"),
     (analysis, "estimator_stats"),
+    # bench/run.py LAYERS reads the spans of these; a moved one reads 0
+    (problems, "aiming_inner_product"),
+    (problems, "make_rng"),
+    (optim, "conceptual_step"),
+    (schedules, "value_at"),
+    (analysis, "run_trajectory"),
+    (analysis, "mean_trajectory"),
+    (analysis, "verify_chung_recursions"),
+    (analysis, "verify_ratio_expansion"),
     (cli, "curve_csv"),
     (cli, "write_outputs"),
     (cli, "load_config"),

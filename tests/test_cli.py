@@ -158,6 +158,19 @@ class TestExitCodes:
              "config error: config field 'problem': curvatures h must be positive"),
             ("run", {"problem.noise": "cauchy"}, 2,
              "config error: config field 'problem': unknown noise kind 'cauchy'"),
+            ("run", {"problem.kind": "logistic"}, 2,
+             "config error: config field 'optimizer.algorithm': conceptual_bcos needs exact "
+             "moments"),
+            ("run", {"problem.n_samples": 0}, 2,
+             "config error: config field 'problem.n_samples': must be >= 1, got 0"),
+            ("run", {"problem.batch": 0}, 2,
+             "config error: config field 'problem.batch': must be >= 1, got 0"),
+            ("run", {"schedule.warmup_steps": -4}, 2,
+             "config error: config field 'schedule.warmup_steps': must be >= 0, got -4"),
+            ("run", {"schedule.total_steps": -1}, 2,
+             "config error: config field 'schedule.total_steps': must be >= 0, got -1"),
+            ("run", {"run.sigma_every": -3}, 2,
+             "config error: config field 'run.sigma_every': must be >= 0, got -3"),
         ],
     )
     def test_exit_code(self, tmp_path, capsys, command, overrides, code, message):
