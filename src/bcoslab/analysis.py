@@ -111,14 +111,17 @@ class MeanCurve:
 # trajectories
 
 
-def _direction_moments(problem, config, x, m, partition):
+def _direction_moments(problem, config, x, m, partition, out=(None, None)):
     """Exact moments of the search direction the optimizer is about to use at
     the iterates x (..., n): the per-coordinate mean and the per-block second
     moment. m holds the momentum before the step (None before the first).
-    None when unavailable (no problem oracle, or momentum not yet primed)."""
+    None when unavailable (no problem oracle, or momentum not yet primed).
+    A method that steps along the gradient writes them into ``out`` when
+    given, arrays shaped like the two results."""
     lam = config.weight_decay_lambda
     fold = lam if (lam > 0 and not config.decoupled) else 0.0
-    moments = problem.moments(x, fold)
+    coordinatewise = partition.num_blocks == partition.total_dim
+    moments = problem.moments(x, fold, out if coordinatewise else (out[0], None))
     if moments is None:
         return None
     mean, second = moments
@@ -128,7 +131,10 @@ def _direction_moments(problem, config, x, m, partition):
         if m is None:
             return None
         mean, second = momentum_moments(config.beta1, m, mean, second)
-    return mean, partition.block_sums(second)
+    if coordinatewise:
+        # one coordinate per block: the block sums are the entries themselves
+        return mean, second
+    return mean, partition.block_sums(second, out[1])
 
 
 def _decay_lambda(config: OptimizerConfig) -> float:
@@ -291,8 +297,9 @@ def mean_trajectory(
     X = np.tile(start, (n_seeds, 1))
     points = [ParamVector(start, partition)] * n_seeds
     states = [init_state()] * n_seeds
-    # the conceptual direction E[d] - Z of every seed, rewritten each step
-    direction = np.empty_like(X)
+    # the conceptual step writes the direction E[d] - Z of every seed and
+    # then the next iterates into this buffer, which swaps with X after it
+    spare = np.empty_like(X)
     lam = _decay_lambda(config)
 
     def advance(Z, s, moments):
@@ -301,8 +308,9 @@ def mean_trajectory(
         failed step can be repeated."""
         if conceptual:
             mean, second = moments
-            np.subtract(mean, Z, out=direction)
-            x_new = conceptual_update(X, direction, second, alphas[s], lam, partition)
+            direction = np.subtract(mean, Z, out=spare)
+            x_new = conceptual_update(X, direction, second, alphas[s], lam, partition,
+                                      out=direction)
             return x_new, points, states
         new_points, new_states = [], []
         for i in range(n_seeds):
@@ -339,16 +347,23 @@ def mean_trajectory(
         the recorder; returns the moments (None without an oracle)."""
         primed = not momentum or s > 0
         m = np.stack([state.m for state in states]) if momentum and primed else None
+
+        def exact_moments():
+            # the conceptual moments go straight into the history rows
+            k = s - t0
+            out = (mean_history[k], second_history[k]) if conceptual else (None, None)
+            return _direction_moments(problem, config, X, m, partition, out) if primed else None
+
         try:
-            moments = _direction_moments(problem, config, X, m, partition) if primed else None
+            kept = exact_moments()
         except FloatingPointError:
             # as for a step: a kept row past the threshold ends the run first
             flush(s)
             with np.errstate(**caller_errors):
-                moments = _direction_moments(problem, config, X, m, partition)
+                kept = exact_moments()
         history[s - t0] = X
-        if moments is not None:
-            mean_history[s - t0], second_history[s - t0] = moments
+        if kept is not None and not conceptual:
+            mean_history[s - t0], second_history[s - t0] = kept
         if not conceptual:
             with np.errstate(**caller_errors):
                 diag = _estimator_diag(problem, config, states[0], X[0], s, sigma_every,
@@ -357,17 +372,21 @@ def mean_trajectory(
                 sigma[s] = diag.sigma_t
         if s + 1 - t0 == rows:
             flush(s + 1)
-        return moments
+        return kept
 
     # a zero-width draw gives the shape and type of one draw and takes none
     probe = problem.draw(rngs[0], (0,))
-    chunk = max(1, int(4_000_000 / max(1, n_seeds * probe.shape[-1])))
-    noise = np.empty((n_seeds, min(chunk, T)) + probe.shape[1:], probe.dtype)
+    chunk = max(1, int(1_000_000 / max(1, n_seeds * probe.shape[-1])))
     t = 0
     while t < T:
         width = min(chunk, T - t)
+        # time-major, so each step reads one contiguous (S, k) slice. A fresh
+        # buffer per chunk: once glibc frees the first, its dynamic mmap and
+        # trim thresholds rise above the recorder's temporaries, which then
+        # stay mapped instead of being faulted in again on every block
+        noise = np.empty((width, n_seeds) + probe.shape[1:], probe.dtype)
         for i, rng in enumerate(rngs):
-            noise[i, :width] = problem.draw(rng, (width,))
+            noise[:, i] = problem.draw(rng, (width,))
         # steps run on past a divergence until the block is recorded; raising
         # here keeps their floating-point warnings from surfacing
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -375,17 +394,19 @@ def mean_trajectory(
                 s = t + j
                 moments = keep(s)
                 try:
-                    new = advance(noise[:, j], s, moments)
+                    new = advance(noise[j], s, moments)
                 except (FloatingPointError, ValueError):
                     # a recorded row past the threshold ends the run before
                     # this step, as in run_trajectory; otherwise the step is
                     # repeated so the caller sees its warnings and errors
                     flush(s + 1)
                     with np.errstate(**caller_errors):
-                        new = advance(noise[:, j], s, moments)
+                        new = advance(noise[j], s, moments)
                     bad = np.flatnonzero(~np.all(np.isfinite(new[0]), axis=1))
                     if bad.size:
                         raise _nonfinite(config, int(bad[0]), s)
+                if conceptual:
+                    spare = X
                 X, points, states = new
         t += width
     keep(T)
@@ -417,7 +438,8 @@ def _record_block(problem, config, schedule, partition, X, mean, second, t0, cur
     on how the steps are split into blocks."""
     W, S, _ = X.shape
     x_star = problem.x_star
-    diff = X if x_star is None else X - x_star
+    # x* tiled to (S, n): numpy applies a broadcast (n,) operand one row at a time
+    diff = X if x_star is None else X - np.tile(x_star, (S, 1))
     dist = np.einsum("wij,wij->wi", diff, diff)
     crossed = np.flatnonzero(np.max(dist, axis=1) > DIVERGENCE_THRESHOLD)
     if crossed.size:

@@ -281,11 +281,12 @@ def build_schedule(cfg: ExperimentConfig) -> StepSchedule:
 
 def _check_schedule_safety(cfg: ExperimentConfig, schedule: StepSchedule) -> None:
     """Hard safety condition only: with decoupled decay the peak stepsize must
-    keep alpha*lambda <= 1. The summability flags the convergence theory wants
-    are informational and do not block a run."""
+    keep alpha*lambda <= 1. Coupled decay is folded into the gradient and
+    applies no (1 - alpha*lambda) factor, so it is not bounded here. The
+    summability flags the convergence theory wants are informational and do
+    not block a run."""
     lam = cfg.weight_decay_lambda
-    uses_decay = lam > 0 and (cfg.decoupled or cfg.algorithm == "conceptual_bcos")
-    if uses_decay and schedules.peak_value(schedule) * lam > 1.0:
+    if lam > 0 and cfg.decoupled and schedules.peak_value(schedule) * lam > 1.0:
         raise ConfigError(
             "schedule.alpha",
             f"peak alpha*lambda = {schedules.peak_value(schedule) * lam} exceeds 1 "
@@ -365,12 +366,16 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
 # sweep
 
 
-def _set_config_key(cfg: ExperimentConfig, key: str, value: float) -> ExperimentConfig:
+def _set_config_key(cfg: ExperimentConfig, key: str, value: float, field: str) -> ExperimentConfig:
+    """cfg with key set to the sweep value taken from the list named field; a
+    fractional value for an integer key is an error, not a truncation."""
     if key not in KEY_TABLE:
         raise ConfigError("sweep.param", f"unknown config key {key!r}")
     current = getattr(cfg, KEY_TABLE[key][0])
     if isinstance(current, (bool, str, tuple)):
         raise ConfigError("sweep.param", f"{key!r} is not a numeric scalar key")
+    if isinstance(current, int) and not float(value).is_integer():
+        raise ConfigError(field, f"{key!r} takes whole numbers, got {value!r}")
     point = replace(cfg)
     _assign(point, key, str(int(value)) if isinstance(current, int) else repr(float(value)))
     return point
@@ -386,38 +391,42 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
         header.append(cfg.sweep_param2)
     header += ["final_dist_sq", "final_loss", "slope", "diverged"]
     rows = [",".join(header)]
+    # every grid point's config is set before the first one runs
+    points = []
     for v1 in cfg.sweep_values:
+        first = _set_config_key(cfg, cfg.sweep_param, v1, "sweep.values")
         for v2 in grid2:
-            point = _set_config_key(cfg, cfg.sweep_param, v1)
-            if v2 is not None:
-                point = _set_config_key(point, cfg.sweep_param2, v2)
-            problem = build_problem(point)
-            opt = build_optimizer(point)
-            schedule = build_schedule(point)
-            _check_schedule_safety(point, schedule)
-            diverged = False
+            point = first if v2 is None else _set_config_key(first, cfg.sweep_param2, v2,
+                                                             "sweep.values2")
+            points.append((v1, v2, point))
+    for v1, v2, point in points:
+        problem = build_problem(point)
+        opt = build_optimizer(point)
+        schedule = build_schedule(point)
+        _check_schedule_safety(point, schedule)
+        diverged = False
+        try:
+            curve = analysis.mean_trajectory(
+                problem, opt, schedule, point.steps, point.n_seeds,
+                point.base_seed, x0=_x0(point, problem),
+            )
+            final_d = float(curve.mean_dist_sq[-1])
+            final_l = float(curve.mean_loss[-1])
             try:
-                curve = analysis.mean_trajectory(
-                    problem, opt, schedule, point.steps, point.n_seeds,
-                    point.base_seed, x0=_x0(point, problem),
-                )
-                final_d = float(curve.mean_dist_sq[-1])
-                final_l = float(curve.mean_loss[-1])
-                try:
-                    fit = analysis.fit_rate(curve, (max(1, point.steps // 100), point.steps))
-                    slope = fit.slope
-                except analysis.AnalysisError:
-                    slope = float("nan")
-            except DivergenceError:
-                diverged = True
-                final_d = float("inf")
-                final_l = float("inf")
+                fit = analysis.fit_rate(curve, (max(1, point.steps // 100), point.steps))
+                slope = fit.slope
+            except analysis.AnalysisError:
                 slope = float("nan")
-            cells = [_fmt(v1)]
-            if v2 is not None:
-                cells.append(_fmt(v2))
-            cells += [_fmt(final_d), _fmt(final_l), _fmt(slope), str(int(diverged))]
-            rows.append(",".join(cells))
+        except DivergenceError:
+            diverged = True
+            final_d = float("inf")
+            final_l = float("inf")
+            slope = float("nan")
+        cells = [_fmt(v1)]
+        if v2 is not None:
+            cells.append(_fmt(v2))
+        cells += [_fmt(final_d), _fmt(final_l), _fmt(slope), str(int(diverged))]
+        rows.append(",".join(cells))
     write_outputs(out, cfg, {"sweep.csv": "\n".join(rows) + "\n"})
     print(f"wrote {out}/sweep.csv ({len(rows) - 1} grid points)")
     return 0

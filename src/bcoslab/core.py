@@ -24,6 +24,20 @@ class NonFiniteError(VectorError):
     """A public operation observed or produced NaN/Inf entries."""
 
 
+def row_sums(a: np.ndarray):
+    """np.sum(a, axis=-1) of a float64 array, bit for bit. numpy adds a last
+    axis shorter than 8 left to right from +0.0; adding a column at a time
+    does the same, far faster on many short rows. From 8 on numpy sums
+    pairwise, so those rows go to np.sum."""
+    n = a.shape[-1]
+    if n == 0 or n >= 8:
+        return np.sum(a, axis=-1)
+    total = a[..., 0] + 0.0
+    for j in range(1, n):
+        total += a[..., j]
+    return total
+
+
 @dataclass(frozen=True)
 class BlockPartition:
     """Contiguous, non-overlapping blocks covering coordinates 0..total_dim-1.
@@ -77,17 +91,20 @@ class BlockPartition:
         bounds = np.append(np.asarray(self.block_starts), self.total_dim)
         return np.diff(bounds)
 
-    def block_sums(self, a: np.ndarray) -> np.ndarray:
+    def block_sums(self, a: np.ndarray, out=None) -> np.ndarray:
         """Sum a (..., n) array within each block along the last axis;
-        returns a (..., m) array."""
+        returns a (..., m) array, written into ``out`` when given."""
         a = np.asarray(a)
         if a.shape[-1] != self.total_dim:
             raise ShapeError(f"expected length {self.total_dim}, got {a.shape[-1]}")
         if self.num_blocks == self.total_dim:
             # one coordinate per block: the sums are the entries themselves,
             # and a copy is far cheaper than reduceat on batched draws
-            return a.copy()
-        return np.add.reduceat(a, np.asarray(self.block_starts), axis=-1)
+            if out is None:
+                return a.copy()
+            out[...] = a
+            return out
+        return np.add.reduceat(a, np.asarray(self.block_starts), axis=-1, out=out)
 
     def expand(self, per_block: np.ndarray) -> np.ndarray:
         """Broadcast a length-m per-block array back to length n."""

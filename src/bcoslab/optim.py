@@ -347,12 +347,14 @@ def conceptual_step(
 
 
 def conceptual_update(x: np.ndarray, d: np.ndarray, second: np.ndarray, alpha: float,
-                      lam: float, partition: BlockPartition) -> np.ndarray:
+                      lam: float, partition: BlockPartition, out=None) -> np.ndarray:
     """x <- (1 - alpha*lambda) x - alpha * d / sqrt(E[d^2]) on raw arrays: the
     sampled directions d (..., n), the per-block second moments of d (..., m)
     and iterates x that broadcast against d. Unchecked: a zero second moment
-    gives inf or NaN entries. Allocates the result and the decayed x only."""
-    step = alpha * d
+    gives inf or NaN entries. The result goes into ``out`` when given, an
+    array shaped like d that may be d itself but not x; besides it only the
+    square roots and the decayed x are allocated."""
+    step = np.multiply(alpha, d, out=out)
     step /= partition.expand(np.sqrt(second))
     return np.subtract((1.0 - alpha * lam) * x, step, out=step)
 

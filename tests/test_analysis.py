@@ -345,8 +345,12 @@ class TestEnsembleBlockRecorder:
         lam=st.sampled_from([0.0, 0.7, 1.5]),
         seed=st.integers(0, 2**16),
     )
-    # T = 1200 also crosses a noise chunk (1111 steps at S*n = 3600)
+    # T = 1200 also crosses 4 noise chunks (277 steps at S*n = 3600), and takes
+    # the pairwise np.sum path of n >= 8
     @example(S=300, n=12, T=1200, lam=1.5, seed=0)
+    # the column-add path of n < 8 across recorder blocks and a noise chunk
+    # (833 steps at S*n = 1200)
+    @example(S=300, n=4, T=1000, lam=1.5, seed=0)
     @example(S=2, n=1, T=0, lam=0.0, seed=0)
     def test_matches_per_step_reference(self, S, n, T, lam, seed):
         prob = NoisyQuadratic(h=np.linspace(1.0, 2.0, n), sigma=np.linspace(0.5, 1.5, n),

@@ -171,6 +171,17 @@ class TestExitCodes:
              "config error: config field 'schedule.total_steps': must be >= 0, got -1"),
             ("run", {"run.sigma_every": -3}, 2,
              "config error: config field 'run.sigma_every': must be >= 0, got -3"),
+            # coupled decay applies no (1 - alpha*lambda) factor, so only the
+            # decoupled run is bounded
+            ("run", {"optimizer.decoupled": "false", "optimizer.weight_decay_lambda": 2.0,
+                     "schedule.alpha": 1.0}, 0, ""),
+            ("run", {"optimizer.decoupled": "true", "optimizer.weight_decay_lambda": 2.0,
+                     "schedule.alpha": 1.0}, 2,
+             "config error: config field 'schedule.alpha': peak alpha*lambda = 2.0 exceeds 1 "
+             "with decoupled weight decay"),
+            ("sweep", {"sweep.param": "run.steps", "sweep.values": "10.7,2.2"}, 2,
+             "config error: config field 'sweep.values': 'run.steps' takes whole numbers, "
+             "got 10.7"),
         ],
     )
     def test_exit_code(self, tmp_path, capsys, command, overrides, code, message):

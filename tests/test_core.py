@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bcoslab.core import (
     BlockPartition,
     NonFiniteError,
     ParamVector,
     ShapeError,
+    row_sums,
     vector,
 )
 from bcoslab.optim import OptimizerConfig, normalize
@@ -133,3 +135,40 @@ class TestSingletonBlockSums:
         assert out.shape == expected.shape and out.dtype == expected.dtype
         assert out.tobytes() == expected.tobytes()
         assert out is not a and not np.shares_memory(out, a)
+
+    @pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 1)])
+    def test_out_receives_the_sums(self, sizes):
+        a = np.arange(6.0).reshape(2, 3) - 2.5
+        p = BlockPartition.from_sizes(sizes)
+        out = np.empty((2, p.num_blocks))
+        assert p.block_sums(a, out) is out
+        assert out.tobytes() == p.block_sums(a).tobytes()
+
+
+# entries whose sums expose the order of addition: signed zeros, infinities,
+# NaNs, subnormals and values far apart in magnitude
+ROW_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1e308, -1e308, 1e16, 1.0]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+class TestRowSums:
+    @given(
+        n=st.integers(1, 12),
+        batch=st.sampled_from([(), (3,), (2, 5)]),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_sum_bytewise(self, n, batch, data):
+        """row_sums equals np.sum over the last axis byte for byte, on 1-D
+        rows and on batches, for every n on either side of numpy's switch
+        from a left-to-right sum to a pairwise one at 8."""
+        a = data.draw(arrays(np.float64, (*batch, n), elements=ROW_ENTRIES))
+        with np.errstate(all="ignore"):
+            expected = np.sum(a, axis=-1)
+            got = row_sums(a)
+        assert np.shape(got) == np.shape(expected)
+        assert np.asarray(got).dtype == np.float64
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
