@@ -274,7 +274,8 @@ def mean_trajectory(
     its noise in chunks from make_rng(base_seed, TRAJECTORY_STREAM, i), so
     its path is the run_trajectory(seed_index=i) replay bit for bit. The
     conceptual method steps every seed at once with its exact moments; the
-    practical methods call ``step`` once per seed. The diagnostics of each
+    practical methods take every seed's gradient at once when the problem
+    has an oracle and call ``step`` once per seed. The diagnostics of each
     block of steps are recorded at once and reduced in seed-index order, so
     the output is reproducible. Estimator diagnostics (sigma_every > 0) are
     sampled along the first seed only, and only with coordinatewise blocks.
@@ -287,7 +288,8 @@ def mean_trajectory(
         partition = BlockPartition.singleton(problem.dim)
     start = problem.default_start() if x0 is None else np.asarray(x0, dtype=np.float64)
     conceptual = config.algorithm == "conceptual_bcos"
-    if conceptual and problem.moments(start) is None:
+    oracle = problem.moments(start) is not None
+    if conceptual and not oracle:
         raise AnalysisError("conceptual runs need a problem with exact moments")
     momentum = ALGORITHMS[config.algorithm].direction == "momentum"
     rngs = [make_rng(base_seed, TRAJECTORY_STREAM, i) for i in range(n_seeds)]
@@ -297,8 +299,8 @@ def mean_trajectory(
     X = np.tile(start, (n_seeds, 1))
     points = [ParamVector(start, partition)] * n_seeds
     states = [init_state()] * n_seeds
-    # the conceptual step writes the direction E[d] - Z of every seed and
-    # then the next iterates into this buffer, which swaps with X after it
+    # each step writes the next iterates into this buffer, which then swaps
+    # with X; the conceptual step writes the direction E[d] - Z there first
     spare = np.empty_like(X)
     lam = _decay_lambda(config)
 
@@ -312,16 +314,23 @@ def mean_trajectory(
             x_new = conceptual_update(X, direction, second, alphas[s], lam, partition,
                                       out=direction)
             return x_new, points, states
+        # with an oracle the gradient is elementwise, so one call on every
+        # row equals the per-row calls bit for bit; once it is checked finite
+        # its rows need no copy and no second scan. Otherwise each row is
+        # checked as it is wrapped, which raises at the first bad one
+        G = problem.gradient(X, Z) if oracle else None
+        wrap = ParamVector._wrap if G is not None and np.isfinite(G).all() else ParamVector
         new_points, new_states = [], []
         for i in range(n_seeds):
-            g = ParamVector(problem.gradient(X[i], Z[i]), partition)
+            g = wrap(problem.gradient(X[i], Z[i]) if G is None else G[i], partition)
             try:
                 x, state = step(config, states[i], points[i], g, alphas[s])
             except NonFiniteError as exc:
                 raise _nonfinite(config, i, s) from exc
+            spare[i] = x.values
             new_points.append(x)
             new_states.append(state)
-        return np.stack([x.values for x in new_points]), new_points, new_states
+        return spare, new_points, new_states
 
     # the iterates before each step of the current block and the exact
     # moments of the direction each seed takes there, NaN without an oracle
@@ -405,8 +414,7 @@ def mean_trajectory(
                     bad = np.flatnonzero(~np.all(np.isfinite(new[0]), axis=1))
                     if bad.size:
                         raise _nonfinite(config, int(bad[0]), s)
-                if conceptual:
-                    spare = X
+                spare = X
                 X, points, states = new
         t += width
     keep(T)
@@ -872,22 +880,40 @@ def verify_ratio_expansion(
 
 def _scan_linear_recursion(coeff, drive, t0: int, T: int, x0: float,
                            chunk: int = 10**6) -> float:
-    """Final value of X_{t+1} = coeff(t) X_t + drive(t), t = t0..T-1, via a
-    chunked closed form (log-cumsum) so 1e7+ horizons stay fast and exact to
-    float64 even though the recursion is sequential."""
-    x = float(x0)
+    """Final value of X_{t+1} = coeff(t) X_t + drive(t), t = t0..T-1."""
+    return _scan_decay(coeff, drive, t0, T, x0, chunk)[0]
+
+
+def _scan_decay(coeff, drive, t0: int, T: int, x0: float,
+                chunk: int = 10**6) -> tuple[float, float]:
+    """Final values of X_{t+1} = coeff(t) X_t + drive(t), t = t0..T-1, and of
+    the same recursion with no drive, via a chunked closed form (log-cumsum)
+    so 1e7+ horizons stay fast and exact to float64 even though the
+    recursion is sequential. Without a drive each chunk only multiplies by
+    its total decay, so one scan gives both. coeff must return a fresh
+    array: it becomes the chunk's work buffer."""
+    x = undriven = float(x0)
     lo = t0
     while lo < T:
         hi = min(lo + chunk, T)
         t = np.arange(lo, hi, dtype=np.float64)
         c = coeff(t)
-        if np.any(c <= 0) or np.any(c >= 1):
+        # min and max propagate NaN, which fails both comparisons
+        if not (c.min() > 0 and c.max() < 1):
             raise AnalysisError("recursion coefficients must lie in (0, 1); raise t0")
         d = drive(t)
-        S = np.cumsum(np.log(c))
-        x = float(np.exp(S[-1]) * x + np.sum(d * np.exp(S[-1] - S)))
+        S = np.log(c, out=c)
+        np.cumsum(S, out=S)
+        last = S[-1]
+        decay = np.exp(last)
+        # the weight exp(S[-1] - S) of each drive term, in place
+        np.subtract(last, S, out=S)
+        np.exp(S, out=S)
+        S *= d
+        x = float(decay * x + np.sum(S))
+        undriven = float(decay * undriven)
         lo = hi
-    return x
+    return x, undriven
 
 
 @dataclass(frozen=True)
@@ -930,10 +956,11 @@ def verify_chung_recursions(T: int = 10**7) -> ChungReport:
                            abs(scaled - bound) <= rel_tol * bound)
 
     def harmonic_form(a, p, b, x0=1.0):
+        """The scaled iterate with the drive b and with none."""
         t0 = int(math.floor(a)) + 1
-        x = _scan_linear_recursion(lambda t: 1.0 - a / t,
-                                   lambda t: b / t ** (p + 1.0), t0, T, x0)
-        return T**p * x
+        x, undriven = _scan_decay(lambda t: 1.0 - a / t,
+                                  lambda t: b / t ** (p + 1.0), t0, T, x0)
+        return T**p * x, T**p * undriven
 
     def power_form(a, p, q, b, x0=1.0):
         t0 = int(math.ceil(a ** (1.0 / p))) + 1
@@ -942,9 +969,9 @@ def verify_chung_recursions(T: int = 10**7) -> ChungReport:
         return T ** (q - p) * x
 
     # with no drive the scaled iterate decays like 1/t
-    zero_drive = harmonic_form(2.0, 1.0, 0.0)
+    harmonic, zero_drive = harmonic_form(2.0, 1.0, 1.0)
     return ChungReport((
-        near("harmonic_decay_a2_p1_b1", harmonic_form(2.0, 1.0, 1.0), 1.0 / (2.0 - 1.0)),
+        near("harmonic_decay_a2_p1_b1", harmonic, 1.0 / (2.0 - 1.0)),
         CheckResult("harmonic_decay_zero_drive", zero_drive, 10.0 / T,
                     "observed <= 10/T", zero_drive <= 10.0 / T),
         near("power_decay_a1_p0.6_q1.35_b1", power_form(1.0, 0.6, 1.35, 1.0), 1.0),

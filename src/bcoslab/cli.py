@@ -281,16 +281,25 @@ def build_schedule(cfg: ExperimentConfig) -> StepSchedule:
 
 def _check_schedule_safety(cfg: ExperimentConfig, schedule: StepSchedule) -> None:
     """Hard safety condition only: with decoupled decay the peak stepsize must
-    keep alpha*lambda <= 1. Coupled decay is folded into the gradient and
-    applies no (1 - alpha*lambda) factor, so it is not bounded here. The
+    keep alpha*lambda <= 1, and < 1 for the practical methods, whose step
+    refuses a decay factor of 0. Coupled decay is folded into the gradient
+    and applies no (1 - alpha*lambda) factor, so it is not bounded here. The
     summability flags the convergence theory wants are informational and do
     not block a run."""
     lam = cfg.weight_decay_lambda
-    if lam > 0 and cfg.decoupled and schedules.peak_value(schedule) * lam > 1.0:
+    if not (lam > 0 and cfg.decoupled):
+        return
+    peak = schedules.peak_value(schedule) * lam
+    if peak > 1.0:
         raise ConfigError(
             "schedule.alpha",
-            f"peak alpha*lambda = {schedules.peak_value(schedule) * lam} exceeds 1 "
-            "with decoupled weight decay",
+            f"peak alpha*lambda = {peak} exceeds 1 with decoupled weight decay",
+        )
+    if peak == 1.0 and cfg.algorithm != "conceptual_bcos":
+        raise ConfigError(
+            "schedule.alpha",
+            f"peak alpha*lambda = {peak} reaches 1 with decoupled weight decay; "
+            f"{cfg.algorithm} steps need alpha*lambda < 1",
         )
 
 

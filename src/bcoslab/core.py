@@ -135,10 +135,21 @@ class ParamVector:
             raise ShapeError(
                 f"vector length {vals.shape[0]} != partition dim {self.partition.total_dim}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise NonFiniteError("vector contains NaN/Inf entries")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _wrap(cls, values: np.ndarray, partition: BlockPartition) -> "ParamVector":
+        """A vector over a float64 array of the partition's length that the
+        caller owns and has just checked finite: no copy and no second scan.
+        The array becomes read-only."""
+        values.flags.writeable = False
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "values", values)
+        object.__setattr__(vec, "partition", partition)
+        return vec
 
     def __len__(self) -> int:
         return self.partition.total_dim

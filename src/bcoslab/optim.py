@@ -71,7 +71,7 @@ class OptimizerState:
     v: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.v is not None and np.any(np.asarray(self.v) < 0):
+        if self.v is not None and (np.asarray(self.v) < 0).any():
             raise OptimizerError("second-moment state must be nonnegative")
 
 
@@ -114,14 +114,19 @@ def _check_gradient(x: ParamVector, g: ParamVector) -> np.ndarray:
     gv = g.values
     if gv.shape != x.values.shape:
         raise ShapeError(f"gradient length {gv.shape[0]} != parameter length {len(x)}")
-    if not np.all(np.isfinite(gv)):
+    if not np.isfinite(gv).all():
         raise NonFiniteError("gradient contains NaN/Inf entries")
     return gv
 
 
 def _safe_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Elementwise num/den with the 0/0 -> 0 convention (only reachable when
-    epsilon = 0 and both the direction and its estimate vanish)."""
+    epsilon = 0 and both the direction and its estimate vanish): an entry
+    whose denominator is not positive (NaN included) is 0. With every
+    denominator positive, the usual case when epsilon > 0, that is a plain
+    divide."""
+    if den.min(initial=np.inf) > 0:
+        return num / den
     out = np.zeros_like(num)
     np.divide(num, den, out=out, where=den > 0)
     return out
@@ -323,10 +328,11 @@ def step(
 
     direction, estimate, m_new, v_new = propose(config, state, d, part)
     x_new = decay * x.values - alpha_t * normalize(config, direction, estimate, part)
-    if not np.all(np.isfinite(x_new)):
+    if not np.isfinite(x_new).all():
         raise NonFiniteError(f"{config.algorithm} step produced non-finite parameters")
     new_state = OptimizerState(t=state.t + 1, m=m_new, v=v_new)
-    return ParamVector(x_new, part), new_state
+    # x_new is a fresh array of the right length, checked just above
+    return ParamVector._wrap(x_new, part), new_state
 
 
 def conceptual_step(

@@ -274,6 +274,40 @@ class TestDivergenceReport:
             f"{alg} step produced non-finite parameters at seed 0, t={t}"
         )
 
+    def test_nonfinite_gradient_row_fails_as_each_row_would(self):
+        """One seed's infinite draw makes a row of the ensemble's batched
+        gradient non-finite; the run fails as wrapping that row on its own
+        does."""
+        prob = PoisonedDraw(seed=2, t=5)
+        with pytest.raises(NonFiniteError) as err:
+            mean_trajectory(prob, OptimizerConfig("bcos_c"), constant(0.05), 10, n_seeds=4,
+                            base_seed=0)
+        assert prob.poisoned
+        with pytest.raises(NonFiniteError) as row:
+            ParamVector(np.array([1.0, np.inf, 0.0]), BlockPartition.singleton(3))
+        assert type(err.value) is type(row.value)
+        assert str(err.value) == str(row.value) == "vector contains NaN/Inf entries"
+
+
+class PoisonedDraw(NoisyQuadratic):
+    """A three-coordinate quadratic whose noise for one seed is infinite at
+    one step. mean_trajectory draws the first chunk seed by seed in index
+    order after a zero-width probe, so the draw of that seed's chunk is the
+    (seed+1)-th nonempty one."""
+
+    def __init__(self, seed, t):
+        super().__init__(h=[1.0, 2.0, 0.5], sigma=1.0, x_star=[0.0, 0.0, 0.0])
+        self.target, self.t, self.draws, self.poisoned = seed, t, 0, False
+
+    def draw(self, rng, shape=()):
+        z = super().draw(rng, shape)
+        if z.size:
+            if self.draws == self.target:
+                z[self.t, 1] = -np.inf
+                self.poisoned = True
+            self.draws += 1
+        return z
+
 
 def per_step_ensemble(problem, config, schedule, T, n_seeds, base_seed, x0=None):
     """The lockstep conceptual ensemble with its diagnostics recorded one step
@@ -882,3 +916,24 @@ class TestRecursionScan:
     def test_k_p_tail_closed_form(self):
         # sum over t>=1 of (t+1)^-2 = pi^2/6 - 1
         assert k_p_tail(1.0, terms=10**6) == pytest.approx(np.pi**2 / 6 - 1, abs=1e-5)
+
+
+class TestDecayScan:
+    def test_undriven_value_is_the_zero_drive_scan(self):
+        """The second value of one scan equals a separate scan with a zero
+        drive, bit for bit, across several chunks."""
+        coeff = lambda t: 1.0 - 2.0 / t  # noqa: E731
+        _, undriven = analysis._scan_decay(coeff, lambda t: 1.0 / t**2, 3, 5000, 1.0,
+                                           chunk=700)
+        assert undriven == analysis._scan_linear_recursion(coeff, lambda t: 0.0 / t, 3, 5000,
+                                                           1.0, chunk=700)
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, 1.0, -0.5])
+    def test_coefficients_outside_the_open_unit_interval_rejected(self, bad):
+        def coeff(t):
+            c = np.full_like(t, 0.5)
+            c[len(c) // 2] = bad
+            return c
+
+        with pytest.raises(AnalysisError, match="must lie in"):
+            analysis._scan_decay(coeff, lambda t: 0.0 * t, 3, 100, 1.0)

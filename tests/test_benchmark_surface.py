@@ -10,6 +10,7 @@ import pytest
 from bcoslab import analysis, cli, optim, problems, schedules
 from bcoslab.optim import OptimizerConfig
 from bcoslab.problems import NoisyQuadratic
+from bcoslab.schedules import constant
 
 
 @pytest.mark.parametrize("fn, parameter", [
@@ -59,3 +60,41 @@ def test_child_setup_and_curve_text(tmp_path):
     curve = analysis.mean_trajectory(problem, opt, schedule, cfg.steps, cfg.n_seeds)
     text = cli.curve_csv(curve)
     assert isinstance(text, str) and len(text.splitlines()) == cfg.steps + 2
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Replace module.name with a wrapper that logs each call; returns the log."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("algorithm, steps_per_seed_step", [
+    ("bcos_c", 1),
+    ("conceptual_bcos", 0),
+])
+def test_ensemble_step_calls(monkeypatch, algorithm, steps_per_seed_step):
+    """The traced hook of bench/run.py: a practical ensemble calls
+    ``optim.step`` once per seed and step (8000 on run_bcos_c), the
+    conceptual one never."""
+    steps = count_calls(monkeypatch, analysis, "step")
+    S, T = 3, 20
+    problem = NoisyQuadratic([1.0, 2.0, 0.5, 1.5], 1.0, 0.0)
+    config = OptimizerConfig(algorithm, weight_decay_lambda=0.1, decoupled=True)
+    analysis.mean_trajectory(problem, config, constant(0.01), T, S, sigma_every=10)
+    assert len(steps) == steps_per_seed_step * S * T
+
+
+def test_default_verify_calls(monkeypatch, capsys):
+    """The traced hook of bench/run.py on verify_default: five estimator
+    checks and no optimizer step."""
+    steps = count_calls(monkeypatch, analysis, "step")
+    stats = count_calls(monkeypatch, analysis, "estimator_stats")
+    assert cli.cmd_verify(cli.ExperimentConfig()) == 0
+    assert (len(stats), len(steps)) == (5, 0)

@@ -182,6 +182,18 @@ class TestExitCodes:
             ("sweep", {"sweep.param": "run.steps", "sweep.values": "10.7,2.2"}, 2,
              "config error: config field 'sweep.values': 'run.steps' takes whole numbers, "
              "got 10.7"),
+            # the practical steps refuse a decay factor of exactly 0; the
+            # conceptual one takes it
+            *[("run", {"optimizer.algorithm": alg, "optimizer.decoupled": "true",
+                       "optimizer.weight_decay_lambda": lam, "schedule.kind": kind,
+                       "schedule.alpha": alpha, "schedule.warmup_steps": 5,
+                       "schedule.total_steps": 20}, 2,
+               "config error: config field 'schedule.alpha': peak alpha*lambda = 1.0 reaches 1 "
+               f"with decoupled weight decay; {alg} steps need alpha*lambda < 1")
+              for alg, lam, kind, alpha in (("bcos_c", 1.0, "constant", 1.0),
+                                            ("adam", 2.0, "warmup_linear", 0.5))],
+            ("run", {"optimizer.decoupled": "true", "optimizer.weight_decay_lambda": 1.0,
+                     "schedule.alpha": 1.0}, 0, ""),
         ],
     )
     def test_exit_code(self, tmp_path, capsys, command, overrides, code, message):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bcoslab.core import BlockPartition, NonFiniteError, ParamVector, ShapeError, vector
 from bcoslab.optim import (
@@ -13,6 +14,7 @@ from bcoslab.optim import (
     OptimizerConfig,
     OptimizerError,
     OptimizerState,
+    _safe_divide,
     conceptual_step,
     conceptual_update,
     init_state,
@@ -148,6 +150,46 @@ class TestStepErrors:
         with pytest.raises(OptimizerError):
             step(OptimizerConfig("conceptual_bcos"), init_state(), vector([1.0]),
                  vector([1.0]), 0.1)
+
+
+class TestStepResult:
+    @pytest.mark.parametrize("alg", sorted(set(ALGORITHMS) - {"conceptual_bcos"}))
+    def test_new_iterate_is_read_only(self, alg):
+        x, _ = step(OptimizerConfig(alg), init_state(), vector([1.0, -2.0]),
+                    vector([0.5, 0.25]), 0.1)
+        with pytest.raises(ValueError):
+            x.values[0] = 5.0
+
+
+def masked_divide(num, den):
+    """The 0/0 -> 0 division written out: 0 wherever den is not positive."""
+    out = np.zeros_like(num)
+    np.divide(num, den, out=out, where=den > 0)
+    return out
+
+
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324])
+
+
+class TestSafeDivide:
+    @given(
+        shape=st.sampled_from([(1,), (4,), (3, 5)]),
+        positive=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_masked_divide_bitwise(self, shape, positive, data):
+        """The direct divide taken when every denominator is positive and the
+        masked one agree byte for byte, signed zeros and NaNs included."""
+        num = data.draw(arrays(np.float64, shape, elements=st.one_of(st.floats(), SPECIAL_FLOATS)))
+        den_entries = (st.floats(min_value=5e-324) if positive
+                       else st.one_of(st.floats(), SPECIAL_FLOATS))
+        den = data.draw(arrays(np.float64, shape, elements=den_entries))
+        with np.errstate(all="ignore"):
+            got = _safe_divide(num, den)
+            expected = masked_divide(num, den)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestCollapsesAndInvariance:
