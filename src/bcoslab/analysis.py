@@ -34,7 +34,7 @@ from .problems import (
     aiming_values,
     make_rng,
 )
-from .schedules import StepSchedule, value_at
+from .schedules import ScheduleError, StepSchedule, value_at
 
 DIVERGENCE_THRESHOLD = 1e12
 # Monte Carlo draws per sampled estimator diagnostic along a trajectory
@@ -118,10 +118,8 @@ def _direction_moments(problem, config, x, m, partition, out=(None, None)):
     None when unavailable (no problem oracle, or momentum not yet primed).
     A method that steps along the gradient writes them into ``out`` when
     given, arrays shaped like the two results."""
-    lam = config.weight_decay_lambda
-    fold = lam if (lam > 0 and not config.decoupled) else 0.0
     coordinatewise = partition.num_blocks == partition.total_dim
-    moments = problem.moments(x, fold, out if coordinatewise else (out[0], None))
+    moments = problem.moments(x, config.fold_lambda, out if coordinatewise else (out[0], None))
     if moments is None:
         return None
     mean, second = moments
@@ -137,13 +135,6 @@ def _direction_moments(problem, config, x, m, partition, out=(None, None)):
     return mean, partition.block_sums(second, out[1])
 
 
-def _decay_lambda(config: OptimizerConfig) -> float:
-    """The lambda of the decay factor (1 - alpha*lambda) that the conceptual
-    step and the aiming value apply; coupled decay is folded into the
-    gradient instead."""
-    return config.weight_decay_lambda if config.decoupled else 0.0
-
-
 def _seed_record(problem, config, schedule, partition, t, x, moments,
                  diag=None) -> TrajectoryRecord:
     """The record of one seed at step t, from its iterate x and the
@@ -156,7 +147,7 @@ def _seed_record(problem, config, schedule, partition, t, x, moments,
         # einsum matches the batched ensemble recorder bit for bit
         dist_sq = float(np.einsum("i,i->", diff, diff))
         if moments is not None:
-            value = float(aiming_values(x, diff, dist_sq, _decay_lambda(config), *moments,
+            value = float(aiming_values(x, diff, dist_sq, config.decay_lambda, *moments,
                                         partition))
             aiming = None if math.isnan(value) else value
     else:
@@ -217,7 +208,7 @@ def run_trajectory(
     conceptual = config.algorithm == "conceptual_bcos"
     if conceptual and problem.moments(start) is None:
         raise AnalysisError("conceptual runs need a problem with exact moments")
-    lam = _decay_lambda(config)
+    lam = config.decay_lambda
     records: list[TrajectoryRecord] = []
     for t in range(T + 1):
         moments = _direction_moments(problem, config, x.values, state.m, partition)
@@ -302,7 +293,7 @@ def mean_trajectory(
     # each step writes the next iterates into this buffer, which then swaps
     # with X; the conceptual step writes the direction E[d] - Z there first
     spare = np.empty_like(X)
-    lam = _decay_lambda(config)
+    lam = config.decay_lambda
 
     def advance(Z, s, moments):
         """The iterates, points and states after step s for the draws Z, from
@@ -452,7 +443,8 @@ def _record_block(problem, config, schedule, partition, X, mean, second, t0, cur
     crossed = np.flatnonzero(np.max(dist, axis=1) > DIVERGENCE_THRESHOLD)
     if crossed.size:
         k = int(crossed[0])
-        raise _divergence(problem, config, schedule, partition, t0 + k, X[k], mean[k], second[k])
+        raise _divergence(problem, config, schedule, partition, t0 + k, X[k], dist[k], mean[k],
+                          second[k])
     mean_curve, se_curve, loss_curve, aim_curve = (c[t0 : t0 + W] for c in curves)
     loss_curve[:] = np.mean(problem.loss(X), axis=1)
     if x_star is None:
@@ -467,21 +459,21 @@ def _record_block(problem, config, schedule, partition, X, mean, second, t0, cur
     v = (sq - s1 * s1 / S) / (S - 1)
     se_curve[:] = np.sqrt(np.maximum(v, 0.0) / S)
     # NaN, skipped by fmin, without an oracle or where a second moment is zero
-    aim = aiming_values(X, diff, dist, _decay_lambda(config), mean, second, partition)
+    aim = aiming_values(X, diff, dist, config.decay_lambda, mean, second, partition)
     aim_curve[:] = np.fmin.reduce(aim, axis=1)
 
 
-def _divergence(problem, config, schedule, partition, t, X, mean, second) -> DivergenceError:
+def _divergence(problem, config, schedule, partition, t, X, dist, mean,
+                second) -> DivergenceError:
     """The error for the first seed of the lockstep iterates X (S, n) past
     the threshold at step t, with the record its run_trajectory replay ends
-    with; mean and second are the direction's moments there, as in
+    with; dist (S,) holds their squared distances (squared norms, with no
+    target), and mean and second are the direction's moments there, as in
     _record_block."""
-    gauge = X if problem.x_star is None else X - problem.x_star
-    size = np.einsum("ij,ij->i", gauge, gauge)
-    i = int(np.flatnonzero(size > DIVERGENCE_THRESHOLD)[0])
+    i = int(np.flatnonzero(dist > DIVERGENCE_THRESHOLD)[0])
     rec = _seed_record(problem, config, schedule, partition, t, X[i], (mean[i], second[i]))
     return DivergenceError(
-        f"seed {i} diverged at t={t}: squared distance {size[i]:.3e}", [rec]
+        f"seed {i} diverged at t={t}: squared distance {dist[i]:.3e}", [rec]
     )
 
 
@@ -516,14 +508,21 @@ def fit_rate(curve: MeanCurve, window: tuple[int, int]) -> RateFit:
 
 
 def rate_preconditions(schedule: StepSchedule, lam: float) -> list[str]:
-    """Conditions the sublinear-rate guarantees put on (schedule, lambda)
-    jointly; they live here rather than in the schedule because they couple
-    the stepsize to the problem's decay factor.
+    """Every condition the sublinear-rate guarantees put on (schedule,
+    lambda), as human-readable violations; an empty list means the schedule
+    is admissible for the theory at this lambda. This is the one home of
+    those conditions: they couple the stepsize to the decay factor, so they
+    live beside the rates rather than in the schedule.
 
     The 1/t guarantee wants 1/2 < alpha*lambda < 1 for an inverse-time
-    schedule; the 1/t^p guarantee wants alpha*lambda < 1 (the exponent range
-    is already enforced by the schedule itself).
+    schedule; the 1/t^p guarantee wants alpha*lambda < 1 (the schedule itself
+    enforces 1/2 < p < 1). Both kinds peak at alpha and have sum alpha_t = inf
+    and sum alpha_t^2 < inf, so an empty list also means peak alpha*lambda
+    <= 1 and both series conditions hold. Every other kind has no guarantee.
+    A negative lambda raises ScheduleError.
     """
+    if lam < 0:
+        raise ScheduleError(f"lambda must be >= 0, got {lam}")
     out = []
     product = schedule.alpha * lam
     if schedule.kind == "inverse_time":
@@ -672,8 +671,7 @@ def estimator_stats(
         exact_d2 = exact_d2 / (1.0 - config.beta1 ** (state.t + 1)) ** 2
     if np.any(exact_d2 <= 0):
         raise AnalysisError("estimator stats need E[d^2] > 0 on every coordinate")
-    lam = config.weight_decay_lambda
-    fold = lam if (lam > 0 and not config.decoupled) else 0.0
+    fold = config.fold_lambda
     G = problem.sample_gradients(x, make_rng(seed, MC_STREAM, *key), n_mc)
     d, v, _, _ = propose(config, state, G + fold * x if fold else G, coord)
 

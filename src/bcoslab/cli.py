@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import analysis, problems, schedules
+from . import analysis, problems
 from .analysis import CheckResult, DivergenceError, MeanCurve
 from .core import NonFiniteError
 from .optim import OptimizerConfig, OptimizerState, init_state
@@ -279,27 +279,24 @@ def build_schedule(cfg: ExperimentConfig) -> StepSchedule:
         raise ConfigError("schedule", str(exc)) from exc
 
 
-def _check_schedule_safety(cfg: ExperimentConfig, schedule: StepSchedule) -> None:
-    """Hard safety condition only: with decoupled decay the peak stepsize must
-    keep alpha*lambda <= 1, and < 1 for the practical methods, whose step
-    refuses a decay factor of 0. Coupled decay is folded into the gradient
-    and applies no (1 - alpha*lambda) factor, so it is not bounded here. The
-    summability flags the convergence theory wants are informational and do
-    not block a run."""
-    lam = cfg.weight_decay_lambda
-    if not (lam > 0 and cfg.decoupled):
-        return
-    peak = schedules.peak_value(schedule) * lam
+def _check_schedule_safety(opt: OptimizerConfig, schedule: StepSchedule) -> None:
+    """Hard safety condition only: with decoupled decay the peak stepsize
+    (every kind peaks at schedule.alpha) must keep alpha*lambda <= 1, and < 1
+    for the practical methods, whose step refuses a decay factor of 0.
+    Coupled decay is folded into the gradient and applies no
+    (1 - alpha*lambda) factor, so its decay_lambda is 0. The conditions of
+    the rate theorems (analysis.rate_preconditions) do not block a run."""
+    peak = schedule.alpha * opt.decay_lambda
     if peak > 1.0:
         raise ConfigError(
             "schedule.alpha",
             f"peak alpha*lambda = {peak} exceeds 1 with decoupled weight decay",
         )
-    if peak == 1.0 and cfg.algorithm != "conceptual_bcos":
+    if peak == 1.0 and opt.algorithm != "conceptual_bcos":
         raise ConfigError(
             "schedule.alpha",
             f"peak alpha*lambda = {peak} reaches 1 with decoupled weight decay; "
-            f"{cfg.algorithm} steps need alpha*lambda < 1",
+            f"{opt.algorithm} steps need alpha*lambda < 1",
         )
 
 
@@ -307,6 +304,16 @@ def _x0(cfg: ExperimentConfig, problem) -> np.ndarray:
     if cfg.problem_kind == "logistic":
         return np.zeros(problem.dim)
     return _broadcast(cfg.x0, cfg.dim, "problem.x0")
+
+
+def _build(cfg: ExperimentConfig) -> tuple:
+    """(problem, optimizer, schedule, x0) of a run, past the decay check, so
+    that a bad config fails before any ensemble runs."""
+    problem = build_problem(cfg)
+    opt = build_optimizer(cfg)
+    schedule = build_schedule(cfg)
+    _check_schedule_safety(opt, schedule)
+    return problem, opt, schedule, _x0(cfg, problem)
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +359,7 @@ def write_outputs(out_dir: str, cfg: ExperimentConfig, named_texts: dict[str, st
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
-    problem = build_problem(cfg)
-    opt = build_optimizer(cfg)
-    schedule = build_schedule(cfg)
-    _check_schedule_safety(cfg, schedule)
-    x0 = _x0(cfg, problem)
+    problem, opt, schedule, x0 = _build(cfg)
     out = out_dir or cfg.output_dir
     try:
         curve = analysis.mean_trajectory(
@@ -400,24 +403,19 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
         header.append(cfg.sweep_param2)
     header += ["final_dist_sq", "final_loss", "slope", "diverged"]
     rows = [",".join(header)]
-    # every grid point's config is set before the first one runs
+    # every grid point is built and checked before the first one runs
     points = []
     for v1 in cfg.sweep_values:
         first = _set_config_key(cfg, cfg.sweep_param, v1, "sweep.values")
         for v2 in grid2:
             point = first if v2 is None else _set_config_key(first, cfg.sweep_param2, v2,
                                                              "sweep.values2")
-            points.append((v1, v2, point))
-    for v1, v2, point in points:
-        problem = build_problem(point)
-        opt = build_optimizer(point)
-        schedule = build_schedule(point)
-        _check_schedule_safety(point, schedule)
+            points.append((v1, v2, point, _build(point)))
+    for v1, v2, point, (problem, opt, schedule, x0) in points:
         diverged = False
         try:
             curve = analysis.mean_trajectory(
-                problem, opt, schedule, point.steps, point.n_seeds,
-                point.base_seed, x0=_x0(point, problem),
+                problem, opt, schedule, point.steps, point.n_seeds, point.base_seed, x0=x0,
             )
             final_d = float(curve.mean_dist_sq[-1])
             final_l = float(curve.mean_loss[-1])

@@ -55,6 +55,18 @@ class OptimizerConfig:
         if self.conditional_full and self.algorithm != "bcos_c":
             raise OptimizerError("conditional_full only applies to bcos_c")
 
+    @property
+    def fold_lambda(self) -> float:
+        """The lambda of coupled decay, which adds lambda*x to the gradient;
+        0 when decay is decoupled."""
+        return 0.0 if self.decoupled else self.weight_decay_lambda
+
+    @property
+    def decay_lambda(self) -> float:
+        """The lambda of decoupled decay, which shrinks the iterate by
+        (1 - alpha*lambda) before the step; 0 when decay is coupled."""
+        return self.weight_decay_lambda if self.decoupled else 0.0
+
 
 @dataclass(frozen=True)
 class OptimizerState:
@@ -312,22 +324,14 @@ def step(
         raise OptimizerError(f"alpha_t must be >= 0, got {alpha_t}")
     gv = _check_gradient(x, g)
     part = x.partition
-    lam = config.weight_decay_lambda
-    decay = 1.0
-    if lam > 0 and config.decoupled:
-        if alpha_t * lam >= 1.0:
-            raise OptimizerError(
-                f"decoupled decay needs alpha_t*lambda < 1, got {alpha_t * lam}"
-            )
-        decay = 1.0 - alpha_t * lam
-        d = gv
-    elif lam > 0:
-        d = gv + lam * x.values
-    else:
-        d = gv
+    alpha_lambda = alpha_t * config.decay_lambda
+    if alpha_lambda >= 1.0:
+        raise OptimizerError(f"decoupled decay needs alpha_t*lambda < 1, got {alpha_lambda}")
+    fold = config.fold_lambda
+    d = gv + fold * x.values if fold else gv
 
     direction, estimate, m_new, v_new = propose(config, state, d, part)
-    x_new = decay * x.values - alpha_t * normalize(config, direction, estimate, part)
+    x_new = (1.0 - alpha_lambda) * x.values - alpha_t * normalize(config, direction, estimate, part)
     if not np.isfinite(x_new).all():
         raise NonFiniteError(f"{config.algorithm} step produced non-finite parameters")
     new_state = OptimizerState(t=state.t + 1, m=m_new, v=v_new)

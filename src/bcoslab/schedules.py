@@ -2,7 +2,8 @@
 
 A schedule maps the step counter t to a scalar stepsize. The decaying kinds
 (inverse_time, power) are the ones the convergence theory cares about; the
-warmup kinds mirror common training practice.
+warmup kinds mirror common training practice. The conditions the theory puts
+on a schedule and the decay lambda together are analysis.rate_preconditions.
 """
 
 from __future__ import annotations
@@ -88,46 +89,3 @@ def value_at(s: StepSchedule, t: int) -> float:
     if s.kind == "warmup_cosine":
         return floor + (s.alpha - floor) * 0.5 * (1.0 + math.cos(math.pi * frac))
     return floor + (s.alpha - floor) * (1.0 - frac)
-
-
-def peak_value(s: StepSchedule) -> float:
-    """Largest stepsize the schedule ever emits."""
-    return s.alpha
-
-
-def series_flags(s: StepSchedule) -> tuple[bool, bool]:
-    """Symbolic (sum diverges, squared sum converges) classification by kind.
-
-    Warmup kinds behave like a constant schedule in the tail unless their
-    terminal value is zero, in which case the plain sum is finite too.
-    """
-    if s.kind == "constant":
-        return True, False
-    if s.kind in ("inverse_time", "power"):
-        return True, True
-    if s.alpha_min_ratio > 0.0:
-        return True, False
-    return False, True
-
-
-def validate_against_lambda(s: StepSchedule, lam: float) -> list[str]:
-    """Every t-independent stepsize condition the convergence theory imposes.
-
-    Returns human-readable violations: the peak must satisfy alpha*lambda <= 1,
-    the plain series must diverge and the squared series must converge. An
-    empty list means the schedule is admissible for the theory at this lambda.
-    """
-    if lam < 0:
-        raise ScheduleError(f"lambda must be >= 0, got {lam}")
-    violations: list[str] = []
-    peak = peak_value(s)
-    if peak * lam > 1.0:
-        violations.append(
-            f"peak stepsize violates alpha*lambda <= 1: {peak} * {lam} = {peak * lam}"
-        )
-    diverges, sq_converges = series_flags(s)
-    if not diverges:
-        violations.append("sum of stepsizes is finite; the theory needs it to diverge")
-    if not sq_converges:
-        violations.append("sum of squared stepsizes diverges")
-    return violations

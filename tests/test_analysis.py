@@ -339,7 +339,7 @@ def per_step_ensemble(problem, config, schedule, T, n_seeds, base_seed, x0=None)
         if lam > 0:
             aim += lam * np.sum(diff * X, axis=1) - lam * dist
         aim_curve[t] = float(np.min(aim))
-        return float(np.max(dist))
+        return dist
 
     chunk = max(1, int(4_000_000 / max(1, n_seeds * n)))
     t = 0
@@ -349,10 +349,12 @@ def per_step_ensemble(problem, config, schedule, T, n_seeds, base_seed, x0=None)
         for i, rng in enumerate(rngs):
             noise[i] = rng.standard_normal((width, n))
         for j in range(width):
-            if record(t + j) > analysis.DIVERGENCE_THRESHOLD:
+            dist = record(t + j)
+            if np.max(dist) > analysis.DIVERGENCE_THRESHOLD:
                 part = BlockPartition.singleton(n)
                 oracle = analysis._direction_moments(problem, config, X, None, part)
-                raise analysis._divergence(problem, config, schedule, part, t + j, X, *oracle)
+                raise analysis._divergence(problem, config, schedule, part, t + j, X, dist,
+                                           *oracle)
             alpha = alphas[t + j]
             mean_g = h * (X - x_star)
             g = mean_g - h * (sig * noise[:, j, :])

@@ -344,6 +344,28 @@ class TestCmdSweep:
         assert flags == sorted(flags)
         assert flags[0] == 0 and flags[-1] == 1
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"sweep.param": "optimizer.beta1", "sweep.values": "0.5,0.6,1.5"},
+         "config error: config field 'optimizer': beta1 must lie in [0, 1), got 1.5\n"),
+        ({"sweep.param": "schedule.alpha", "sweep.values": "0.1,5.0"},
+         "config error: config field 'schedule.alpha': peak alpha*lambda = 1.5 exceeds 1 "
+         "with decoupled weight decay\n"),
+    ])
+    def test_every_point_checked_before_any_runs(self, tmp_path, capsys, monkeypatch,
+                                                 overrides, message):
+        """A config error at the last grid point exits 2 before the first
+        point's ensemble runs."""
+        calls = []
+        monkeypatch.setattr(cli.analysis, "mean_trajectory",
+                            lambda *args, **kwargs: calls.append(args))
+        text = minimal_quadratic_config(**{"optimizer.algorithm": "bcos_c", "run.steps": 3000,
+                                           "run.n_seeds": 50, **overrides})
+        path = write_config(tmp_path, text)
+        assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == message
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     def test_empty_grid_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal_quadratic_config())
         rc = cli.main(["sweep", "--config", path, "--out", str(tmp_path / "out")])

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcoslab import schedules
+from bcoslab.analysis import rate_preconditions
 from bcoslab.schedules import (
     ScheduleError,
     StepSchedule,
     constant,
     inverse_time,
     power,
-    series_flags,
-    validate_against_lambda,
     value_at,
     warmup_cosine,
     warmup_linear,
@@ -68,27 +67,13 @@ class TestValidation:
         with pytest.raises(ScheduleError):
             constant(0.0)
 
-    def test_inverse_time_admissible(self):
-        assert validate_against_lambda(inverse_time(1.0), 0.5) == []
-        assert series_flags(inverse_time(1.0)) == (True, True)
-
-    def test_constant_flags_square_sum(self):
-        violations = validate_against_lambda(constant(0.1), 0.5)
-        assert len(violations) == 1
-        assert "squared" in violations[0]
-
     def test_peak_violation(self):
-        violations = validate_against_lambda(inverse_time(3.0), 0.5)
+        violations = rate_preconditions(inverse_time(3.0), 0.5)
         assert any("alpha*lambda" in v for v in violations)
-
-    def test_zero_terminal_warmup_has_finite_sum(self):
-        s = warmup_cosine(1.0, 2, 10, alpha_min_ratio=0.0)
-        diverges, sq = series_flags(s)
-        assert not diverges and sq
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ScheduleError):
-            validate_against_lambda(constant(1.0), -0.1)
+            rate_preconditions(constant(1.0), -0.1)
 
 
 class TestSeriesBounds:
