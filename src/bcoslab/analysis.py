@@ -176,6 +176,10 @@ def _nonfinite(config: OptimizerConfig, seed: int, t: int) -> NonFiniteError:
     )
 
 
+def _nonfinite_gradient(config: OptimizerConfig, seed: int, t: int) -> NonFiniteError:
+    return NonFiniteError(f"{config.algorithm} gradient is non-finite at seed {seed}, t={t}")
+
+
 def run_trajectory(
     problem: StochasticProblem,
     config: OptimizerConfig,
@@ -194,8 +198,9 @@ def run_trajectory(
     known) exceeds 1e12, the last one included. With sigma_every > 0, Monte
     Carlo estimator diagnostics are attached to every sigma_every-th record
     (needs a moment oracle, a practical algorithm and coordinatewise blocks;
-    skipped otherwise). A step that makes the iterate non-finite raises
-    NonFiniteError naming the seed and the step, as mean_trajectory does.
+    skipped otherwise). A non-finite gradient, or a step that makes the
+    iterate non-finite, raises NonFiniteError naming the seed and the step,
+    as mean_trajectory does.
     """
     if T < 0:
         raise AnalysisError("T must be >= 0")
@@ -228,6 +233,10 @@ def run_trajectory(
         if t == T:
             return records
         alpha = value_at(schedule, t)
+        if not conceptual:
+            g = problem.sample_gradient(x.values, rng)
+            if not np.isfinite(g).all():
+                raise _nonfinite_gradient(config, seed_index, t)
         try:
             if conceptual:
                 # the sampled direction is its exact mean minus the additive
@@ -237,7 +246,6 @@ def run_trajectory(
                                           lam, partition)
                 x = ParamVector(x_new, partition)
             else:
-                g = problem.sample_gradient(x.values, rng)
                 x, state = step(config, state, x, ParamVector(g, partition), alpha)
         except NonFiniteError as exc:
             raise _nonfinite(config, seed_index, t) from exc
@@ -306,14 +314,17 @@ def mean_trajectory(
                                       out=direction)
             return x_new, points, states
         # with an oracle the gradient is elementwise, so one call on every
-        # row equals the per-row calls bit for bit; once it is checked finite
-        # its rows need no copy and no second scan. Otherwise each row is
-        # checked as it is wrapped, which raises at the first bad one
-        G = problem.gradient(X, Z) if oracle else None
-        wrap = ParamVector._wrap if G is not None and np.isfinite(G).all() else ParamVector
+        # row equals the per-row calls bit for bit. Once all of it is checked
+        # finite its rows need no second scan; otherwise each row is checked
+        # before its step, so the first bad row fails as its replay does
+        G = (problem.gradient(X, Z) if oracle
+             else np.stack([problem.gradient(x, z) for x, z in zip(X, Z)]))
+        checked = np.isfinite(G).all()
         new_points, new_states = [], []
         for i in range(n_seeds):
-            g = wrap(problem.gradient(X[i], Z[i]) if G is None else G[i], partition)
+            if not checked and not np.isfinite(G[i]).all():
+                raise _nonfinite_gradient(config, i, s)
+            g = ParamVector._wrap(G[i], partition)
             try:
                 x, state = step(config, states[i], points[i], g, alphas[s])
             except NonFiniteError as exc:
@@ -876,12 +887,6 @@ def verify_ratio_expansion(
 # deterministic decay recursions
 
 
-def _scan_linear_recursion(coeff, drive, t0: int, T: int, x0: float,
-                           chunk: int = 10**6) -> float:
-    """Final value of X_{t+1} = coeff(t) X_t + drive(t), t = t0..T-1."""
-    return _scan_decay(coeff, drive, t0, T, x0, chunk)[0]
-
-
 def _scan_decay(coeff, drive, t0: int, T: int, x0: float,
                 chunk: int = 10**6) -> tuple[float, float]:
     """Final values of X_{t+1} = coeff(t) X_t + drive(t), t = t0..T-1, and of
@@ -962,8 +967,7 @@ def verify_chung_recursions(T: int = 10**7) -> ChungReport:
 
     def power_form(a, p, q, b, x0=1.0):
         t0 = int(math.ceil(a ** (1.0 / p))) + 1
-        x = _scan_linear_recursion(lambda t: 1.0 - a / t**p,
-                                   lambda t: b / t**q, t0, T, x0)
+        x = _scan_decay(lambda t: 1.0 - a / t**p, lambda t: b / t**q, t0, T, x0)[0]
         return T ** (q - p) * x
 
     # with no drive the scaled iterate decays like 1/t

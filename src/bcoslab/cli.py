@@ -69,14 +69,6 @@ class ExperimentConfig:
     # cadence for sampling estimator diagnostics along the first seed
     # (0 disables; fills the CSV sigma_t column at those steps)
     sigma_every: int = 0
-    verify_counterexamples: bool = True
-    verify_chung: bool = True
-    verify_ratio_expansion: bool = True
-    verify_estimator_stats: bool = True
-    # fault-injection knob: when set, the estimator verifier computes its
-    # expected-variance references with this beta instead of the optimizer's,
-    # so the failure path of the harness itself can be exercised
-    negative_control_beta: float | None = None
     sweep_param: str = ""
     sweep_values: tuple = ()
     sweep_param2: str = ""
@@ -115,14 +107,6 @@ def _parse_floats(raw: str) -> tuple:
     return tuple(_parse_float(tok) for tok in raw.split(",") if tok.strip() != "")
 
 
-def _parse_opt_float(raw: str):
-    return None if raw.strip().lower() in ("", "none") else _parse_float(raw)
-
-
-def _fmt_opt_float(v) -> str:
-    return "none" if v is None else repr(float(v))
-
-
 def _fmt_floats(vals: tuple) -> str:
     return ",".join(repr(float(v)) for v in vals)
 
@@ -159,11 +143,6 @@ KEY_TABLE = {
     "run.base_seed": ("base_seed", _int_at_least(0), str),
     "run.output_dir": ("output_dir", str.strip, str),
     "run.sigma_every": ("sigma_every", _int_at_least(0), str),
-    "verify.counterexamples": ("verify_counterexamples", _parse_bool, lambda b: str(bool(b)).lower()),
-    "verify.chung": ("verify_chung", _parse_bool, lambda b: str(bool(b)).lower()),
-    "verify.ratio_expansion": ("verify_ratio_expansion", _parse_bool, lambda b: str(bool(b)).lower()),
-    "verify.estimator_stats": ("verify_estimator_stats", _parse_bool, lambda b: str(bool(b)).lower()),
-    "verify.negative_control_beta": ("negative_control_beta", _parse_opt_float, _fmt_opt_float),
     "sweep.param": ("sweep_param", str.strip, str),
     "sweep.values": ("sweep_values", _parse_floats, _fmt_floats),
     "sweep.param2": ("sweep_param2", str.strip, str),
@@ -448,7 +427,7 @@ def _gaussian_square_variance(mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
     return 4.0 * mu**2 * sd**2 + 2.0 * sd**4
 
 
-def _estimator_fixture_checks(cfg: ExperimentConfig) -> list[CheckResult]:
+def _estimator_fixture_checks() -> list[CheckResult]:
     """Monte Carlo estimator statistics against the closed-form Gaussian
     references, on a frozen quadratic state. Each line reports the largest
     per-coordinate deviation in standard errors (bound: 3 SE)."""
@@ -462,61 +441,54 @@ def _estimator_fixture_checks(cfg: ExperimentConfig) -> list[CheckResult]:
     sd_g = h * sigma
     n_mc = 10**5
     beta1, beta2 = 0.9, 0.95
-    nc = cfg.negative_control_beta
-    exp_beta1 = beta1 if nc is None else nc
-    exp_beta2 = beta2 if nc is None else nc
     state_mv = OptimizerState(t=1, m=m_prev, v=v_prev)
     state_m = OptimizerState(t=1, m=m_prev, v=None)
     checks = []
 
-    def max_dev(observed, expected, se):
+    def gradients(seed):
+        return problem.sample_gradients(x, problems.make_rng(seed, problems.MC_STREAM), n_mc)
+
+    def within_3se(name, observed, expected, se):
         se = np.where(se > 0, se, 1e-300)
-        return float(np.max(np.abs(observed - expected) / se))
+        dev = float(np.max(np.abs(observed - expected) / se))
+        checks.append(CheckResult(name, dev, 3.0, "max dev <= 3 SE", dev <= 3.0))
 
     # EMA of the squared momentum
     opt = OptimizerConfig("bcos_m", beta1=beta1, beta2=beta2, epsilon=1e-6)
     stats = analysis.estimator_stats(problem, x, state_mv, opt, n_mc, seed=101)
     mu_m = beta1 * m_prev + (1 - beta1) * mu_g
     sd_m = (1 - beta1) * sd_g
-    expected = (1 - exp_beta2) ** 2 * _gaussian_square_variance(mu_m, sd_m)
-    rng = problems.make_rng(101, problems.MC_STREAM)
-    G = problem.sample_gradients(x, rng, n_mc)
+    expected = (1 - beta2) ** 2 * _gaussian_square_variance(mu_m, sd_m)
+    G = gradients(101)
     m_draws = beta1 * m_prev + (1 - beta1) * G
     v_draws = beta2 * v_prev + (1 - beta2) * m_draws**2
-    dev = max_dev(stats.variance, expected, analysis.mc_variance_se(v_draws))
-    checks.append(CheckResult("ema_variance_dev_se", dev, 3.0, "max dev <= 3 SE", dev <= 3.0))
+    within_3se("ema_variance_dev_se", stats.variance, expected, analysis.mc_variance_se(v_draws))
 
     # the squared-gradient EMA paired with a momentum direction
     opt = OptimizerConfig("adam", beta1=beta1, beta2=beta2, epsilon=1e-6)
     stats = analysis.estimator_stats(problem, x, state_mv, opt, n_mc, seed=102)
-    expected = (1 - exp_beta2) ** 2 * _gaussian_square_variance(mu_g, sd_g)
-    rng = problems.make_rng(102, problems.MC_STREAM)
-    G = problem.sample_gradients(x, rng, n_mc)
+    expected = (1 - beta2) ** 2 * _gaussian_square_variance(mu_g, sd_g)
+    G = gradients(102)
     v_draws = beta2 * v_prev + (1 - beta2) * G**2
-    dev = max_dev(stats.variance, expected, analysis.mc_variance_se(v_draws))
-    checks.append(CheckResult("adam_variance_dev_se", dev, 3.0, "max dev <= 3 SE", dev <= 3.0))
+    within_3se("adam_variance_dev_se", stats.variance, expected, analysis.mc_variance_se(v_draws))
 
     # conditional estimator: variance and signed bias
     opt = OptimizerConfig("bcos_c", beta1=beta1, epsilon=1e-6)
     stats = analysis.estimator_stats(problem, x, state_m, opt, n_mc, seed=103)
-    expected = (1 - exp_beta1) ** 4 * _gaussian_square_variance(mu_g, sd_g)
-    rng = problems.make_rng(103, problems.MC_STREAM)
-    G = problem.sample_gradients(x, rng, n_mc)
+    expected = (1 - beta1) ** 4 * _gaussian_square_variance(mu_g, sd_g)
+    G = gradients(103)
     v_draws = (1 - (1 - beta1) ** 2) * m_prev**2 + (1 - beta1) ** 2 * G**2
-    dev = max_dev(stats.variance, expected, analysis.mc_variance_se(v_draws))
-    checks.append(CheckResult("conditional_variance_dev_se", dev, 3.0, "max dev <= 3 SE", dev <= 3.0))
-    bias_expected = 2 * exp_beta1 * (1 - exp_beta1) * m_prev * (m_prev - mu_g)
+    within_3se("conditional_variance_dev_se", stats.variance, expected,
+               analysis.mc_variance_se(v_draws))
+    bias_expected = 2 * beta1 * (1 - beta1) * m_prev * (m_prev - mu_g)
     signed = stats.mean_v - stats.exact_second_moment
-    dev = max_dev(signed, bias_expected, analysis.mc_mean_se(v_draws))
-    checks.append(CheckResult("conditional_bias_dev_se", dev, 3.0, "max dev <= 3 SE", dev <= 3.0))
+    within_3se("conditional_bias_dev_se", signed, bias_expected, analysis.mc_mean_se(v_draws))
 
     # sign mode: v = d^2 is unbiased
     opt = OptimizerConfig("sign_sgd", beta1=0.0, epsilon=0.0)
     stats = analysis.estimator_stats(problem, x, init_state(), opt, n_mc, seed=104)
-    rng = problems.make_rng(104, problems.MC_STREAM)
-    G = problem.sample_gradients(x, rng, n_mc)
-    dev = max_dev(stats.mean_v, stats.exact_second_moment, analysis.mc_mean_se(G**2))
-    checks.append(CheckResult("sign_bias_dev_se", dev, 3.0, "max dev <= 3 SE", dev <= 3.0))
+    within_3se("sign_bias_dev_se", stats.mean_v, stats.exact_second_moment,
+               analysis.mc_mean_se(gradients(104) ** 2))
 
     # constant estimator: exactly zero variance
     opt = OptimizerConfig("sgd", beta1=0.0, epsilon=0.0)
@@ -550,18 +522,15 @@ def _counterexample_checks() -> tuple[list[CheckResult], list[CheckResult]]:
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
-    sections: list[tuple[str, list[CheckResult]]] = []
-    if cfg.verify_counterexamples:
-        log_checks, quad_checks = _counterexample_checks()
-        sections.append(("counterexample_log_aiming", log_checks))
-        sections.append(("counterexample_quadratic_not_aiming", quad_checks))
-    if cfg.verify_chung:
-        sections.append(("chung_recursions", list(analysis.verify_chung_recursions().checks)))
-    if cfg.verify_ratio_expansion:
-        report = analysis.verify_ratio_expansion()
-        sections.append(("ratio_expansion", list(report.checks)))
-    if cfg.verify_estimator_stats:
-        sections.append(("estimator_catalog", _estimator_fixture_checks(cfg)))
+    """Print the fixed check catalog; 1 if any check fails, else 0. cfg is not read."""
+    log_checks, quad_checks = _counterexample_checks()
+    sections = [
+        ("counterexample_log_aiming", log_checks),
+        ("counterexample_quadratic_not_aiming", quad_checks),
+        ("chung_recursions", analysis.verify_chung_recursions().checks),
+        ("ratio_expansion", analysis.verify_ratio_expansion().checks),
+        ("estimator_catalog", _estimator_fixture_checks()),
+    ]
     all_pass = True
     print("name,observed,bound,tolerance,status")
     for name, checks in sections:
@@ -593,7 +562,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("run", "sweep", "verify", "counterexamples"):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=(name != "counterexamples"), help="config file path")
+        p.add_argument("--config", required=name in ("run", "sweep"), help="config file path")
         p.add_argument("--seeds", default=None, help="override run.n_seeds")
         p.add_argument("--out", default=None, help="override run.output_dir")
     args = parser.parse_args(argv)

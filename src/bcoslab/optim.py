@@ -44,14 +44,15 @@ class OptimizerConfig:
             raise OptimizerError(f"beta1 must lie in [0, 1), got {self.beta1}")
         if not (0.0 <= self.beta2 < 1.0):
             raise OptimizerError(f"beta2 must lie in [0, 1), got {self.beta2}")
-        if self.epsilon < 0.0:
-            raise OptimizerError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0.0 <= self.epsilon < np.inf:
+            raise OptimizerError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.epsilon_placement not in EPSILON_PLACEMENTS:
             raise OptimizerError(f"unknown epsilon_placement {self.epsilon_placement!r}")
         if self.bias_correction not in BIAS_CORRECTIONS:
             raise OptimizerError(f"unknown bias_correction {self.bias_correction!r}")
-        if self.weight_decay_lambda < 0.0:
-            raise OptimizerError("weight_decay_lambda must be >= 0")
+        if not 0.0 <= self.weight_decay_lambda < np.inf:
+            raise OptimizerError(
+                f"weight_decay_lambda must be finite and >= 0, got {self.weight_decay_lambda}")
         if self.conditional_full and self.algorithm != "bcos_c":
             raise OptimizerError("conditional_full only applies to bcos_c")
 

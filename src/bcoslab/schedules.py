@@ -30,8 +30,8 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ScheduleError(f"unknown schedule kind {self.kind!r}; expected one of {KINDS}")
-        if not self.alpha > 0:
-            raise ScheduleError(f"alpha must be > 0, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ScheduleError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.kind == "power" and not (0.5 < self.p < 1.0):
             raise ScheduleError(f"power schedule needs 1/2 < p < 1, got p={self.p}")
         if self.kind in ("warmup_cosine", "warmup_linear"):

@@ -276,24 +276,28 @@ class TestDivergenceReport:
 
     def test_nonfinite_gradient_row_fails_as_each_row_would(self):
         """One seed's infinite draw makes a row of the ensemble's batched
-        gradient non-finite; the run fails as wrapping that row on its own
-        does."""
+        gradient non-finite; the run fails as the replay of that seed does,
+        naming the gradient, the seed and the step."""
+        cfg = OptimizerConfig("bcos_c")
         prob = PoisonedDraw(seed=2, t=5)
         with pytest.raises(NonFiniteError) as err:
-            mean_trajectory(prob, OptimizerConfig("bcos_c"), constant(0.05), 10, n_seeds=4,
-                            base_seed=0)
+            mean_trajectory(prob, cfg, constant(0.05), 10, n_seeds=4, base_seed=0)
         assert prob.poisoned
-        with pytest.raises(NonFiniteError) as row:
-            ParamVector(np.array([1.0, np.inf, 0.0]), BlockPartition.singleton(3))
-        assert type(err.value) is type(row.value)
-        assert str(err.value) == str(row.value) == "vector contains NaN/Inf entries"
+        replay_prob = PoisonedDraw(seed=2, t=5)
+        with pytest.raises(NonFiniteError) as replay:
+            run_trajectory(replay_prob, cfg, constant(0.05), 10, base_seed=0, seed_index=2)
+        assert replay_prob.poisoned
+        assert str(err.value) == str(replay.value) == (
+            "bcos_c gradient is non-finite at seed 2, t=5"
+        )
 
 
 class PoisonedDraw(NoisyQuadratic):
     """A three-coordinate quadratic whose noise for one seed is infinite at
     one step. mean_trajectory draws the first chunk seed by seed in index
     order after a zero-width probe, so the draw of that seed's chunk is the
-    (seed+1)-th nonempty one."""
+    (seed+1)-th nonempty one. run_trajectory draws one step at a time along
+    one seed, so there the draw of step t is the (t+1)-th."""
 
     def __init__(self, seed, t):
         super().__init__(h=[1.0, 2.0, 0.5], sigma=1.0, x_star=[0.0, 0.0, 0.0])
@@ -302,8 +306,9 @@ class PoisonedDraw(NoisyQuadratic):
     def draw(self, rng, shape=()):
         z = super().draw(rng, shape)
         if z.size:
-            if self.draws == self.target:
-                z[self.t, 1] = -np.inf
+            one_step = shape == ()
+            if self.draws == (self.t if one_step else self.target):
+                z[(1,) if one_step else (self.t, 1)] = -np.inf
                 self.poisoned = True
             self.draws += 1
         return z
@@ -904,9 +909,9 @@ class TestRecursionScan:
         x = 1.0
         for t in range(t0, T):
             x = (1 - a / t) * x + b / t ** (p + 1)
-        scanned = analysis._scan_linear_recursion(
+        scanned = analysis._scan_decay(
             lambda t: 1 - a / t, lambda t: b / t ** (p + 1), t0, T, 1.0, chunk=700
-        )
+        )[0]
         assert scanned == pytest.approx(x, rel=1e-12)
 
     def test_quick_harmonic_limit(self):
@@ -927,8 +932,8 @@ class TestDecayScan:
         coeff = lambda t: 1.0 - 2.0 / t  # noqa: E731
         _, undriven = analysis._scan_decay(coeff, lambda t: 1.0 / t**2, 3, 5000, 1.0,
                                            chunk=700)
-        assert undriven == analysis._scan_linear_recursion(coeff, lambda t: 0.0 / t, 3, 5000,
-                                                           1.0, chunk=700)
+        assert undriven == analysis._scan_decay(coeff, lambda t: 0.0 / t, 3, 5000, 1.0,
+                                                chunk=700)[0]
 
     @pytest.mark.parametrize("bad", [np.nan, 0.0, 1.0, -0.5])
     def test_coefficients_outside_the_open_unit_interval_rejected(self, bad):

@@ -47,7 +47,6 @@ class TestConfigFormat:
             h=(1.0, 2.5),
             alpha=0.00125,
             decoupled=True,
-            negative_control_beta=0.5,
             sweep_param="optimizer.beta2",
             sweep_values=(0.8, 0.9),
         )
@@ -194,6 +193,9 @@ class TestExitCodes:
                                             ("adam", 2.0, "warmup_linear", 0.5))],
             ("run", {"optimizer.decoupled": "true", "optimizer.weight_decay_lambda": 1.0,
                      "schedule.alpha": 1.0}, 0, ""),
+            # verify reads no key of its own, so a verify.* key is unknown
+            ("verify", {"verify.chung": "false"}, 2,
+             "config error: config field 'verify.chung': unknown key"),
         ],
     )
     def test_exit_code(self, tmp_path, capsys, command, overrides, code, message):
@@ -373,54 +375,33 @@ class TestCmdSweep:
 
 
 class TestCmdVerify:
-    def test_counterexamples_only_two_sections(self, tmp_path, capsys):
-        text = minimal_quadratic_config(**{
-            "verify.counterexamples": "true",
-            "verify.chung": "false",
-            "verify.ratio_expansion": "false",
-            "verify.estimator_stats": "false",
-        })
-        path = write_config(tmp_path, text)
-        rc = cli.main(["verify", "--config", path])
-        out = capsys.readouterr().out
+    def test_runs_the_whole_catalog_without_config(self, capsys):
+        """verify takes no config: a header, the five sections in their order
+        and exactly 17 check lines, all PASS."""
+        rc = cli.main(["verify"])
+        lines = capsys.readouterr().out.splitlines()
         assert rc == 0
-        sections = [ln for ln in out.splitlines() if ln.startswith("# ")]
-        assert len(sections) == 2
-        assert all(",PASS" in ln or ln.startswith(("#", "name")) for ln in out.splitlines())
+        assert lines[0] == "name,observed,bound,tolerance,status"
+        assert [ln for ln in lines if ln.startswith("# ")] == [
+            "# counterexample_log_aiming", "# counterexample_quadratic_not_aiming",
+            "# chung_recursions", "# ratio_expansion", "# estimator_catalog",
+        ]
+        checks = [ln for ln in lines[1:] if not ln.startswith("# ")]
+        assert len(checks) == 17
+        assert all(ln.endswith(",PASS") for ln in checks)
 
-    def test_default_toggles_all_sections_pass(self, tmp_path, capsys):
-        path = write_config(tmp_path, minimal_quadratic_config())
-        rc = cli.main(["verify", "--config", path])
-        out = capsys.readouterr().out
-        assert rc == 0
-        sections = [ln for ln in out.splitlines() if ln.startswith("# ")]
-        assert len(sections) == 5
-        assert ",FAIL" not in out
-
-    def test_estimator_fixture_passes(self, tmp_path, capsys):
-        text = minimal_quadratic_config(**{
-            "verify.counterexamples": "false",
-            "verify.chung": "false",
-            "verify.ratio_expansion": "false",
-            "verify.estimator_stats": "true",
-        })
-        path = write_config(tmp_path, text)
-        assert cli.main(["verify", "--config", path]) == 0
-
-    def test_negative_control_fails(self, tmp_path, capsys):
-        """Feeding the verifier a wrong smoothing factor for its expected
-        variances must flip it to FAIL and exit 1."""
-        text = minimal_quadratic_config(**{
-            "verify.counterexamples": "false",
-            "verify.chung": "false",
-            "verify.ratio_expansion": "false",
-            "verify.estimator_stats": "true",
-            "verify.negative_control_beta": "0.5",
-        })
-        path = write_config(tmp_path, text)
-        rc = cli.main(["verify", "--config", path])
+    def test_negative_control_fails(self, monkeypatch, capsys):
+        """A wrong closed form for the expected variances must flip the
+        estimator catalog to FAIL and exit 1."""
+        right = cli._gaussian_square_variance
+        monkeypatch.setattr(cli, "_gaussian_square_variance",
+                            lambda mu, sd: 2.0 * right(mu, sd))
+        rc = cli.main(["verify"])
         assert rc == 1
-        assert ",FAIL" in capsys.readouterr().out
+        failed = [ln.split(",")[0] for ln in capsys.readouterr().out.splitlines()
+                  if ln.endswith(",FAIL")]
+        assert failed == ["ema_variance_dev_se", "adam_variance_dev_se",
+                          "conditional_variance_dev_se"]
 
 
 class TestCmdCounterexamples:

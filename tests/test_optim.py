@@ -152,6 +152,16 @@ class TestStepErrors:
                  vector([1.0]), 0.1)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("field", ["epsilon", "weight_decay_lambda"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    def test_non_finite_or_negative_float_named(self, field, value):
+        """A bad float is a config error naming the field, not a
+        NonFiniteError from the first step."""
+        with pytest.raises(OptimizerError, match=f"^{field} must be finite and >= 0"):
+            OptimizerConfig("sgd", decoupled=True, **{field: value})
+
+
 class TestStepResult:
     @pytest.mark.parametrize("alg", sorted(set(ALGORITHMS) - {"conceptual_bcos"}))
     def test_new_iterate_is_read_only(self, alg):

@@ -67,6 +67,12 @@ class TestValidation:
         with pytest.raises(ScheduleError):
             constant(0.0)
 
+    @pytest.mark.parametrize("kind", ["constant", "inverse_time", "warmup_cosine"])
+    @pytest.mark.parametrize("alpha", [np.inf, np.nan, -np.inf])
+    def test_alpha_non_finite_named(self, kind, alpha):
+        with pytest.raises(ScheduleError, match="^alpha must be finite and > 0"):
+            StepSchedule(kind, alpha, warmup_steps=2, total_steps=10)
+
     def test_peak_violation(self):
         violations = rate_preconditions(inverse_time(3.0), 0.5)
         assert any("alpha*lambda" in v for v in violations)
