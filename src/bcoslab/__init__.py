@@ -7,10 +7,8 @@ from .optim import (
     MomentOracle,
     OptimizerConfig,
     OptimizerState,
-    conceptual_step,
     init_state,
     optimal_stepsizes,
-    signal_fraction,
     step,
 )
 from .schedules import StepSchedule, value_at
@@ -23,10 +21,8 @@ __all__ = [
     "OptimizerState",
     "ParamVector",
     "StepSchedule",
-    "conceptual_step",
     "init_state",
     "optimal_stepsizes",
-    "signal_fraction",
     "step",
     "value_at",
     "vector",

@@ -30,7 +30,6 @@ from .problems import (
     MC_STREAM,
     TRAJECTORY_STREAM,
     StochasticProblem,
-    aiming_inner_product,
     aiming_values,
     make_rng,
 )
@@ -233,18 +232,17 @@ def run_trajectory(
         if t == T:
             return records
         alpha = value_at(schedule, t)
-        if not conceptual:
-            g = problem.sample_gradient(x.values, rng)
-            if not np.isfinite(g).all():
-                raise _nonfinite_gradient(config, seed_index, t)
+        # the conceptual method's sampled direction is its exact mean minus
+        # the additive noise it draws
+        g = problem.draw(rng) if conceptual else problem.sample_gradient(x.values, rng)
+        if not np.isfinite(g).all():
+            raise _nonfinite_gradient(config, seed_index, t)
         try:
             if conceptual:
-                # the sampled direction is its exact mean minus the additive
-                # noise; a zero second moment makes x non-finite
+                # a zero second moment makes x non-finite
                 mean, second = moments
-                x_new = conceptual_update(x.values, mean - problem.draw(rng), second, alpha,
-                                          lam, partition)
-                x = ParamVector(x_new, partition)
+                x = ParamVector(conceptual_update(x.values, mean - g, second, alpha, lam,
+                                                  partition), partition)
             else:
                 x, state = step(config, state, x, ParamVector(g, partition), alpha)
         except NonFiniteError as exc:
@@ -308,6 +306,12 @@ def mean_trajectory(
         the direction's moments at X; the current ones stay as they are, so a
         failed step can be repeated."""
         if conceptual:
+            # a non-finite draw fails as its replay does; only a chunk
+            # holding one is checked step by step
+            if not finite_chunk:
+                bad = np.flatnonzero(~np.isfinite(Z).all(axis=1))
+                if bad.size:
+                    raise _nonfinite_gradient(config, int(bad[0]), s)
             mean, second = moments
             direction = np.subtract(mean, Z, out=spare)
             x_new = conceptual_update(X, direction, second, alphas[s], lam, partition,
@@ -398,6 +402,7 @@ def mean_trajectory(
         noise = np.empty((width, n_seeds) + probe.shape[1:], probe.dtype)
         for i, rng in enumerate(rngs):
             noise[:, i] = problem.draw(rng, (width,))
+        finite_chunk = not conceptual or np.isfinite(noise).all()
         # steps run on past a divergence until the block is recorded; raising
         # here keeps their floating-point warnings from surfacing
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -582,19 +587,24 @@ def one_step_contraction_check(
     """Monte Carlo check of the one-step contraction of the exact-moment
     update: over fresh draws, mean ||x+ - x*||^2 must stay below
     (1 - alpha*lam)^2 ||x - x*||^2 + alpha^2 * noise bound, up to 3 SE."""
-    oracle = problem.grad_moments(x)
-    if oracle is None or problem.x_star is None:
+    x = np.asarray(x, dtype=np.float64)
+    moments = problem.moments(x)
+    if moments is None or problem.x_star is None:
         raise AnalysisError("contraction check needs exact moments and a target")
-    aiming = aiming_inner_product(problem, x, lam, oracle)
+    mean, second = moments
+    if np.any(second <= 0):
+        raise AnalysisError("contraction check needs strictly positive second moments")
+    partition = BlockPartition.singleton(problem.dim)
+    d0 = x - problem.x_star
+    aiming = float(aiming_values(x, d0, np.einsum("i,i->", d0, d0), lam, mean, second,
+                                 partition))
     rng = make_rng(seed, MC_STREAM)
     G = problem.sample_gradients(x, rng, n_mc)
-    X1 = conceptual_update(np.asarray(x), G, oracle.second_moment_d, alpha, lam,
-                           oracle.partition)
+    X1 = conceptual_update(x, G, second, alpha, lam, partition)
     diff = X1 - problem.x_star
     dsq = np.einsum("ij,ij->i", diff, diff)
     mc_mean = float(dsq.mean())
     mc_se = float(dsq.std(ddof=1) / math.sqrt(n_mc))
-    d0 = np.asarray(x) - problem.x_star
     bound = (1.0 - alpha * lam) ** 2 * float(np.dot(d0, d0)) + alpha**2 * contraction_noise_bound(
         problem.dim, lam, problem.x_star
     )
@@ -718,18 +728,6 @@ def estimator_stats(
     return replace(stats, sigma_t=sigma)
 
 
-def tau_frontier(stats: EstimatorStats, eps_values) -> list[tuple[float, float]]:
-    """(epsilon, smallest tau) pairs for which the two-parameter bias bound
-    |E[v] - E[d^2]| <= tau E[d^2] + epsilon holds on every coordinate."""
-    if stats.bias is None or stats.exact_second_moment is None:
-        raise AnalysisError("frontier needs bias and exact second moments")
-    out = []
-    for eps in eps_values:
-        tau = float(np.max(np.maximum(stats.bias - eps, 0.0) / stats.exact_second_moment))
-        out.append((float(eps), tau))
-    return out
-
-
 @dataclass(frozen=True)
 class StepGapBound:
     """Leading-order bound on the relative gap between the practical and
@@ -765,32 +763,6 @@ def step_gap_bound(stats: EstimatorStats, tau: float) -> StepGapBound:
     value = bias_term + (1.0 + bias_term) * corr_term
     truncation = tau**2 / 2.0 + (1.0 + bias_term) * inv_snr_v
     return StepGapBound(value, bias_term, corr_term, truncation)
-
-
-def normalization_scale_drift(d: np.ndarray, v: np.ndarray, scales) -> dict:
-    """Diagnostic contrasting the square-root stepsize normalization with the
-    plain (non-square-root) one under gradient rescaling.
-
-    Scaling the direction stream by c scales the second-moment estimate by
-    c^2, so d/sqrt(v) is invariant while d/v shrinks like 1/c. Returns the
-    worst relative displacement drift of each form across the given scales;
-    the plain form is deliberately not offered as an optimizer.
-    """
-    d = np.asarray(d, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if np.any(v <= 0):
-        raise AnalysisError("the diagnostic needs strictly positive estimates")
-    base_sqrt = d / np.sqrt(v)
-    base_plain = d / v
-    drift = {"sqrt": 0.0, "plain": 0.0}
-    for c in scales:
-        step_sqrt = (c * d) / np.sqrt(c * c * v)
-        step_plain = (c * d) / (c * c * v)
-        drift["sqrt"] = max(drift["sqrt"],
-                            float(np.max(np.abs(step_sqrt / base_sqrt - 1.0))))
-        drift["plain"] = max(drift["plain"],
-                             float(np.max(np.abs(step_plain / base_plain - 1.0))))
-    return drift
 
 
 def neighborhood_radius(sigma_bound: float, eps_term: float, lam: float, n: int) -> float:

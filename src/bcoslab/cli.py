@@ -560,17 +560,22 @@ def cmd_counterexamples(cfg: ExperimentConfig, out_dir: str | None = None) -> in
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="bcoslab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # each subcommand takes only the flags it reads: verify writes nothing,
+    # and only the ensembles read a seed count
     for name in ("run", "sweep", "verify", "counterexamples"):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=name in ("run", "sweep"), help="config file path")
-        p.add_argument("--seeds", default=None, help="override run.n_seeds")
-        p.add_argument("--out", default=None, help="override run.output_dir")
+        ensemble = name in ("run", "sweep")
+        p.add_argument("--config", required=ensemble, help="config file path")
+        if ensemble:
+            p.add_argument("--seeds", help="override run.n_seeds")
+        if name != "verify":
+            p.add_argument("--out", help="override run.output_dir")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
-        if args.seeds is not None:
+        if getattr(args, "seeds", None) is not None:
             _assign(cfg, "run.n_seeds", args.seeds)
-        out_dir = args.out or os.environ.get("OUTPUT_DIR") or None
+        out_dir = getattr(args, "out", None) or os.environ.get("OUTPUT_DIR") or None
         if args.command == "run":
             return cmd_run(cfg, out_dir)
         if args.command == "sweep":

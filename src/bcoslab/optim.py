@@ -320,7 +320,7 @@ def step(
     the block.
     """
     if config.algorithm == "conceptual_bcos":
-        raise OptimizerError("conceptual_bcos needs exact moments; use conceptual_step")
+        raise OptimizerError("conceptual_bcos needs exact moments; use conceptual_update")
     if alpha_t < 0:
         raise OptimizerError(f"alpha_t must be >= 0, got {alpha_t}")
     gv = _check_gradient(x, g)
@@ -338,23 +338,6 @@ def step(
     new_state = OptimizerState(t=state.t + 1, m=m_new, v=v_new)
     # x_new is a fresh array of the right length, checked just above
     return ParamVector._wrap(x_new, part), new_state
-
-
-def conceptual_step(
-    oracle: MomentOracle,
-    x: ParamVector,
-    d_sample: ParamVector,
-    alpha_t: float,
-    lam: float = 0.0,
-) -> ParamVector:
-    """Idealized update with the exact per-block second moment in the
-    denominator (no epsilon): conceptual_update at one point, after checking
-    that every second moment is positive."""
-    second = oracle.second_moment_d
-    if np.any(second <= 0):
-        raise OptimizerError("conceptual step needs strictly positive second moments")
-    x_new = conceptual_update(x.values, d_sample.values, second, alpha_t, lam, oracle.partition)
-    return ParamVector(x_new, x.partition)
 
 
 def conceptual_update(x: np.ndarray, d: np.ndarray, second: np.ndarray, alpha: float,
@@ -380,16 +363,6 @@ def optimal_stepsizes(oracle: MomentOracle, x: ParamVector, x_star: ParamVector)
     diff = x.values - x_star.values
     num = oracle.partition.block_sums(diff * oracle.mean_d)
     return num / second
-
-
-def signal_fraction(oracle: MomentOracle) -> np.ndarray:
-    """Per-block fraction of the second moment carried by the mean,
-    ||E[d_k]||^2 / E[||d_k||^2], always in [0, 1]."""
-    second = oracle.second_moment_d
-    if np.any(second <= 0):
-        raise OptimizerError("signal fraction needs strictly positive second moments")
-    mean_sq = oracle.partition.block_sums(oracle.mean_d * oracle.mean_d)
-    return np.minimum(mean_sq / second, 1.0)
 
 
 def trace_rows(
@@ -435,14 +408,12 @@ __all__ = [
     "OptimizerConfig",
     "OptimizerError",
     "OptimizerState",
-    "conceptual_step",
     "conceptual_update",
     "init_state",
     "momentum_moments",
     "normalize",
     "optimal_stepsizes",
     "propose",
-    "signal_fraction",
     "step",
     "trace_rows",
 ]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BlockPartition, row_sums
-from .optim import MomentOracle
 
 # Stream purposes, used as the leading spawn-key entry so trajectory noise and
 # Monte Carlo draws never alias even under the same base seed.
@@ -79,16 +78,6 @@ class StochasticProblem(ABC):
         ``out`` names arrays shaped like x that receive the two moments (None
         allocates one); neither may be x."""
         return None
-
-    def grad_moments(self, x: np.ndarray, partition: BlockPartition | None = None,
-                     fold_lambda: float = 0.0) -> MomentOracle | None:
-        """The moment oracle of the gradient at x, per block of ``partition``
-        (coordinatewise by default)."""
-        moments = self.moments(np.asarray(x, dtype=np.float64), fold_lambda)
-        if moments is None:
-            return None
-        partition = partition or BlockPartition.singleton(self.dim)
-        return MomentOracle(moments[0], partition.block_sums(moments[1]), partition)
 
     def default_start(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -217,22 +206,20 @@ class LogisticSmokeProblem(StochasticProblem):
         s = 2.0 * self.labels - 1.0
         return float(np.mean(np.logaddexp(0.0, -s * z)))
 
-    def full_gradient(self, x: np.ndarray) -> np.ndarray:
-        p = _sigmoid(self.features @ np.asarray(x))
-        return self.features.T @ (p - self.labels) / self.n_samples
-
     def draw(self, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
         """Minibatch indices; none when the batch is the whole data set."""
         size = 0 if self.batch == self.n_samples else self.batch
         return rng.integers(0, self.n_samples, size=shape + (size,))
 
     def gradient(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Minibatch gradient at x (n,) over the indices z (batch,)."""
+        """Minibatch gradient at x (n,) over the indices z (batch,); the
+        full-data gradient when the batch is the whole data set."""
         if self.batch == self.n_samples:
-            return self.full_gradient(x)
-        xb = self.features[z]
+            xb, yb = self.features, self.labels
+        else:
+            xb, yb = self.features[z], self.labels[z]
         p = _sigmoid(xb @ np.asarray(x))
-        return xb.T @ (p - self.labels[z]) / self.batch
+        return xb.T @ (p - yb) / self.batch
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -249,6 +236,8 @@ def aiming_values(x: np.ndarray, diff: np.ndarray, dist, lam: float, mean: np.nd
     """<x - x*, E[d]/sqrt(E[d^2]) + lambda*x> - lambda*||x - x*||^2 for each
     row of x (..., n), given diff = x - x*, its squared norms dist (...), and
     the direction's mean (..., n) and per-block second moments (..., m).
+    Nonnegative exactly when the expected (normalized, decayed) update
+    direction points toward the target strongly enough.
 
     NaN where a block's second moment is not positive (NaN moments included):
     the direction is degenerate there and the value undefined."""
@@ -261,23 +250,6 @@ def aiming_values(x: np.ndarray, diff: np.ndarray, dist, lam: float, mean: np.nd
     if np.all(second > 0):
         return aim
     return np.where(np.all(second > 0, axis=-1), aim, np.nan)
-
-
-def aiming_inner_product(problem: StochasticProblem, x: np.ndarray, lam: float,
-                         direction_oracle: MomentOracle) -> float:
-    """The aiming value (see aiming_values) at one point x.
-
-    Nonnegative exactly when the expected (normalized, decayed) update
-    direction points toward the target strongly enough."""
-    if problem.x_star is None:
-        raise ProblemError("aiming needs a problem with a known target point")
-    second = direction_oracle.second_moment_d
-    if np.any(second <= 0):
-        raise ProblemError("aiming needs strictly positive direction second moments")
-    x = np.asarray(x, dtype=np.float64)
-    diff = x - problem.x_star
-    return float(aiming_values(x, diff, np.einsum("i,i->", diff, diff), lam,
-                               direction_oracle.mean_d, second, direction_oracle.partition))
 
 
 @dataclass(frozen=True)

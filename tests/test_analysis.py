@@ -27,7 +27,6 @@ from bcoslab.analysis import (
     one_step_contraction_check,
     run_trajectory,
     step_gap_bound,
-    tau_frontier,
     verify_ratio_expansion,
 )
 from bcoslab.core import BlockPartition, NonFiniteError, ParamVector, vector
@@ -40,7 +39,6 @@ from bcoslab.optim import (
     momentum_moments,
     normalize,
     propose,
-    signal_fraction,
     step,
 )
 from bcoslab.problems import (
@@ -48,7 +46,7 @@ from bcoslab.problems import (
     TRAJECTORY_STREAM,
     LogisticSmokeProblem,
     NoisyQuadratic,
-    aiming_inner_product,
+    aiming_values,
     make_rng,
 )
 from bcoslab.schedules import constant, inverse_time, value_at
@@ -276,20 +274,22 @@ class TestDivergenceReport:
 
     def test_nonfinite_gradient_row_fails_as_each_row_would(self):
         """One seed's infinite draw makes a row of the ensemble's batched
-        gradient non-finite; the run fails as the replay of that seed does,
-        naming the gradient, the seed and the step."""
-        cfg = OptimizerConfig("bcos_c")
-        prob = PoisonedDraw(seed=2, t=5)
-        with pytest.raises(NonFiniteError) as err:
-            mean_trajectory(prob, cfg, constant(0.05), 10, n_seeds=4, base_seed=0)
-        assert prob.poisoned
-        replay_prob = PoisonedDraw(seed=2, t=5)
-        with pytest.raises(NonFiniteError) as replay:
-            run_trajectory(replay_prob, cfg, constant(0.05), 10, base_seed=0, seed_index=2)
-        assert replay_prob.poisoned
-        assert str(err.value) == str(replay.value) == (
-            "bcos_c gradient is non-finite at seed 2, t=5"
-        )
+        gradient (a conceptual direction, for conceptual_bcos) non-finite; the
+        run fails as the replay of that seed does, naming the gradient, the
+        seed and the step."""
+        for alg in ("bcos_c", "conceptual_bcos"):
+            cfg = OptimizerConfig(alg)
+            prob = PoisonedDraw(seed=2, t=5)
+            with pytest.raises(NonFiniteError) as err:
+                mean_trajectory(prob, cfg, constant(0.05), 10, n_seeds=4, base_seed=0)
+            assert prob.poisoned
+            replay_prob = PoisonedDraw(seed=2, t=5)
+            with pytest.raises(NonFiniteError) as replay:
+                run_trajectory(replay_prob, cfg, constant(0.05), 10, base_seed=0, seed_index=2)
+            assert replay_prob.poisoned
+            assert str(err.value) == str(replay.value) == (
+                f"{alg} gradient is non-finite at seed 2, t=5"
+            )
 
 
 class PoisonedDraw(NoisyQuadratic):
@@ -537,9 +537,11 @@ class TestAimingForms:
         lam = 0.3
         for _ in range(50):
             x = rng.standard_normal(3) * 4
-            oracle = prob.grad_moments(x)
-            direct = aiming_inner_product(prob, x, lam, oracle)
-            normalized = oracle.mean_d / np.sqrt(oracle.second_moment_d)
+            mean, second = prob.moments(x)
+            diff = x - prob.x_star
+            direct = float(aiming_values(x, diff, diff @ diff, lam, mean, second,
+                                         BlockPartition.singleton(3)))
+            normalized = mean / np.sqrt(second)
             rearranged = float((x - prob.x_star) @ (normalized + lam * prob.x_star))
             assert direct == pytest.approx(rearranged, rel=1e-12, abs=1e-12)
 
@@ -551,7 +553,9 @@ class TestAimingForms:
         part = BlockPartition.singleton(6)
         oracle = MomentOracle(mean, mean**2 + var, part)
         lhs = mean / np.sqrt(oracle.second_moment_d)
-        rhs = np.sqrt(signal_fraction(oracle)) * np.sign(mean)
+        # rho, the fraction of the second moment the mean carries
+        rho = mean**2 / oracle.second_moment_d
+        rhs = np.sqrt(rho) * np.sign(mean)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_sqrt_rho_sup_norm_bounded(self):
@@ -560,7 +564,8 @@ class TestAimingForms:
             mean = rng.standard_normal(5)
             var = rng.uniform(0.0, 3.0, size=5)
             oracle = MomentOracle(mean, mean**2 + var, BlockPartition.singleton(5))
-            assert np.max(np.sqrt(signal_fraction(oracle))) <= 1.0 + 1e-15
+            rho = mean**2 / oracle.second_moment_d
+            assert np.max(np.sqrt(rho)) <= 1.0 + 1e-15
 
 
 class TestContraction:
@@ -592,6 +597,16 @@ class TestContraction:
             assert check.passed, check
             checked += 1
         assert checked == 8
+
+    def test_refuses_without_moments_target_or_positive_second_moment(self):
+        """The logistic problem has neither exact moments nor a target, and a
+        noiseless quadratic at its target has zero second moments."""
+        logistic = LogisticSmokeProblem()
+        with pytest.raises(AnalysisError, match="exact moments and a target"):
+            one_step_contraction_check(logistic, np.zeros(logistic.dim), 0.1, 0.0)
+        noiseless = NoisyQuadratic(h=[1.0, 2.0], sigma=0.0, x_star=[1.0, -1.0])
+        with pytest.raises(AnalysisError, match="strictly positive second moments"):
+            one_step_contraction_check(noiseless, noiseless.x_star.copy(), 0.1, 0.0)
 
 
 class TestStepGapBound:
@@ -709,15 +724,6 @@ class TestEstimatorStats:
         stats = estimator_stats(prob, np.array([2.0]), state, cfg, 10**4, seed=5)
         assert stats.corr_dv[0] > 0.5
 
-    def test_tau_frontier_monotone(self):
-        prob = centered_quadratic()
-        cfg = OptimizerConfig("bcos_c", beta1=0.9)
-        state = OptimizerState(t=1, m=np.array([3.0, 3.0, 3.0]))
-        stats = estimator_stats(prob, np.array([1.0, 1.0, 1.0]), state, cfg, 10**4, seed=6)
-        frontier = tau_frontier(stats, [0.0, 0.1, 1.0, 10.0])
-        taus = [tau for _, tau in frontier]
-        assert all(a >= b for a, b in zip(taus, taus[1:]))
-
     def test_requires_enough_draws(self):
         prob = centered_quadratic()
         with pytest.raises(AnalysisError):
@@ -745,14 +751,6 @@ class TestEstimatorStats:
         se = np.sqrt(np.maximum(simple.variance, full.variance) / simple.n_mc)
         assert np.all(np.abs(signed_full - beta * signed_simple) <= 3 * se)
 
-    def test_scale_drift_diagnostic(self):
-        rng = make_rng(18, MC_STREAM)
-        d = rng.standard_normal(6)
-        v = rng.uniform(0.5, 4.0, 6)
-        drift = analysis.normalization_scale_drift(d, v, scales=(1e-6, 1e3, 1e6))
-        assert drift["sqrt"] <= 1e-9
-        assert drift["plain"] >= 1e3 - 1
-
     def test_adam_bias_reference_is_momentum_second_moment(self):
         """The squared-gradient EMA estimates the second moment of the
         momentum direction, so the bias reference must be E[m^2]."""
@@ -763,8 +761,7 @@ class TestEstimatorStats:
                                v=np.array([1.0, 1.0, 1.0]))
         cfg = OptimizerConfig("adam", beta1=0.9, beta2=0.95)
         stats = estimator_stats(prob, x, state, cfg, 10**4, seed=7)
-        oracle = prob.grad_moments(x)
-        _, m_second = momentum_moments(0.9, m_prev, oracle.mean_d, oracle.second_moment_d)
+        _, m_second = momentum_moments(0.9, m_prev, *prob.moments(x))
         np.testing.assert_array_equal(stats.exact_second_moment, m_second)
 
 

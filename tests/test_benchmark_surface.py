@@ -27,9 +27,7 @@ def test_counted_parameters(fn, parameter):
     (optim, "step"),
     (analysis, "estimator_stats"),
     # bench/run.py LAYERS reads the spans of these; a moved one reads 0
-    (problems, "aiming_inner_product"),
     (problems, "make_rng"),
-    (optim, "conceptual_step"),
     (schedules, "value_at"),
     (analysis, "run_trajectory"),
     (analysis, "mean_trajectory"),

@@ -200,11 +200,28 @@ class TestExitCodes:
     )
     def test_exit_code(self, tmp_path, capsys, command, overrides, code, message):
         path = write_config(tmp_path, minimal_quadratic_config(**overrides))
-        argv = [*command.split(), "--config", path, "--out", str(tmp_path / "out")]
+        argv = [*command.split(), "--config", path]
+        if command != "verify":
+            argv += ["--out", str(tmp_path / "out")]
         assert cli.main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith(message) if message else err == ""
         assert code == 0 or not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--seeds", "1"],
+        ["verify", "--out", "D"],
+        ["counterexamples", "--seeds", "3"],
+    ])
+    def test_flag_the_subcommand_does_not_read(self, tmp_path, monkeypatch, capsys, argv):
+        """verify reads no seed count and writes nothing, and counterexamples
+        reads no seed count: argparse refuses those flags with exit code 2."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCmdRun:

@@ -15,11 +15,9 @@ from bcoslab.optim import (
     OptimizerError,
     OptimizerState,
     _safe_divide,
-    conceptual_step,
     conceptual_update,
     init_state,
     optimal_stepsizes,
-    signal_fraction,
     step,
     trace_rows,
 )
@@ -325,9 +323,8 @@ class TestConceptualStep:
         part = BlockPartition.singleton(3)
         d = np.array([2.0, -0.5, 0.1])
         oracle = MomentOracle(d, d**2, part)
-        x1 = conceptual_step(oracle, ParamVector(np.zeros(3), part),
-                             ParamVector(d, part), 0.2)
-        np.testing.assert_allclose(x1.values, -0.2 * np.sign(d), rtol=1e-15)
+        x1 = conceptual_update(np.zeros(3), d, oracle.second_moment_d, 0.2, 0.0, part)
+        np.testing.assert_allclose(x1, -0.2 * np.sign(d), rtol=1e-15)
 
     def test_zero_mean_direction_has_zero_mean_step(self):
         rng = np.random.default_rng(21)
@@ -345,26 +342,19 @@ class TestConceptualStep:
         sigma = np.array([2.0, 0.5])
         part = BlockPartition.singleton(2)
         oracle = MomentOracle(mean, mean**2 + sigma**2, part)
-        x = ParamVector(np.zeros(2), part)
+        x = np.zeros(2)
         n = 10**5
         draws = mean + sigma * rng.standard_normal((n, 2))
-        # the elementwise form below equals conceptual_step; spot-check it
+        # the elementwise form below equals conceptual_update; spot-check it
         for d in draws[:5]:
             np.testing.assert_array_equal(
-                conceptual_step(oracle, x, ParamVector(d, part), 0.3).values,
+                conceptual_update(x, d, oracle.second_moment_d, 0.3, 0.0, part),
                 -0.3 * d / np.sqrt(mean**2 + sigma**2),
             )
         outs = -0.3 * draws / np.sqrt(mean**2 + sigma**2)
         expected = -0.3 * mean / np.sqrt(mean**2 + sigma**2)
         se = outs.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(outs.mean(axis=0) - expected) <= 3 * se)
-
-    def test_zero_second_moment_rejected(self):
-        part = BlockPartition.singleton(1)
-        oracle = MomentOracle(np.zeros(1), np.zeros(1), part)
-        with pytest.raises(OptimizerError):
-            conceptual_step(oracle, ParamVector(np.zeros(1), part),
-                            ParamVector(np.zeros(1), part), 0.1)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -374,9 +364,9 @@ class TestConceptualStep:
         lam=st.floats(0.0, 5.0),
         seed=st.integers(0, 2**16),
     )
-    def test_batched_update_rows_match_conceptual_step(self, sizes, S, alpha, lam, seed):
-        """Each row of conceptual_update on an (S, n) stack is conceptual_step
-        on that row, byte for byte: the ensemble and the replay share it."""
+    def test_batched_update_rows_match_one_row_update(self, sizes, S, alpha, lam, seed):
+        """Each row of conceptual_update on an (S, n) stack is conceptual_update
+        on that row alone, byte for byte: the ensemble and the replay share it."""
         part = BlockPartition.from_sizes(sizes)
         rng = np.random.default_rng(seed)
         X = 3.0 * rng.standard_normal((S, 4))
@@ -385,9 +375,8 @@ class TestConceptualStep:
         D = mean + rng.standard_normal((S, 4))
         batch = conceptual_update(X, D, second, alpha, lam, part)
         for i in range(S):
-            row = conceptual_step(MomentOracle(mean[i], second[i], part),
-                                  ParamVector(X[i], part), ParamVector(D[i], part), alpha, lam)
-            assert row.values.tobytes() == batch[i].tobytes()
+            row = conceptual_update(X[i], D[i], second[i], alpha, lam, part)
+            assert row.tobytes() == batch[i].tobytes()
 
 
 class TestOptimalStepsizes:
@@ -428,24 +417,6 @@ class TestOptimalStepsizes:
                 objective = -2 * grid * inner + grid**2 * second
                 best = grid[np.argmin(objective)]
                 assert abs(best - gamma_hat[k]) <= (grid[1] - grid[0]) + 1e-12
-
-
-class TestSignalFraction:
-    def test_zero_variance_is_one(self):
-        part = BlockPartition.singleton(2)
-        d = np.array([3.0, -1.0])
-        oracle = MomentOracle(d, d**2, part)
-        np.testing.assert_allclose(signal_fraction(oracle), [1.0, 1.0])
-
-    def test_zero_mean_is_zero(self):
-        part = BlockPartition.singleton(2)
-        oracle = MomentOracle(np.zeros(2), np.array([1.0, 5.0]), part)
-        np.testing.assert_allclose(signal_fraction(oracle), [0.0, 0.0])
-
-    def test_quarter(self):
-        part = BlockPartition.singleton(1)
-        oracle = MomentOracle(np.array([1.0]), np.array([4.0]), part)
-        np.testing.assert_allclose(signal_fraction(oracle), [0.25])
 
 
 class TestMomentOracle:

@@ -14,7 +14,8 @@ from bcoslab.problems import (
     LogisticSmokeProblem,
     NoisyQuadratic,
     ProblemError,
-    aiming_inner_product,
+    _sigmoid,
+    aiming_values,
     counterexample_log_aiming,
     counterexample_quadratic_not_aiming,
     make_rng,
@@ -54,27 +55,27 @@ class TestNoisyQuadratic:
         coordinate, including at the target where the mean is zero."""
         prob = default_quadratic()
         for x in (prob.x_star.copy(), np.array([2.0, 0.0, -3.0])):
-            oracle = prob.grad_moments(x)
+            mean, _ = prob.moments(x)
             G = prob.sample_gradients(x, make_rng(1, MC_STREAM), 10**5)
             se = G.std(axis=0, ddof=1) / np.sqrt(10**5)
-            assert np.all(np.abs(G.mean(axis=0) - oracle.mean_d) <= 4 * se)
+            assert np.all(np.abs(G.mean(axis=0) - mean) <= 4 * se)
 
     def test_second_moment_dominates_mean_square(self):
         prob = default_quadratic()
-        oracle = prob.grad_moments(np.array([3.0, -1.0, 0.5]))
-        assert np.all(oracle.second_moment_d >= oracle.mean_d**2)
+        mean, second = prob.moments(np.array([3.0, -1.0, 0.5]))
+        assert np.all(second >= mean**2)
 
     def test_fold_in_shifts_mean_exactly(self):
         prob = default_quadratic()
         x = np.array([1.5, -2.0, 0.25])
         lam = 0.7
-        plain = prob.grad_moments(x)
-        folded = prob.grad_moments(x, fold_lambda=lam)
-        np.testing.assert_array_equal(folded.mean_d, plain.mean_d + lam * x)
+        plain_mean, plain_second = prob.moments(x)
+        folded_mean, folded_second = prob.moments(x, fold_lambda=lam)
+        np.testing.assert_array_equal(folded_mean, plain_mean + lam * x)
         # variance untouched: second - mean^2 identical
         np.testing.assert_allclose(
-            folded.second_moment_d - folded.mean_d**2,
-            plain.second_moment_d - plain.mean_d**2,
+            folded_second - folded_mean**2,
+            plain_second - plain_mean**2,
             rtol=1e-12, atol=1e-12,
         )
 
@@ -82,10 +83,10 @@ class TestNoisyQuadratic:
         prob = default_quadratic(noise="student_t")
         x = np.array([1.0, 2.0, 3.0])
         G = prob.sample_gradients(x, make_rng(2, MC_STREAM), 2 * 10**5)
-        oracle = prob.grad_moments(x)
+        mean, second = prob.moments(x)
         se = G.std(axis=0, ddof=1) / np.sqrt(G.shape[0])
-        assert np.all(np.abs(G.mean(axis=0) - oracle.mean_d) <= 4 * se)
-        var = oracle.second_moment_d - oracle.mean_d**2
+        assert np.all(np.abs(G.mean(axis=0) - mean) <= 4 * se)
+        var = second - mean**2
         rel = np.abs(G.var(axis=0, ddof=1) - var) / var
         assert np.all(rel < 0.05)
 
@@ -163,8 +164,7 @@ class TestMomentumTracker:
         x = np.array([2.0, -1.0, 0.5])
         m_prev = np.array([0.3, 1.0, -0.7])
         beta = 0.9
-        oracle = prob.grad_moments(x)
-        mean, second = momentum_moments(beta, m_prev, oracle.mean_d, oracle.second_moment_d)
+        mean, second = momentum_moments(beta, m_prev, *prob.moments(x))
         G = prob.sample_gradients(x, make_rng(5, MC_STREAM), 10**5)
         M = beta * m_prev + (1 - beta) * G
         se_mean = M.std(axis=0, ddof=1) / np.sqrt(10**5)
@@ -173,12 +173,17 @@ class TestMomentumTracker:
         assert np.all(np.abs((M**2).mean(axis=0) - second) <= 3 * se_second)
 
 
+def analytic_gradient(prob, x):
+    """The full-data logistic gradient X^T (sigmoid(X x) - y) / N."""
+    return prob.features.T @ (_sigmoid(prob.features @ x) - prob.labels) / prob.n_samples
+
+
 class TestLogisticSmoke:
     def test_full_batch_equals_analytic_gradient(self):
         prob = LogisticSmokeProblem(batch=1000, n_samples=1000)
         x = make_rng(6, MC_STREAM).standard_normal(prob.dim) * 0.1
         g = prob.sample_gradient(x, make_rng(7, TRAJECTORY_STREAM))
-        np.testing.assert_array_equal(g, prob.full_gradient(x))
+        np.testing.assert_array_equal(g, analytic_gradient(prob, x))
 
     def test_minibatch_gradient_unbiased(self):
         prob = LogisticSmokeProblem()
@@ -186,30 +191,38 @@ class TestLogisticSmoke:
         rng = make_rng(9, MC_STREAM)
         G = np.stack([prob.sample_gradient(x, rng) for _ in range(20_000)])
         se = G.std(axis=0, ddof=1) / np.sqrt(G.shape[0])
-        assert np.all(np.abs(G.mean(axis=0) - prob.full_gradient(x)) <= 4 * se)
+        assert np.all(np.abs(G.mean(axis=0) - analytic_gradient(prob, x)) <= 4 * se)
 
     def test_no_moment_oracle(self):
         prob = LogisticSmokeProblem()
-        assert prob.grad_moments(np.zeros(prob.dim)) is None
+        assert prob.moments(np.zeros(prob.dim)) is None
 
     def test_loss_at_zero_is_log_two(self):
         prob = LogisticSmokeProblem()
         assert prob.loss(np.zeros(prob.dim)) == pytest.approx(np.log(2.0), rel=1e-12)
 
 
+def aiming(prob, x, lam, partition=None):
+    """The aiming value at one point x, from the exact gradient moments per
+    block of ``partition`` (coordinatewise by default)."""
+    partition = partition or BlockPartition.singleton(prob.dim)
+    mean, second = prob.moments(x)
+    diff = x - prob.x_star
+    return float(aiming_values(x, diff, diff @ diff, lam, mean, partition.block_sums(second),
+                               partition))
+
+
 class TestAiming:
     def test_zero_at_target(self):
         prob = default_quadratic()
-        oracle = prob.grad_moments(prob.x_star)
-        assert aiming_inner_product(prob, prob.x_star.copy(), 0.5, oracle) == 0.0
+        assert aiming(prob, prob.x_star.copy(), 0.5) == 0.0
 
     def test_one_dimensional_sign_direction(self):
         """When the normalized mean direction is exactly the sign of the
         offset, the aiming value is the absolute offset."""
         prob = NoisyQuadratic(h=[2.0], sigma=[0.0], x_star=[1.0])
         x = np.array([3.5])
-        oracle = prob.grad_moments(x)
-        value = aiming_inner_product(prob, x, 0.0, oracle)
+        value = aiming(prob, x, 0.0)
         assert value == pytest.approx(abs(x[0] - 1.0), rel=1e-14)
 
     def test_full_block_convex_quadratic_nonnegative(self):
@@ -220,17 +233,7 @@ class TestAiming:
         rng = make_rng(10, MC_STREAM)
         for _ in range(1000):
             x = prob.x_star + rng.standard_normal(prob.dim) * 3
-            oracle = prob.grad_moments(x, partition=part)
-            assert aiming_inner_product(prob, x, 0.0, oracle) >= 0.0
-
-    def test_requires_target(self):
-        prob = LogisticSmokeProblem()
-        part = BlockPartition.singleton(prob.dim)
-        from bcoslab.optim import MomentOracle
-
-        oracle = MomentOracle(np.zeros(prob.dim), np.ones(prob.dim), part)
-        with pytest.raises(ProblemError):
-            aiming_inner_product(prob, np.zeros(prob.dim), 0.0, oracle)
+            assert aiming(prob, x, 0.0, part) >= 0.0
 
 
 class TestCounterexamples:
