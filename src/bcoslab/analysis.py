@@ -250,8 +250,13 @@ def run_trajectory(
 
 
 # steps per pass of the ensemble recorder: its numpy calls cost the same for
-# one row as for a few hundred, so they run once per block
+# one row as for a few hundred, so they run once per block. A block is also
+# the most noise the ensemble draws at once
 _BLOCK = 256
+# floats per (rows, seeds, n) array of one recorder slice (64 rows at 200
+# seeds x 4 coordinates): the recorder takes a block a slice at a time, with
+# scratch allocated once, so its temporaries stay few and small
+_SLICE = 51_200
 
 
 def mean_trajectory(
@@ -268,14 +273,19 @@ def mean_trajectory(
     """Pointwise mean and standard error of dist_sq over independent seeds.
 
     The seeds advance in lockstep on an (S, n) iterate array. Seed i draws
-    its noise in chunks from make_rng(base_seed, TRAJECTORY_STREAM, i), so
-    its path is the run_trajectory(seed_index=i) replay bit for bit. The
-    conceptual method steps every seed at once with its exact moments; the
-    practical methods take every seed's gradient at once when the problem
-    has an oracle and call ``step`` once per seed. The diagnostics of each
-    block of steps are recorded at once and reduced in seed-index order, so
+    its noise in chunks of at most one block of steps from
+    make_rng(base_seed, TRAJECTORY_STREAM, i), so its path is the
+    run_trajectory(seed_index=i) replay bit for bit. The conceptual method
+    steps every seed at once with its exact moments; the practical methods
+    take every seed's gradient at once when the problem has an oracle and
+    call ``step`` once per seed. The diagnostics of each block of steps are
+    recorded a slice of steps at a time and reduced in seed-index order, so
     the output is reproducible. Estimator diagnostics (sigma_every > 0) are
     sampled along the first seed only, and only with coordinatewise blocks.
+
+    The footprint does not grow with T: three history arrays of 256 x S x n
+    floats (the iterates and the direction's two moments), one block of
+    noise, one slice of recorder scratch and the (T+1,) curves.
     """
     if n_seeds < 2:
         raise AnalysisError("n_seeds must be >= 2")
@@ -296,6 +306,8 @@ def mean_trajectory(
     X = np.tile(start, (n_seeds, 1))
     points = [ParamVector(start, partition)] * n_seeds
     states = [init_state()] * n_seeds
+    # the momenta of the states, filled by each step as it fills the iterates
+    M = np.empty_like(X) if momentum else None
     # each step writes the next iterates into this buffer, which then swaps
     # with X; the conceptual step writes the direction E[d] - Z there first
     spare = np.empty_like(X)
@@ -334,6 +346,8 @@ def mean_trajectory(
             except NonFiniteError as exc:
                 raise _nonfinite(config, i, s) from exc
             spare[i] = x.values
+            if momentum:
+                M[i] = state.m
             new_points.append(x)
             new_states.append(state)
         return spare, new_points, new_states
@@ -345,23 +359,30 @@ def mean_trajectory(
     history = np.empty((rows, n_seeds, problem.dim))
     mean_history = np.full_like(history, np.nan)
     second_history = np.full((rows, n_seeds, partition.num_blocks), np.nan)
+    # the recorder's scratch for one slice of the block: x - x*, the
+    # products, the roots of the second moments, and the squared distances
+    # with two more arrays of row sums
+    cut = max(1, min(rows, _SLICE // (n_seeds * problem.dim)))
+    scratch = tuple(np.empty((cut,) + shape) for shape in (
+        history.shape[1:], history.shape[1:], second_history.shape[1:],
+        (n_seeds,), (n_seeds,), (n_seeds,)))
     t0 = 0  # first step whose iterate is not yet recorded
     caller_errors = np.geterr()
 
     def flush(t_end: int) -> None:
         nonlocal t0
-        if t_end > t0:
-            w = t_end - t0
-            with np.errstate(**caller_errors):
-                _record_block(problem, config, schedule, partition, history[:w],
-                              mean_history[:w], second_history[:w], t0, curves)
+        with np.errstate(**caller_errors):
+            for a in range(0, t_end - t0, cut):
+                b = min(a + cut, t_end - t0)
+                _record_block(problem, config, schedule, partition, history[a:b],
+                              mean_history[a:b], second_history[a:b], t0 + a, curves, scratch)
         t0 = t_end
 
     def keep(s: int):
         """Keep the iterates before step s and their direction moments for
         the recorder; returns the moments (None without an oracle)."""
         primed = not momentum or s > 0
-        m = np.stack([state.m for state in states]) if momentum and primed else None
+        m = M if momentum and primed else None
 
         def exact_moments():
             # the conceptual moments go straight into the history rows
@@ -391,15 +412,13 @@ def mean_trajectory(
 
     # a zero-width draw gives the shape and type of one draw and takes none
     probe = problem.draw(rngs[0], (0,))
-    chunk = max(1, int(1_000_000 / max(1, n_seeds * probe.shape[-1])))
+    chunk = min(_BLOCK, max(1, int(1_000_000 / max(1, n_seeds * probe.shape[-1]))))
+    # time-major, so each step reads one contiguous (S, k) slice
+    noise_buffer = np.empty((min(chunk, T), n_seeds) + probe.shape[1:], probe.dtype)
     t = 0
     while t < T:
         width = min(chunk, T - t)
-        # time-major, so each step reads one contiguous (S, k) slice. A fresh
-        # buffer per chunk: once glibc frees the first, its dynamic mmap and
-        # trim thresholds rise above the recorder's temporaries, which then
-        # stay mapped instead of being faulted in again on every block
-        noise = np.empty((width, n_seeds) + probe.shape[1:], probe.dtype)
+        noise = noise_buffer[:width]
         for i, rng in enumerate(rngs):
             noise[:, i] = problem.draw(rng, (width,))
         finite_chunk = not conceptual or np.isfinite(noise).all()
@@ -439,44 +458,50 @@ def mean_trajectory(
     )
 
 
-def _record_block(problem, config, schedule, partition, X, mean, second, t0, curves) -> None:
+def _record_block(problem, config, schedule, partition, X, mean, second, t0, curves,
+                  scratch) -> None:
     """Seed statistics of the lockstep iterates X (W, S, n) of steps t0 ..
     t0+W-1, written into rows t0.. of the (mean, SE, loss, aiming-min)
     curves; mean (W, S, n) and second (W, S, m) are the exact moments of the
-    direction each seed takes there, NaN without an oracle. Raises the
-    ensemble DivergenceError at the first step whose largest squared distance
-    (squared norm, with no target) passes the threshold.
+    direction each seed takes there, NaN without an oracle, and are only
+    read. Raises the ensemble DivergenceError at the first step whose largest
+    squared distance (squared norm, with no target) passes the threshold.
+    ``scratch`` holds the arrays the slice works in, each of at least W rows:
+    two shaped like X, one like second and three (W, S) ones.
 
     Each row is reduced in the same order as a single (S, n) step would be:
     einsum for the distances, sums along the contiguous last axis, and one
     BLAS dot per row for the SE's sum of squares, so the curves do not depend
     on how the steps are split into blocks."""
     W, S, _ = X.shape
+    diffs, products, roots, dist, values, work = (a[:W] for a in scratch)
     x_star = problem.x_star
     # x* tiled to (S, n): numpy applies a broadcast (n,) operand one row at a time
-    diff = X if x_star is None else X - np.tile(x_star, (S, 1))
-    dist = np.einsum("wij,wij->wi", diff, diff)
+    diff = X if x_star is None else np.subtract(X, np.tile(x_star, (S, 1)), out=diffs)
+    dist = np.einsum("wij,wij->wi", diff, diff, out=dist)
     crossed = np.flatnonzero(np.max(dist, axis=1) > DIVERGENCE_THRESHOLD)
     if crossed.size:
         k = int(crossed[0])
         raise _divergence(problem, config, schedule, partition, t0 + k, X[k], dist[k], mean[k],
                           second[k])
     mean_curve, se_curve, loss_curve, aim_curve = (c[t0 : t0 + W] for c in curves)
-    loss_curve[:] = np.mean(problem.loss(X), axis=1)
     if x_star is None:
         for curve in (mean_curve, se_curve, aim_curve):
             curve[:] = np.nan
-        return
-    d0 = dist[:, 0]
-    delta = dist - d0[:, None]
-    s1 = delta.sum(axis=1)
-    sq = np.array([np.dot(row, row) for row in delta])
-    mean_curve[:] = d0 + s1 / S
-    v = (sq - s1 * s1 / S) / (S - 1)
-    se_curve[:] = np.sqrt(np.maximum(v, 0.0) / S)
-    # NaN, skipped by fmin, without an oracle or where a second moment is zero
-    aim = aiming_values(X, diff, dist, config.decay_lambda, mean, second, partition)
-    aim_curve[:] = np.fmin.reduce(aim, axis=1)
+    else:
+        d0 = dist[:, 0]
+        delta = np.subtract(dist, d0[:, None], out=values)
+        s1 = delta.sum(axis=1)
+        sq = np.array([np.dot(row, row) for row in delta])
+        mean_curve[:] = d0 + s1 / S
+        v = (sq - s1 * s1 / S) / (S - 1)
+        se_curve[:] = np.sqrt(np.maximum(v, 0.0) / S)
+        # NaN, skipped by fmin, without an oracle or where a second moment is zero
+        aim = aiming_values(X, diff, dist, config.decay_lambda, mean, second, partition,
+                            (products, roots, values, work))
+        aim_curve[:] = np.fmin.reduce(aim, axis=1)
+    # last: the loss takes over the scratch of x - x* and of the products
+    loss_curve[:] = np.mean(problem.loss(X, (diffs, products, values)), axis=1)
 
 
 def _divergence(problem, config, schedule, partition, t, X, dist, mean,

@@ -24,15 +24,15 @@ class NonFiniteError(VectorError):
     """A public operation observed or produced NaN/Inf entries."""
 
 
-def row_sums(a: np.ndarray):
-    """np.sum(a, axis=-1) of a float64 array, bit for bit. numpy adds a last
-    axis shorter than 8 left to right from +0.0; adding a column at a time
-    does the same, far faster on many short rows. From 8 on numpy sums
-    pairwise, so those rows go to np.sum."""
+def row_sums(a: np.ndarray, out=None):
+    """np.sum(a, axis=-1) of a float64 array, bit for bit, written into
+    ``out`` when given. numpy adds a last axis shorter than 8 left to right
+    from +0.0; adding a column at a time does the same, far faster on many
+    short rows. From 8 on numpy sums pairwise, so those rows go to np.sum."""
     n = a.shape[-1]
     if n == 0 or n >= 8:
-        return np.sum(a, axis=-1)
-    total = a[..., 0] + 0.0
+        return np.sum(a, axis=-1, out=out)
+    total = np.add(a[..., 0], 0.0, out=out)
     for j in range(1, n):
         total += a[..., j]
     return total

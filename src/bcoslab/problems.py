@@ -52,7 +52,10 @@ class StochasticProblem(ABC):
     x_star: np.ndarray | None
 
     @abstractmethod
-    def loss(self, x: np.ndarray): ...
+    def loss(self, x: np.ndarray, out=(None, None, None)):
+        """The loss at x, or at each row of a (..., n) stack. ``out`` names
+        two arrays shaped like x for the products, which a problem may use,
+        and one shaped like the result that receives it (None allocates)."""
 
     @abstractmethod
     def draw(self, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
@@ -130,14 +133,15 @@ class NoisyQuadratic(StochasticProblem):
                                            for a in (self.x_star, self.h, self._variance)))
         return tiles[1:]
 
-    def loss(self, x: np.ndarray):
-        """0.5 * sum h (x - x*)^2 at x, or at each row of a (..., n) stack."""
+    def loss(self, x: np.ndarray, out=(None, None, None)):
+        """0.5 * sum h (x - x*)^2 at x, or at each row of a (..., n) stack;
+        x - x* goes into out[0] and the products into out[1]."""
         x = np.asarray(x)
         x_star, h, _ = self._coefficients(x)
-        diff = x - x_star
-        sq = h * diff
+        diff = np.subtract(x, x_star, out=out[0])
+        sq = np.multiply(h, diff, out=out[1])
         sq *= diff
-        return 0.5 * row_sums(sq)
+        return np.multiply(0.5, row_sums(sq, out[2]), out=out[2])
 
     def draw(self, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
         """The noise terms h*xi, shape + (n,), of shape gradients."""
@@ -196,11 +200,16 @@ class LogisticSmokeProblem(StochasticProblem):
         self.batch = batch
         self.x_star = None
 
-    def loss(self, x: np.ndarray):
-        """Mean logistic loss at x, or at each row of a (..., n) stack."""
+    def loss(self, x: np.ndarray, out=(None, None, None)):
+        """Mean logistic loss at x, or at each row of a (..., n) stack; the
+        product scratch goes unused."""
         x = np.asarray(x)
         if x.ndim > 1:
-            return np.apply_along_axis(self.loss, -1, x)
+            losses = np.apply_along_axis(self.loss, -1, x)
+            if out[2] is None:
+                return losses
+            out[2][...] = losses
+            return out[2]
         z = self.features @ x
         # log(1 + exp(-s*z)) written stably
         s = 2.0 * self.labels - 1.0
@@ -232,7 +241,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def aiming_values(x: np.ndarray, diff: np.ndarray, dist, lam: float, mean: np.ndarray,
-                  second: np.ndarray, partition: BlockPartition):
+                  second: np.ndarray, partition: BlockPartition, out=(None, None, None, None)):
     """<x - x*, E[d]/sqrt(E[d^2]) + lambda*x> - lambda*||x - x*||^2 for each
     row of x (..., n), given diff = x - x*, its squared norms dist (...), and
     the direction's mean (..., n) and per-block second moments (..., m).
@@ -240,13 +249,23 @@ def aiming_values(x: np.ndarray, diff: np.ndarray, dist, lam: float, mean: np.nd
     direction points toward the target strongly enough.
 
     NaN where a block's second moment is not positive (NaN moments included):
-    the direction is degenerate there and the value undefined."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = diff * mean
-        terms /= partition.expand(np.sqrt(second))
-        aim = row_sums(terms)
+    the direction is degenerate there and the value undefined.
+
+    ``out`` names scratch: an array shaped like x for the products, one
+    shaped like second for its square roots, and two shaped like dist, the
+    first of which receives the values (None allocates)."""
+    products, roots, values, work = out
     if lam > 0:
-        aim += lam * row_sums(np.multiply(diff, x, out=terms)) - lam * dist
+        # lambda*<diff, x> - lambda*dist, added to the normalized term last
+        decay = row_sums(np.multiply(diff, x, out=products), work)
+        decay *= lam
+        decay -= np.multiply(lam, dist, out=values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.multiply(diff, mean, out=products)
+        terms /= partition.expand(np.sqrt(second, out=roots))
+        aim = row_sums(terms, values)
+    if lam > 0:
+        aim += decay
     if np.all(second > 0):
         return aim
     return np.where(np.all(second > 0, axis=-1), aim, np.nan)

@@ -2,6 +2,7 @@
 deterministic verifiers."""
 
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -294,10 +295,11 @@ class TestDivergenceReport:
 
 class PoisonedDraw(NoisyQuadratic):
     """A three-coordinate quadratic whose noise for one seed is infinite at
-    one step. mean_trajectory draws the first chunk seed by seed in index
-    order after a zero-width probe, so the draw of that seed's chunk is the
-    (seed+1)-th nonempty one. run_trajectory draws one step at a time along
-    one seed, so there the draw of step t is the (t+1)-th."""
+    one step t < 256. mean_trajectory draws each chunk (at most one 256-step
+    block) seed by seed in index order after a zero-width probe, so the draw
+    of that seed's first chunk is the (seed+1)-th nonempty one.
+    run_trajectory draws one step at a time along one seed, so there the
+    draw of step t is the (t+1)-th."""
 
     def __init__(self, seed, t):
         super().__init__(h=[1.0, 2.0, 0.5], sigma=1.0, x_star=[0.0, 0.0, 0.0])
@@ -386,12 +388,15 @@ class TestEnsembleBlockRecorder:
         lam=st.sampled_from([0.0, 0.7, 1.5]),
         seed=st.integers(0, 2**16),
     )
-    # T = 1200 also crosses 4 noise chunks (277 steps at S*n = 3600), and takes
-    # the pairwise np.sum path of n >= 8
+    # T = 1200 also crosses 5 noise chunks (one 256-step block each at
+    # S*n = 3600), and takes the pairwise np.sum path of n >= 8
     @example(S=300, n=12, T=1200, lam=1.5, seed=0)
-    # the column-add path of n < 8 across recorder blocks and a noise chunk
-    # (833 steps at S*n = 1200)
+    # the column-add path of n < 8 across recorder blocks and noise chunks
+    # (256 steps at S*n = 1200)
     @example(S=300, n=4, T=1000, lam=1.5, seed=0)
+    # noise chunks shorter than a block (238 steps at S*n = 4200), so chunk
+    # and block edges differ across three blocks
+    @example(S=300, n=14, T=600, lam=1.5, seed=0)
     @example(S=2, n=1, T=0, lam=0.0, seed=0)
     def test_matches_per_step_reference(self, S, n, T, lam, seed):
         prob = NoisyQuadratic(h=np.linspace(1.0, 2.0, n), sigma=np.linspace(0.5, 1.5, n),
@@ -441,6 +446,22 @@ class TestEnsembleBlockRecorder:
             assert [(w.category, str(w.message)) for w in warned] == [
                 (RuntimeWarning, "invalid value encountered in divide")
             ]
+
+    def test_footprint_does_not_grow_with_the_run(self):
+        """200 seeds x 2000 steps of the conceptual ensemble allocate at most
+        12 MiB at peak: the history of one block (3 x 256 x 200 x 4 floats,
+        4.7 MiB), one block of noise (1.6 MiB) and one slice of recorder
+        scratch, with no temporary the size of a block or of the run."""
+        prob = NoisyQuadratic(h=[1.0, 2.0, 0.5, 1.5], sigma=[0.5, 1.0, 1.5, 1.0],
+                              x_star=[1.0, -1.0, 0.0, 0.5])
+        cfg = OptimizerConfig("conceptual_bcos", weight_decay_lambda=1.5, decoupled=True)
+        tracemalloc.start()
+        try:
+            mean_trajectory(prob, cfg, inverse_time(0.5), 2000, n_seeds=200, base_seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def lockstep_run(problem, config, schedule, T, S, seed, **kwargs):

@@ -163,8 +163,9 @@ class TestRowSums:
     @settings(max_examples=300, deadline=None)
     def test_matches_numpy_sum_bytewise(self, n, batch, data):
         """row_sums equals np.sum over the last axis byte for byte, on 1-D
-        rows and on batches, for every n on either side of numpy's switch
-        from a left-to-right sum to a pairwise one at 8."""
+        rows and on batches (also written into ``out``), for every n on
+        either side of numpy's switch from a left-to-right sum to a pairwise
+        one at 8."""
         a = data.draw(arrays(np.float64, (*batch, n), elements=ROW_ENTRIES))
         with np.errstate(all="ignore"):
             expected = np.sum(a, axis=-1)
@@ -172,3 +173,8 @@ class TestRowSums:
         assert np.shape(got) == np.shape(expected)
         assert np.asarray(got).dtype == np.float64
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+        if batch:
+            out = np.empty(batch)
+            with np.errstate(all="ignore"):
+                assert row_sums(a, out) is out
+            assert out.tobytes() == expected.tobytes()
