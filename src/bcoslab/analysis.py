@@ -15,13 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import BlockPartition, NonFiniteError, ParamVector
+from .core import BlockPartition, NonFiniteError, ShapeError
 from .optim import (
     ALGORITHMS,
     OptimizerConfig,
     OptimizerState,
     conceptual_update,
-    init_state,
     momentum_moments,
     propose,
     step,
@@ -169,6 +168,21 @@ def _estimator_diag(problem, config, state, x, t, sigma_every, base_seed, partit
         return None
 
 
+def _start(problem: StochasticProblem, x0: np.ndarray | None,
+           partition: BlockPartition) -> np.ndarray:
+    """The (n,) float64 start of a run, x0 or else the problem's default,
+    checked against the problem's and the partition's dimension and checked
+    finite; both engines take it before anything reads the start."""
+    start = problem.default_start() if x0 is None else np.array(x0, dtype=np.float64)
+    if partition.total_dim != problem.dim:
+        raise ShapeError(f"partition dim {partition.total_dim} != problem dim {problem.dim}")
+    if start.shape != (problem.dim,):
+        raise ShapeError(f"start shape {start.shape} != ({problem.dim},) of the problem")
+    if not np.isfinite(start).all():
+        raise NonFiniteError("start contains NaN/Inf entries")
+    return start
+
+
 def _nonfinite(config: OptimizerConfig, seed: int, t: int) -> NonFiniteError:
     return NonFiniteError(
         f"{config.algorithm} step produced non-finite parameters at seed {seed}, t={t}"
@@ -205,26 +219,23 @@ def run_trajectory(
         raise AnalysisError("T must be >= 0")
     if partition is None:
         partition = BlockPartition.singleton(problem.dim)
-    start = problem.default_start() if x0 is None else np.asarray(x0, dtype=np.float64)
-    x = ParamVector(start, partition)
+    x = _start(problem, x0, partition)
     rng = make_rng(base_seed, TRAJECTORY_STREAM, seed_index)
-    state = init_state()
+    state = OptimizerState()
     conceptual = config.algorithm == "conceptual_bcos"
-    if conceptual and problem.moments(start) is None:
+    if conceptual and problem.moments(x) is None:
         raise AnalysisError("conceptual runs need a problem with exact moments")
     lam = config.decay_lambda
     records: list[TrajectoryRecord] = []
     for t in range(T + 1):
-        moments = _direction_moments(problem, config, x.values, state.m, partition)
-        diag = _estimator_diag(problem, config, state, x.values, t, sigma_every,
-                               base_seed, partition)
-        records.append(_seed_record(problem, config, schedule, partition, t, x.values,
-                                    moments, diag))
+        moments = _direction_moments(problem, config, x, state.m, partition)
+        diag = _estimator_diag(problem, config, state, x, t, sigma_every, base_seed, partition)
+        records.append(_seed_record(problem, config, schedule, partition, t, x, moments, diag))
         gauge = records[-1].dist_sq
         if not math.isnan(gauge):
             size = gauge
         else:
-            size = float(np.dot(x.values, x.values))
+            size = float(np.dot(x, x))
         if size > DIVERGENCE_THRESHOLD:
             raise DivergenceError(
                 f"seed {seed_index} diverged at t={t}: squared distance {size:.3e}", records
@@ -234,17 +245,18 @@ def run_trajectory(
         alpha = value_at(schedule, t)
         # the conceptual method's sampled direction is its exact mean minus
         # the additive noise it draws
-        g = problem.draw(rng) if conceptual else problem.sample_gradient(x.values, rng)
+        g = problem.draw(rng) if conceptual else problem.sample_gradient(x, rng)
         if not np.isfinite(g).all():
             raise _nonfinite_gradient(config, seed_index, t)
         try:
             if conceptual:
                 # a zero second moment makes x non-finite
                 mean, second = moments
-                x = ParamVector(conceptual_update(x.values, mean - g, second, alpha, lam,
-                                                  partition), partition)
+                x = conceptual_update(x, mean - g, second, alpha, lam, partition)
+                if not np.isfinite(x).all():
+                    raise NonFiniteError("conceptual step produced non-finite parameters")
             else:
-                x, state = step(config, state, x, ParamVector(g, partition), alpha)
+                x, state = step(config, state, x, g, alpha, partition)
         except NonFiniteError as exc:
             raise _nonfinite(config, seed_index, t) from exc
 
@@ -293,7 +305,7 @@ def mean_trajectory(
         raise AnalysisError("T must be >= 0")
     if partition is None:
         partition = BlockPartition.singleton(problem.dim)
-    start = problem.default_start() if x0 is None else np.asarray(x0, dtype=np.float64)
+    start = _start(problem, x0, partition)
     conceptual = config.algorithm == "conceptual_bcos"
     oracle = problem.moments(start) is not None
     if conceptual and not oracle:
@@ -304,8 +316,7 @@ def mean_trajectory(
     curves = tuple(np.empty(T + 1) for _ in range(4))
     sigma = np.full(T + 1, np.nan)
     X = np.tile(start, (n_seeds, 1))
-    points = [ParamVector(start, partition)] * n_seeds
-    states = [init_state()] * n_seeds
+    states = [OptimizerState()] * n_seeds
     # the momenta of the states, filled by each step as it fills the iterates
     M = np.empty_like(X) if momentum else None
     # each step writes the next iterates into this buffer, which then swaps
@@ -314,7 +325,7 @@ def mean_trajectory(
     lam = config.decay_lambda
 
     def advance(Z, s, moments):
-        """The iterates, points and states after step s for the draws Z, from
+        """The iterates and states after step s for the draws Z, from
         the direction's moments at X; the current ones stay as they are, so a
         failed step can be repeated."""
         if conceptual:
@@ -328,7 +339,7 @@ def mean_trajectory(
             direction = np.subtract(mean, Z, out=spare)
             x_new = conceptual_update(X, direction, second, alphas[s], lam, partition,
                                       out=direction)
-            return x_new, points, states
+            return x_new, states
         # with an oracle the gradient is elementwise, so one call on every
         # row equals the per-row calls bit for bit. Once all of it is checked
         # finite its rows need no second scan; otherwise each row is checked
@@ -336,21 +347,18 @@ def mean_trajectory(
         G = (problem.gradient(X, Z) if oracle
              else np.stack([problem.gradient(x, z) for x, z in zip(X, Z)]))
         checked = np.isfinite(G).all()
-        new_points, new_states = [], []
+        new_states = []
         for i in range(n_seeds):
             if not checked and not np.isfinite(G[i]).all():
                 raise _nonfinite_gradient(config, i, s)
-            g = ParamVector._wrap(G[i], partition)
             try:
-                x, state = step(config, states[i], points[i], g, alphas[s])
+                spare[i], state = step(config, states[i], X[i], G[i], alphas[s], partition)
             except NonFiniteError as exc:
                 raise _nonfinite(config, i, s) from exc
-            spare[i] = x.values
             if momentum:
                 M[i] = state.m
-            new_points.append(x)
             new_states.append(state)
-        return spare, new_points, new_states
+        return spare, new_states
 
     # the iterates before each step of the current block and the exact
     # moments of the direction each seed takes there, NaN without an oracle
@@ -441,7 +449,7 @@ def mean_trajectory(
                     if bad.size:
                         raise _nonfinite(config, int(bad[0]), s)
                 spare = X
-                X, points, states = new
+                X, states = new
         t += width
     keep(T)
     flush(T + 1)

@@ -24,7 +24,7 @@ import numpy as np
 from . import analysis, problems
 from .analysis import CheckResult, DivergenceError, MeanCurve
 from .core import NonFiniteError
-from .optim import OptimizerConfig, OptimizerState, init_state
+from .optim import OptimizerConfig, OptimizerState
 from .problems import LogisticSmokeProblem, NoisyQuadratic, ProblemError
 from .schedules import StepSchedule
 
@@ -486,13 +486,13 @@ def _estimator_fixture_checks() -> list[CheckResult]:
 
     # sign mode: v = d^2 is unbiased
     opt = OptimizerConfig("sign_sgd", beta1=0.0, epsilon=0.0)
-    stats = analysis.estimator_stats(problem, x, init_state(), opt, n_mc, seed=104)
+    stats = analysis.estimator_stats(problem, x, OptimizerState(), opt, n_mc, seed=104)
     within_3se("sign_bias_dev_se", stats.mean_v, stats.exact_second_moment,
                analysis.mc_mean_se(gradients(104) ** 2))
 
     # constant estimator: exactly zero variance
     opt = OptimizerConfig("sgd", beta1=0.0, epsilon=0.0)
-    stats = analysis.estimator_stats(problem, x, init_state(), opt, n_mc, seed=105)
+    stats = analysis.estimator_stats(problem, x, OptimizerState(), opt, n_mc, seed=105)
     obs = float(np.max(stats.variance))
     checks.append(CheckResult("constant_variance_zero", obs, 0.0, "exact", obs == 0.0))
     return checks

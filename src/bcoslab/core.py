@@ -1,8 +1,10 @@
-"""Flat parameter vectors with a block structure and the elementwise algebra
+"""The block structure of a flat parameter vector and the elementwise algebra
 shared by every optimizer step.
 
-Vectors are dense float64 arrays. 64-bit precision is deliberate: the
-verification harness has to separate statistical error from roundoff.
+Vectors are plain (..., n) float64 arrays; a ``BlockPartition`` passed
+alongside them says which coordinates share a block. 64-bit precision is
+deliberate: the verification harness has to separate statistical error from
+roundoff.
 """
 
 from __future__ import annotations
@@ -114,50 +116,3 @@ class BlockPartition:
         if self.num_blocks == self.total_dim:
             return per_block
         return np.repeat(per_block, self.block_sizes, axis=-1)
-
-
-@dataclass(frozen=True)
-class ParamVector:
-    """A flat float64 coordinate vector tied to a block partition.
-
-    Values are copied on construction and must stay read-only once shared;
-    optimizer steps always build a fresh vector.
-    """
-
-    values: np.ndarray
-    partition: BlockPartition
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64, copy=True)
-        if vals.ndim != 1:
-            raise ShapeError(f"expected a flat vector, got ndim={vals.ndim}")
-        if vals.shape[0] != self.partition.total_dim:
-            raise ShapeError(
-                f"vector length {vals.shape[0]} != partition dim {self.partition.total_dim}"
-            )
-        if not np.isfinite(vals).all():
-            raise NonFiniteError("vector contains NaN/Inf entries")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def _wrap(cls, values: np.ndarray, partition: BlockPartition) -> "ParamVector":
-        """A vector over a float64 array of the partition's length that the
-        caller owns and has just checked finite: no copy and no second scan.
-        The array becomes read-only."""
-        values.flags.writeable = False
-        vec = object.__new__(cls)
-        object.__setattr__(vec, "values", values)
-        object.__setattr__(vec, "partition", partition)
-        return vec
-
-    def __len__(self) -> int:
-        return self.partition.total_dim
-
-
-def vector(values, partition: BlockPartition | None = None) -> ParamVector:
-    """Build a ParamVector, defaulting to singleton (coordinatewise) blocks."""
-    vals = np.asarray(values, dtype=np.float64)
-    if partition is None:
-        partition = BlockPartition.singleton(vals.shape[0])
-    return ParamVector(vals, partition)

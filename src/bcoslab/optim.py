@@ -2,8 +2,9 @@
 block-coordinate family with EMA and conditional second-moment estimators,
 Adam, decoupled weight decay, and the conceptual (exact-moment) update.
 
-All steps are functional: they take (config, state, x, g) and return a fresh
-(x, state) pair, so trajectories can be replayed and compared bit for bit.
+All steps are functional on plain float64 arrays: they take (config, state,
+x, g, alpha, partition) and return a fresh (x, state) pair, so trajectories
+can be replayed and compared bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import BlockPartition, NonFiniteError, ParamVector, ShapeError
+from .core import BlockPartition, NonFiniteError, ShapeError
 
 EPSILON_PLACEMENTS = ("outside_sqrt", "inside_sqrt")
 BIAS_CORRECTIONS = ("init_first_sample", "zero_init_rescale")
@@ -88,48 +89,13 @@ class OptimizerState:
             raise OptimizerError("second-moment state must be nonnegative")
 
 
-def init_state() -> OptimizerState:
-    return OptimizerState()
-
-
-@dataclass(frozen=True)
-class MomentOracle:
-    """Exact conditional moments of a search direction.
-
-    mean_d is per coordinate; second_moment_d holds E[||d_k||^2] per block of
-    ``partition``. The mean-variance split forces
-    second_moment_d[k] >= ||mean over block k||^2.
-    """
-
-    mean_d: np.ndarray
-    second_moment_d: np.ndarray
-    partition: BlockPartition
-
-    def __post_init__(self):
-        mean = np.array(self.mean_d, dtype=np.float64, copy=True)
-        second = np.array(self.second_moment_d, dtype=np.float64, copy=True)
-        if mean.shape != (self.partition.total_dim,):
-            raise ShapeError("mean_d length must match the partition dimension")
-        if second.shape != (self.partition.num_blocks,):
-            raise ShapeError("second_moment_d must have one entry per block")
-        if np.any(second < 0):
-            raise OptimizerError("second moments must be nonnegative")
-        mean_sq = self.partition.block_sums(mean * mean)
-        if np.any(second < mean_sq * (1.0 - 1e-12) - 1e-300):
-            raise OptimizerError(
-                "second moment below squared block mean; not a valid moment pair"
-            )
-        object.__setattr__(self, "mean_d", mean)
-        object.__setattr__(self, "second_moment_d", second)
-
-
-def _check_gradient(x: ParamVector, g: ParamVector) -> np.ndarray:
-    gv = g.values
-    if gv.shape != x.values.shape:
-        raise ShapeError(f"gradient length {gv.shape[0]} != parameter length {len(x)}")
-    if not np.isfinite(gv).all():
+def _check_inputs(x: np.ndarray, g: np.ndarray, partition: BlockPartition) -> None:
+    n = partition.total_dim
+    for name, a in (("parameter", x), ("gradient", g)):
+        if a.shape != (n,):
+            raise ShapeError(f"{name} shape {a.shape} != ({n},) of the partition")
+    if not np.isfinite(g).all():
         raise NonFiniteError("gradient contains NaN/Inf entries")
-    return gv
 
 
 def _safe_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -306,38 +272,38 @@ def normalize(config: OptimizerConfig, direction: np.ndarray, estimate: np.ndarr
 def step(
     config: OptimizerConfig,
     state: OptimizerState,
-    x: ParamVector,
-    g: ParamVector,
+    x: np.ndarray,
+    g: np.ndarray,
     alpha_t: float,
-) -> tuple[ParamVector, OptimizerState]:
-    """One optimizer step; returns the new iterate and the new state.
+    partition: BlockPartition,
+) -> tuple[np.ndarray, OptimizerState]:
+    """One optimizer step from the (n,) iterate x with the (n,) gradient g;
+    returns the new iterate, a fresh read-only array, and the new state.
 
     With decoupled weight decay the iterate is first shrunk by
     (1 - alpha_t*lambda); without it, lambda*x is folded into the gradient
     before any state update. In block mode (fewer blocks than coordinates)
-    the second-moment estimate is one scalar per block, built from the block
-    squared norm, and that scalar stepsize applies to every coordinate of
-    the block.
+    the second-moment estimate is one scalar per block of ``partition``,
+    built from the block squared norm, and that scalar stepsize applies to
+    every coordinate of the block.
     """
     if config.algorithm == "conceptual_bcos":
         raise OptimizerError("conceptual_bcos needs exact moments; use conceptual_update")
     if alpha_t < 0:
         raise OptimizerError(f"alpha_t must be >= 0, got {alpha_t}")
-    gv = _check_gradient(x, g)
-    part = x.partition
+    _check_inputs(x, g, partition)
     alpha_lambda = alpha_t * config.decay_lambda
     if alpha_lambda >= 1.0:
         raise OptimizerError(f"decoupled decay needs alpha_t*lambda < 1, got {alpha_lambda}")
     fold = config.fold_lambda
-    d = gv + fold * x.values if fold else gv
+    d = g + fold * x if fold else g
 
-    direction, estimate, m_new, v_new = propose(config, state, d, part)
-    x_new = (1.0 - alpha_lambda) * x.values - alpha_t * normalize(config, direction, estimate, part)
+    direction, estimate, m_new, v_new = propose(config, state, d, partition)
+    x_new = (1.0 - alpha_lambda) * x - alpha_t * normalize(config, direction, estimate, partition)
     if not np.isfinite(x_new).all():
         raise NonFiniteError(f"{config.algorithm} step produced non-finite parameters")
-    new_state = OptimizerState(t=state.t + 1, m=m_new, v=v_new)
-    # x_new is a fresh array of the right length, checked just above
-    return ParamVector._wrap(x_new, part), new_state
+    x_new.flags.writeable = False
+    return x_new, OptimizerState(t=state.t + 1, m=m_new, v=v_new)
 
 
 def conceptual_update(x: np.ndarray, d: np.ndarray, second: np.ndarray, alpha: float,
@@ -353,30 +319,33 @@ def conceptual_update(x: np.ndarray, d: np.ndarray, second: np.ndarray, alpha: f
     return np.subtract((1.0 - alpha * lam) * x, step, out=step)
 
 
-def optimal_stepsizes(oracle: MomentOracle, x: ParamVector, x_star: ParamVector) -> np.ndarray:
+def optimal_stepsizes(x: np.ndarray, x_star: np.ndarray, mean: np.ndarray,
+                      second: np.ndarray, partition: BlockPartition) -> np.ndarray:
     """Per-block stepsizes minimizing the expected squared distance of the
-    next iterate to the target: <x_k - x*_k, E[d_k]> / E[||d_k||^2].
-    They can be positive or negative."""
-    second = oracle.second_moment_d
+    next iterate to the target: <x_k - x*_k, E[d_k]> / E[||d_k||^2], for a
+    direction with per-coordinate mean E[d] and per-block second moments
+    E[||d_k||^2]. They can be positive or negative. The mean-variance split
+    forces each second moment to be at least its squared block mean."""
     if np.any(second <= 0):
         raise OptimizerError("optimal stepsizes need strictly positive second moments")
-    diff = x.values - x_star.values
-    num = oracle.partition.block_sums(diff * oracle.mean_d)
-    return num / second
+    if np.any(second < partition.block_sums(mean * mean) * (1.0 - 1e-12) - 1e-300):
+        raise OptimizerError("second moment below squared block mean; not a valid moment pair")
+    return partition.block_sums((x - x_star) * mean) / second
 
 
 def trace_rows(
     config: OptimizerConfig,
-    x0: ParamVector,
+    x0: np.ndarray,
     gradients: np.ndarray,
     alphas,
+    partition: BlockPartition,
 ) -> list[str]:
     """Replay a fixed gradient stream, stepping with alphas[t] at step t, and
     emit one CSV row per step with the full state (t, x..., m..., v...),
     using round-trip float formatting so two replays can be compared byte
     for byte."""
     x = x0
-    state = init_state()
+    state = OptimizerState()
     rows = []
 
     def fmt(arr, width):
@@ -384,8 +353,8 @@ def trace_rows(
             return ["" for _ in range(width)]
         return [repr(float(u)) for u in np.asarray(arr)]
 
-    n = len(x0)
-    m = x0.partition.num_blocks
+    n = partition.total_dim
+    m = partition.num_blocks
     header = (
         ["t"]
         + [f"x{i}" for i in range(n)]
@@ -394,22 +363,18 @@ def trace_rows(
     )
     rows.append(",".join(header))
     for t, g in enumerate(np.asarray(gradients, dtype=np.float64)):
-        x, state = step(config, state, x, ParamVector(g, x0.partition), float(alphas[t]))
-        rows.append(
-            ",".join([str(state.t)] + fmt(x.values, n) + fmt(state.m, n) + fmt(state.v, m))
-        )
+        x, state = step(config, state, x, g, float(alphas[t]), partition)
+        rows.append(",".join([str(state.t)] + fmt(x, n) + fmt(state.m, n) + fmt(state.v, m)))
     return rows
 
 
 __all__ = [
     "ALGORITHMS",
     "AlgorithmSpec",
-    "MomentOracle",
     "OptimizerConfig",
     "OptimizerError",
     "OptimizerState",
     "conceptual_update",
-    "init_state",
     "momentum_moments",
     "normalize",
     "optimal_stepsizes",

@@ -27,13 +27,14 @@ import numpy as np
 
 from bcoslab import cli
 from bcoslab.analysis import mean_trajectory
-from bcoslab.core import BlockPartition, vector
+from bcoslab.core import BlockPartition
 from bcoslab.optim import ALGORITHMS, OptimizerConfig, trace_rows
 from bcoslab.problems import NoisyQuadratic
 from bcoslab.schedules import inverse_time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PRACTICAL = [name for name in ALGORITHMS if name != "conceptual_bcos"]
+PARTITIONS = {"singleton": BlockPartition.singleton(4), "2+2": BlockPartition.from_sizes([2, 2])}
 
 BASE = """\
 problem.dim = 4
@@ -87,25 +88,21 @@ def _cli_files() -> dict[str, str]:
     return files
 
 
-def _partitions() -> dict[str, BlockPartition]:
-    return {"singleton": BlockPartition.singleton(4), "2+2": BlockPartition.from_sizes([2, 2])}
-
-
 def _library_files() -> dict[str, str]:
     problem = NoisyQuadratic([1.0, 2.0, 0.5, 1.5], [1.0, 0.5, 2.0, 1.0], [0.5, -0.5, 0.0, 1.0])
     curve = mean_trajectory(problem, OptimizerConfig("bcos_c"), inverse_time(0.2), 40, 4,
                             base_seed=5, x0=np.full(4, 2.0),
-                            partition=_partitions()["2+2"])
+                            partition=PARTITIONS["2+2"])
     files = {"curve_blocks.csv": cli.curve_csv(curve)}
     gradients = np.random.default_rng(7).standard_normal((12, 4))
     alphas = [0.1 / np.sqrt(1.0 + t) for t in range(12)]
     x0 = np.array([1.0, -2.0, 0.5, 3.0])
-    for label, partition in _partitions().items():
+    for label, partition in PARTITIONS.items():
         for i, name in enumerate(PRACTICAL):
             config = OptimizerConfig(
                 name, weight_decay_lambda=0.05, decoupled=bool(i % 2),
                 bias_correction="zero_init_rescale" if i % 4 >= 2 else "init_first_sample")
-            rows = trace_rows(config, vector(x0, partition), gradients, alphas)
+            rows = trace_rows(config, x0, gradients, alphas, partition)
             files[f"trace/{name}_{label}.csv"] = "\n".join(rows) + "\n"
     return files
 

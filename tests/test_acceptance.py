@@ -25,15 +25,8 @@ from bcoslab.analysis import (
     verify_chung_recursions,
     verify_ratio_expansion,
 )
-from bcoslab.core import vector
-from bcoslab.optim import (
-    MomentOracle,
-    OptimizerConfig,
-    OptimizerState,
-    init_state,
-    optimal_stepsizes,
-    step,
-)
+from bcoslab.core import BlockPartition
+from bcoslab.optim import OptimizerConfig, OptimizerState, optimal_stepsizes, step
 from bcoslab.problems import (
     MC_STREAM,
     LogisticSmokeProblem,
@@ -58,18 +51,19 @@ def lockstep_iterates(problem, config_a, config_b, T, seed, x0):
     their iterate arrays; identical algorithms stay in sync draw for draw."""
     rng_a = make_rng(seed, 0)
     rng_b = make_rng(seed, 0)
-    xa = vector(x0)
-    xb = vector(x0)
-    sa = init_state()
-    sb = init_state()
-    out_a, out_b = [xa.values], [xb.values]
+    xa = np.array(x0, dtype=np.float64)
+    xb = np.array(x0, dtype=np.float64)
+    part = BlockPartition.singleton(xa.shape[0])
+    sa = OptimizerState()
+    sb = OptimizerState()
+    out_a, out_b = [xa], [xb]
     for _ in range(T):
-        ga = problem.sample_gradient(xa.values, rng_a)
-        gb = problem.sample_gradient(xb.values, rng_b)
-        xa, sa = step(config_a, sa, xa, vector(ga), 0.05)
-        xb, sb = step(config_b, sb, xb, vector(gb), 0.05)
-        out_a.append(xa.values)
-        out_b.append(xb.values)
+        ga = problem.sample_gradient(xa, rng_a)
+        gb = problem.sample_gradient(xb, rng_b)
+        xa, sa = step(config_a, sa, xa, ga, 0.05, part)
+        xb, sb = step(config_b, sb, xb, gb, 0.05, part)
+        out_a.append(xa)
+        out_b.append(xb)
     return np.array(out_a), np.array(out_b)
 
 
@@ -111,12 +105,12 @@ def test_criterion_02_scale_invariance(alg):
     cfg = OptimizerConfig(alg, beta1=0.9, beta2=0.95, epsilon=0.0)
 
     def run(scale):
-        x = vector(np.zeros(5))
-        state = init_state()
+        x, part = np.zeros(5), BlockPartition.singleton(5)
+        state = OptimizerState()
         iterates = []
         for g in grads:
-            x, state = step(cfg, state, x, vector(scale * g), 0.1)
-            iterates.append(x.values)
+            x, state = step(cfg, state, x, scale * g, 0.1, part)
+            iterates.append(x)
         return np.array(iterates)
 
     base = run(1.0)
@@ -267,12 +261,12 @@ def test_criterion_07_estimator_catalog():
     assert np.all(np.abs(stats.bias - bias_expected) <= 3 * mc_mean_se(v_draws))
 
     # sign mode: v = d^2 is unbiased
-    stats = estimator_stats(problem, x, init_state(),
+    stats = estimator_stats(problem, x, OptimizerState(),
                             OptimizerConfig("sign_sgd", epsilon=0.0), n_mc, seed=74)
     assert np.all(stats.bias <= 3 * mc_mean_se(draws_for(74) ** 2))
 
     # constant estimator: exactly zero variance
-    stats = estimator_stats(problem, x, init_state(),
+    stats = estimator_stats(problem, x, OptimizerState(),
                             OptimizerConfig("sgd", epsilon=0.0), n_mc, seed=75)
     assert np.all(stats.variance == 0.0)
     report(7, "estimator bias/variance catalog")
@@ -318,8 +312,6 @@ def test_criterion_11_optimal_stepsize_brute_force():
     rng = make_rng(111, MC_STREAM)
     grid = np.linspace(-2.0, 2.0, 10**4)
     cell = grid[1] - grid[0]
-    from bcoslab.core import BlockPartition, ParamVector
-
     for _ in range(50):
         sizes = rng.integers(1, 4, size=rng.integers(1, 4))
         part = BlockPartition.from_sizes(sizes)
@@ -333,10 +325,7 @@ def test_criterion_11_optimal_stepsize_brute_force():
         gamma_raw = part.block_sums(delta * mean) / second
         scale = 1.8 / max(1.8, float(np.max(np.abs(gamma_raw))))
         x = x_star + scale * delta
-        oracle = MomentOracle(mean, second, part)
-        gamma_hat = optimal_stepsizes(
-            oracle, ParamVector(x, part), ParamVector(x_star, part)
-        )
+        gamma_hat = optimal_stepsizes(x, x_star, mean, second, part)
         inner = part.block_sums((x - x_star) * mean)
         for k in range(part.num_blocks):
             objective = -2.0 * grid * inner[k] + grid**2 * second[k]

@@ -30,13 +30,11 @@ from bcoslab.analysis import (
     step_gap_bound,
     verify_ratio_expansion,
 )
-from bcoslab.core import BlockPartition, NonFiniteError, ParamVector, vector
+from bcoslab.core import BlockPartition, NonFiniteError, ShapeError
 from bcoslab.optim import (
     ALGORITHMS,
-    MomentOracle,
     OptimizerConfig,
     OptimizerState,
-    init_state,
     momentum_moments,
     normalize,
     propose,
@@ -208,6 +206,33 @@ class TestMeanTrajectory:
         with pytest.raises(DivergenceError):
             mean_trajectory(prob, OptimizerConfig("sgd"), constant(4.0), 120,
                             n_seeds=2, base_seed=0, x0=np.array([1.0]))
+
+
+class TestStartCheck:
+    """Both engines check the start the same way before anything reads it."""
+
+    ENGINES = {
+        "run_trajectory": lambda prob, cfg, **kw: run_trajectory(
+            prob, cfg, constant(0.05), 3, base_seed=0, **kw),
+        "mean_trajectory": lambda prob, cfg, **kw: mean_trajectory(
+            prob, cfg, constant(0.05), 3, n_seeds=2, **kw),
+    }
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("alg", ["bcos_c", "conceptual_bcos"])
+    @pytest.mark.parametrize("kwargs, error, message", [
+        ({"x0": np.zeros(3)}, ShapeError, "start shape (3,) != (4,) of the problem"),
+        ({"x0": np.array([0.0, np.nan, 0.0, 0.0])}, NonFiniteError,
+         "start contains NaN/Inf entries"),
+        ({"x0": np.zeros((1, 4))}, ShapeError, "start shape (1, 4) != (4,) of the problem"),
+        ({"partition": BlockPartition.singleton(3)}, ShapeError,
+         "partition dim 3 != problem dim 4"),
+    ], ids=["short", "nan", "2d", "partition"])
+    def test_bad_start_fails_alike(self, engine, alg, kwargs, error, message):
+        prob = centered_quadratic(n=4)
+        with pytest.raises(error) as err:
+            self.ENGINES[engine](prob, OptimizerConfig(alg), **kwargs)
+        assert type(err.value) is error and str(err.value) == message
 
 
 class TestDivergenceReport:
@@ -572,10 +597,10 @@ class TestAimingForms:
         mean = rng.standard_normal(6)
         var = rng.uniform(0.1, 2.0, size=6)
         part = BlockPartition.singleton(6)
-        oracle = MomentOracle(mean, mean**2 + var, part)
-        lhs = mean / np.sqrt(oracle.second_moment_d)
+        second = mean**2 + var
+        lhs = mean / np.sqrt(second)
         # rho, the fraction of the second moment the mean carries
-        rho = mean**2 / oracle.second_moment_d
+        rho = mean**2 / second
         rhs = np.sqrt(rho) * np.sign(mean)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
@@ -584,8 +609,7 @@ class TestAimingForms:
         for _ in range(100):
             mean = rng.standard_normal(5)
             var = rng.uniform(0.0, 3.0, size=5)
-            oracle = MomentOracle(mean, mean**2 + var, BlockPartition.singleton(5))
-            rho = mean**2 / oracle.second_moment_d
+            rho = mean**2 / (mean**2 + var)
             assert np.max(np.sqrt(rho)) <= 1.0 + 1e-15
 
 
@@ -678,8 +702,6 @@ class TestPracticalNeighborhood:
         """End to end: run the conditional-estimator method with decay and a
         diminishing schedule, measure the step-gap scalar along the way, and
         confirm the trajectory settles inside the predicted neighborhood."""
-        from bcoslab.core import vector
-        from bcoslab.optim import init_state, step
         from bcoslab.problems import TRAJECTORY_STREAM
         from bcoslab.schedules import inverse_time, value_at
 
@@ -689,17 +711,17 @@ class TestPracticalNeighborhood:
                               weight_decay_lambda=lam, decoupled=True)
         sch = inverse_time(0.6)
         rng = make_rng(42, TRAJECTORY_STREAM, 0)
-        x = vector(np.full(4, 3.0))
-        state = init_state()
+        x, part = np.full(4, 3.0), BlockPartition.singleton(4)
+        state = OptimizerState()
         sigmas = []
         for t in range(10_000):
-            g = prob.sample_gradient(x.values, rng)
-            x, state = step(cfg, state, x, vector(g), value_at(sch, t))
+            g = prob.sample_gradient(x, rng)
+            x, state = step(cfg, state, x, g, value_at(sch, t), part)
             if t in (10, 100, 1000, 9999):
-                stats = estimator_stats(prob, x.values, state, cfg, 10**4, seed=t)
+                stats = estimator_stats(prob, x, state, cfg, 10**4, seed=t)
                 sigmas.append(stats.sigma_t)
         radius = neighborhood_radius(max(sigmas), cfg.epsilon, lam, 4)
-        assert float(x.values @ x.values) <= radius**2
+        assert float(x @ x) <= radius**2
 
 
 class TestNeighborhoodRadius:
@@ -811,22 +833,22 @@ class TestEstimatorMatchesStep:
                               epsilon_placement=placement, weight_decay_lambda=lam,
                               decoupled=decoupled, bias_correction=bias_correction,
                               conditional_full=full and alg == "bcos_c")
-        x, state = vector([1.2, -0.7, 2.0]), init_state()
+        x, state = np.array([1.2, -0.7, 2.0]), OptimizerState()
+        part = BlockPartition.singleton(3)
         rng = make_rng(seed, TRAJECTORY_STREAM, 0)
         for _ in range(priming):
-            x, state = step(cfg, state, x, vector(prob.sample_gradient(x.values, rng)), alpha)
+            x, state = step(cfg, state, x, prob.sample_gradient(x, rng), alpha, part)
         n_mc = 10**4
-        stats = estimator_stats(prob, x.values, state, cfg, n_mc, seed=seed)
+        stats = estimator_stats(prob, x, state, cfg, n_mc, seed=seed)
 
-        G = prob.sample_gradients(x.values, make_rng(seed, MC_STREAM), n_mc)
-        part = x.partition
+        G = prob.sample_gradients(x, make_rng(seed, MC_STREAM), n_mc)
         decay = 1.0 - alpha * lam if decoupled else 1.0
-        d, v, _, _ = propose(cfg, state, G if decoupled else G + lam * x.values, part)
+        d, v, _, _ = propose(cfg, state, G if decoupled else G + lam * x, part)
         # these are the draws the harness measured
         assert stats.mean_d.tobytes() == d.mean(axis=0).tobytes()
         assert stats.mean_v.tobytes() == v.mean(axis=0).tobytes()
-        expected = decay * x.values - alpha * normalize(cfg, d, v, part)
-        stepped = np.stack([step(cfg, state, x, ParamVector(g, part), alpha)[0].values for g in G])
+        expected = decay * x - alpha * normalize(cfg, d, v, part)
+        stepped = np.stack([step(cfg, state, x, g, alpha, part)[0] for g in G])
         assert stepped.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("alg", ["bcos_c", "adam", "sgd_momentum"])
@@ -866,11 +888,12 @@ class TestEstimatorSeeds:
         cfg = OptimizerConfig("bcos_c", beta1=0.9)
         records = run_trajectory(prob, cfg, constant(0.05), 2, base_seed=7,
                                  sigma_every=2)
-        x, state = vector(prob.default_start()), init_state()
+        x, state = prob.default_start(), OptimizerState()
+        part = BlockPartition.singleton(prob.dim)
         rng = make_rng(7, TRAJECTORY_STREAM, 0)
         for _ in range(2):
-            x, state = step(cfg, state, x, vector(prob.sample_gradient(x.values, rng)), 0.05)
-        expected = estimator_stats(prob, x.values, state, cfg, 10**4, seed=7, key=(2,))
+            x, state = step(cfg, state, x, prob.sample_gradient(x, rng), 0.05, part)
+        expected = estimator_stats(prob, x, state, cfg, 10**4, seed=7, key=(2,))
         assert records[2].estimator_diag.sigma_t == expected.sigma_t
 
     def test_block_mode_has_no_diagnostic(self):

@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bcoslab.core import (
-    BlockPartition,
-    NonFiniteError,
-    ParamVector,
-    ShapeError,
-    row_sums,
-    vector,
-)
+from bcoslab.core import BlockPartition, ShapeError, row_sums
 from bcoslab.optim import OptimizerConfig, normalize
 
 
@@ -48,23 +41,6 @@ class TestBlockPartition:
         assert sums.tolist() == [1.0, 2.0, 12.0]
         expanded = p.expand(np.array([10.0, 20.0, 30.0]))
         assert expanded.tolist() == [10, 10, 20, 30, 30, 30]
-
-
-class TestParamVector:
-    def test_rejects_non_finite(self):
-        with pytest.raises(NonFiniteError):
-            vector([1.0, float("nan")])
-        with pytest.raises(NonFiniteError):
-            vector([np.inf, 0.0])
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            ParamVector(np.ones(3), BlockPartition.singleton(4))
-
-    def test_values_are_read_only(self):
-        x = vector([1.0, 2.0])
-        with pytest.raises(ValueError):
-            x.values[0] = 5.0
 
 
 class TestBlockSqNorms:

@@ -39,7 +39,9 @@ def first_difference(expected: str, actual: str) -> tuple[int, int]:
 def test_corpus_is_byte_identical():
     produced = regenerate.corpus()
     assert sorted(produced) == committed_files()
-    for name in sorted(produced):
+    # the manifests last: a data file's own first difference says more than
+    # the hash line that records it
+    for name in sorted(produced, key=lambda name: (name.endswith("manifest.txt"), name)):
         with open(os.path.join(GOLDEN, name), "rb") as fh:
             expected = fh.read().decode("utf-8")
         if produced[name] != expected:

@@ -7,16 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bcoslab.core import BlockPartition, NonFiniteError, ParamVector, ShapeError, vector
+from bcoslab.core import BlockPartition, NonFiniteError, ShapeError
 from bcoslab.optim import (
     ALGORITHMS,
-    MomentOracle,
     OptimizerConfig,
     OptimizerError,
     OptimizerState,
     _safe_divide,
     conceptual_update,
-    init_state,
     optimal_stepsizes,
     step,
     trace_rows,
@@ -24,10 +22,11 @@ from bcoslab.optim import (
 
 
 def run_steps(config, x0, gradients, alpha):
-    x = vector(x0)
-    state = init_state()
+    x = np.array(x0, dtype=np.float64)
+    part = BlockPartition.singleton(x.shape[0])
+    state = OptimizerState()
     for g in gradients:
-        x, state = step(config, state, x, vector(g), alpha)
+        x, state = step(config, state, x, np.array(g, dtype=np.float64), alpha, part)
     return x, state
 
 
@@ -35,22 +34,24 @@ class TestStepHandValues:
     def test_bcos_g_collapses_to_sign_step(self):
         cfg = OptimizerConfig("bcos_g", beta1=0.0, epsilon=0.0)
         x, _ = run_steps(cfg, [0.0, 0.0], [[4.0, -9.0]], alpha=0.1)
-        np.testing.assert_array_equal(x.values, [-0.1, 0.1])
+        np.testing.assert_array_equal(x, [-0.1, 0.1])
 
     def test_bcos_c_single_step(self):
         cfg = OptimizerConfig("bcos_c", beta1=0.9, epsilon=0.0)
         state = OptimizerState(t=1, m=np.array([1.0]))
-        x, new_state = step(cfg, state, vector([0.0]), vector([0.0]), 1.0)
+        x, new_state = step(cfg, state, np.array([0.0]), np.array([0.0]), 1.0,
+                            BlockPartition.singleton(1))
         np.testing.assert_allclose(new_state.m, [0.9], rtol=0, atol=0)
-        np.testing.assert_allclose(x.values, [-0.9 / np.sqrt(0.99)], rtol=1e-15)
+        np.testing.assert_allclose(x, [-0.9 / np.sqrt(0.99)], rtol=1e-15)
         assert new_state.v is None
 
     def test_decoupled_decay_only(self):
         cfg = OptimizerConfig("bcos_c", beta1=0.9, epsilon=0.0,
                               weight_decay_lambda=0.1, decoupled=True)
         state = OptimizerState(t=1, m=np.array([0.0, 0.0]))
-        x, _ = step(cfg, state, vector([2.0, -4.0]), vector([0.0, 0.0]), 0.5)
-        np.testing.assert_allclose(x.values, [0.95 * 2.0, 0.95 * -4.0], rtol=1e-15)
+        x, _ = step(cfg, state, np.array([2.0, -4.0]), np.array([0.0, 0.0]), 0.5,
+                    BlockPartition.singleton(2))
+        np.testing.assert_allclose(x, [0.95 * 2.0, 0.95 * -4.0], rtol=1e-15)
 
     def test_adam_matches_reference_loop(self):
         """Five steps of the EMA pair with zero-init rescaling agree with a
@@ -71,7 +72,7 @@ class TestStepHandValues:
             m_hat = m / (1 - b1 ** (t + 1))
             v_hat = v / (1 - b2 ** (t + 1))
             xs = xs - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
-        np.testing.assert_allclose(x.values, xs, rtol=1e-13)
+        np.testing.assert_allclose(x, xs, rtol=1e-13)
         np.testing.assert_array_equal(state.m, m)
         np.testing.assert_array_equal(state.v, v)
 
@@ -83,7 +84,7 @@ class TestStepHandValues:
         for alg in ("bcos_g", "bcos_m", "bcos_c", "adam"):
             cfg = OptimizerConfig(alg, beta1=0.9, beta2=0.97, epsilon=0.0)
             x, state = run_steps(cfg, np.zeros(6), [g0], alpha=0.25)
-            np.testing.assert_allclose(x.values, -0.25 * np.sign(g0), rtol=1e-12)
+            np.testing.assert_allclose(x, -0.25 * np.sign(g0), rtol=1e-12)
             if state.v is not None:
                 np.testing.assert_allclose(state.v, g0**2, rtol=1e-15)
 
@@ -96,7 +97,7 @@ class TestStepHandValues:
             cfg = OptimizerConfig(alg, beta1=0.9, beta2=0.97, epsilon=0.0,
                                   bias_correction="zero_init_rescale")
             x, _ = run_steps(cfg, np.zeros(4), [g0], alpha=0.25)
-            np.testing.assert_allclose(x.values, -0.25 * np.sign(g0), rtol=1e-12)
+            np.testing.assert_allclose(x, -0.25 * np.sign(g0), rtol=1e-12)
 
     def test_momentum_baseline_first_step(self):
         """With first-sample seeding the first momentum equals the gradient,
@@ -104,7 +105,7 @@ class TestStepHandValues:
         g0 = np.array([1.5, -0.25])
         cfg = OptimizerConfig("sgd_momentum", beta1=0.9)
         x, state = run_steps(cfg, np.zeros(2), [g0], alpha=0.2)
-        np.testing.assert_allclose(x.values, -0.2 * g0, rtol=1e-15)
+        np.testing.assert_allclose(x, -0.2 * g0, rtol=1e-15)
         np.testing.assert_array_equal(state.m, g0)
 
     def test_fold_in_regularization(self):
@@ -117,37 +118,41 @@ class TestStepHandValues:
         plain = OptimizerConfig("bcos_g", beta1=0.5, epsilon=1e-6)
         x1, s1 = run_steps(cfg, x0, [g], alpha=0.1)
         x2, s2 = run_steps(plain, x0, [g + lam * x0], alpha=0.1)
-        np.testing.assert_array_equal(x1.values, x2.values)
+        np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(s1.v, s2.v)
 
 
 class TestStepErrors:
     def test_non_finite_gradient(self):
         cfg = OptimizerConfig("sgd")
-        bad = ParamVector.__new__(ParamVector)  # bypass constructor checks
-        object.__setattr__(bad, "values", np.array([np.nan]))
-        object.__setattr__(bad, "partition", BlockPartition.singleton(1))
-        with pytest.raises(NonFiniteError):
-            step(cfg, init_state(), vector([0.0]), bad, 0.1)
+        for g in ([np.nan], [1.0, float("nan")], [np.inf, 0.0]):
+            with pytest.raises(NonFiniteError, match="^gradient contains NaN/Inf entries$"):
+                step(cfg, OptimizerState(), np.zeros(len(g)), np.array(g), 0.1,
+                     BlockPartition.singleton(len(g)))
 
     def test_shape_mismatch(self):
+        """The iterate and the gradient must both be (n,) for the partition's n."""
         cfg = OptimizerConfig("sgd")
-        with pytest.raises(ShapeError):
-            step(cfg, init_state(), vector([0.0, 1.0]), vector([1.0]), 0.1)
+        for x, g in ((np.array([0.0, 1.0]), np.array([1.0])), (np.ones(3), np.ones(2)),
+                     (np.ones((1, 2)), np.ones(2))):
+            with pytest.raises(ShapeError, match=r"shape \(.*\) != \(2,\) of the partition"):
+                step(cfg, OptimizerState(), x, g, 0.1, BlockPartition.singleton(2))
 
     def test_decoupled_unit_decay_rejected(self):
         cfg = OptimizerConfig("adam", weight_decay_lambda=2.0, decoupled=True)
         with pytest.raises(OptimizerError):
-            step(cfg, init_state(), vector([1.0]), vector([1.0]), 0.5)
+            step(cfg, OptimizerState(), np.array([1.0]), np.array([1.0]), 0.5,
+                 BlockPartition.singleton(1))
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(OptimizerError):
-            step(OptimizerConfig("sgd"), init_state(), vector([1.0]), vector([1.0]), -0.1)
+            step(OptimizerConfig("sgd"), OptimizerState(), np.array([1.0]), np.array([1.0]),
+                 -0.1, BlockPartition.singleton(1))
 
     def test_conceptual_requires_oracle(self):
         with pytest.raises(OptimizerError):
-            step(OptimizerConfig("conceptual_bcos"), init_state(), vector([1.0]),
-                 vector([1.0]), 0.1)
+            step(OptimizerConfig("conceptual_bcos"), OptimizerState(), np.array([1.0]),
+                 np.array([1.0]), 0.1, BlockPartition.singleton(1))
 
 
 class TestConfigValidation:
@@ -163,10 +168,10 @@ class TestConfigValidation:
 class TestStepResult:
     @pytest.mark.parametrize("alg", sorted(set(ALGORITHMS) - {"conceptual_bcos"}))
     def test_new_iterate_is_read_only(self, alg):
-        x, _ = step(OptimizerConfig(alg), init_state(), vector([1.0, -2.0]),
-                    vector([0.5, 0.25]), 0.1)
+        x, _ = step(OptimizerConfig(alg), OptimizerState(), np.array([1.0, -2.0]),
+                    np.array([0.5, 0.25]), 0.1, BlockPartition.singleton(2))
         with pytest.raises(ValueError):
-            x.values[0] = 5.0
+            x[0] = 5.0
 
 
 def masked_divide(num, den):
@@ -209,13 +214,13 @@ class TestCollapsesAndInvariance:
         a, _ = run_steps(OptimizerConfig("bcos_g", beta1=0.0, epsilon=0.0),
                          np.zeros(4), grads, 0.05)
         b, _ = run_steps(OptimizerConfig("sign_sgd", epsilon=0.0), np.zeros(4), grads, 0.05)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
         c, _ = run_steps(OptimizerConfig("bcos_m", beta1=0.9, beta2=0.0, epsilon=0.0),
                          np.zeros(4), grads, 0.05)
         d, _ = run_steps(OptimizerConfig("sign_momentum", beta1=0.9, epsilon=0.0),
                          np.zeros(4), grads, 0.05)
-        np.testing.assert_array_equal(c.values, d.values)
+        np.testing.assert_array_equal(c, d)
 
     @pytest.mark.parametrize("alg", ["bcos_g", "bcos_m", "bcos_c", "adam"])
     def test_scale_invariance_quick(self, alg):
@@ -224,7 +229,7 @@ class TestCollapsesAndInvariance:
         cfg = OptimizerConfig(alg, beta1=0.9, beta2=0.95, epsilon=0.0)
         base, _ = run_steps(cfg, np.zeros(3), grads, 0.1)
         scaled, _ = run_steps(cfg, np.zeros(3), grads * 1e6, 0.1)
-        np.testing.assert_allclose(scaled.values, base.values, rtol=1e-10)
+        np.testing.assert_allclose(scaled, base, rtol=1e-10)
 
 
 class TestStateLayout:
@@ -253,23 +258,23 @@ class TestBlockMode:
     def test_block_estimate_uses_block_norm(self):
         part = BlockPartition.from_sizes([2, 1])
         cfg = OptimizerConfig("bcos_g", beta1=0.0, epsilon=0.0)
-        x = ParamVector(np.zeros(3), part)
-        g = ParamVector(np.array([3.0, 4.0, 2.0]), part)
-        x1, state = step(cfg, init_state(), x, g, 1.0)
+        x = np.zeros(3)
+        g = np.array([3.0, 4.0, 2.0])
+        x1, state = step(cfg, OptimizerState(), x, g, 1.0, part)
         np.testing.assert_allclose(state.v, [25.0, 4.0])
-        np.testing.assert_allclose(x1.values, [-3 / 5, -4 / 5, -1.0], rtol=1e-15)
+        np.testing.assert_allclose(x1, [-3 / 5, -4 / 5, -1.0], rtol=1e-15)
 
     def test_singleton_blocks_match_coordinatewise(self):
         rng = np.random.default_rng(9)
         grads = rng.standard_normal((15, 4))
         cfg = OptimizerConfig("adam", beta1=0.8, beta2=0.9, epsilon=1e-6)
         part = BlockPartition.singleton(4)
-        x1 = ParamVector(np.zeros(4), part)
-        s1 = init_state()
+        x1 = np.zeros(4)
+        s1 = OptimizerState()
         for g in grads:
-            x1, s1 = step(cfg, s1, x1, ParamVector(g, part), 0.05)
+            x1, s1 = step(cfg, s1, x1, g, 0.05, part)
         x2, _ = run_steps(cfg, np.zeros(4), grads, 0.05)
-        np.testing.assert_array_equal(x1.values, x2.values)
+        np.testing.assert_array_equal(x1, x2)
 
 
 class TestConditionalEstimators:
@@ -298,9 +303,9 @@ class TestConditionalEstimators:
         m_t = beta * m_prev + (1 - beta) * g
         cfg = OptimizerConfig("bcos_c", beta1=beta, epsilon=0.0, conditional_full=True)
         state = OptimizerState(t=1, m=m_prev)
-        x1, _ = step(cfg, state, vector([0.0, 0.0]), vector(g), 1.0)
+        x1, _ = step(cfg, state, np.array([0.0, 0.0]), g, 1.0, BlockPartition.singleton(2))
         v_expected = beta**2 * m_prev**2 + 2 * beta * (1 - beta) * m_prev * m_t + (1 - beta) ** 2 * g**2
-        np.testing.assert_allclose(x1.values, -m_t / np.sqrt(v_expected), rtol=1e-14)
+        np.testing.assert_allclose(x1, -m_t / np.sqrt(v_expected), rtol=1e-14)
 
     def test_full_conditional_requires_bcos_c(self):
         with pytest.raises(OptimizerError):
@@ -315,22 +320,20 @@ class TestEpsilonPlacement:
             cfg = OptimizerConfig("bcos_g", beta1=0.0, epsilon=0.5,
                                   epsilon_placement=placement)
             x, _ = run_steps(cfg, [0.0], [g], alpha=1.0)
-            np.testing.assert_allclose(x.values, [-expected], rtol=1e-15)
+            np.testing.assert_allclose(x, [-expected], rtol=1e-15)
 
 
 class TestConceptualStep:
     def test_deterministic_direction_is_sign_step(self):
         part = BlockPartition.singleton(3)
         d = np.array([2.0, -0.5, 0.1])
-        oracle = MomentOracle(d, d**2, part)
-        x1 = conceptual_update(np.zeros(3), d, oracle.second_moment_d, 0.2, 0.0, part)
+        x1 = conceptual_update(np.zeros(3), d, d**2, 0.2, 0.0, part)
         np.testing.assert_allclose(x1, -0.2 * np.sign(d), rtol=1e-15)
 
     def test_zero_mean_direction_has_zero_mean_step(self):
         rng = np.random.default_rng(21)
         part = BlockPartition.singleton(2)
         sigma = np.array([1.0, 3.0])
-        oracle = MomentOracle(np.zeros(2), sigma**2, part)
         draws = sigma * rng.standard_normal((10**5, 2))
         steps = -0.5 * draws / np.sqrt(sigma**2)
         se = steps.std(axis=0, ddof=1) / np.sqrt(10**5)
@@ -341,14 +344,13 @@ class TestConceptualStep:
         mean = np.array([1.0, -2.0])
         sigma = np.array([2.0, 0.5])
         part = BlockPartition.singleton(2)
-        oracle = MomentOracle(mean, mean**2 + sigma**2, part)
         x = np.zeros(2)
         n = 10**5
         draws = mean + sigma * rng.standard_normal((n, 2))
         # the elementwise form below equals conceptual_update; spot-check it
         for d in draws[:5]:
             np.testing.assert_array_equal(
-                conceptual_update(x, d, oracle.second_moment_d, 0.3, 0.0, part),
+                conceptual_update(x, d, mean**2 + sigma**2, 0.3, 0.0, part),
                 -0.3 * d / np.sqrt(mean**2 + sigma**2),
             )
         outs = -0.3 * draws / np.sqrt(mean**2 + sigma**2)
@@ -382,18 +384,19 @@ class TestConceptualStep:
 class TestOptimalStepsizes:
     def test_perfectly_aligned_direction(self):
         part = BlockPartition.full(3)
-        x = ParamVector(np.array([2.0, -1.0, 0.5]), part)
-        x_star = ParamVector(np.zeros(3), part)
-        diff = x.values
-        oracle = MomentOracle(diff, np.array([float(diff @ diff)]), part)
-        np.testing.assert_allclose(optimal_stepsizes(oracle, x, x_star), [1.0], rtol=1e-15)
+        x = np.array([2.0, -1.0, 0.5])
+        x_star = np.zeros(3)
+        diff = x
+        second = np.array([float(diff @ diff)])
+        np.testing.assert_allclose(optimal_stepsizes(x, x_star, diff, second, part), [1.0],
+                                   rtol=1e-15)
 
     def test_orthogonal_direction(self):
         part = BlockPartition.full(2)
-        x = ParamVector(np.array([1.0, 0.0]), part)
-        x_star = ParamVector(np.zeros(2), part)
-        oracle = MomentOracle(np.array([0.0, 1.0]), np.array([4.0]), part)
-        np.testing.assert_allclose(optimal_stepsizes(oracle, x, x_star), [0.0])
+        x = np.array([1.0, 0.0])
+        x_star = np.zeros(2)
+        mean, second = np.array([0.0, 1.0]), np.array([4.0])
+        np.testing.assert_allclose(optimal_stepsizes(x, x_star, mean, second, part), [0.0])
 
     def test_grid_search_confirms_minimizer(self):
         """Brute-force scan of the one-step expected squared distance confirms
@@ -405,25 +408,22 @@ class TestOptimalStepsizes:
             x_star = rng.standard_normal(5)
             mean = rng.standard_normal(5)
             var = rng.uniform(0.5, 2.0, size=5)
-            oracle = MomentOracle(mean, part.block_sums(mean**2 + var), part)
-            gamma_hat = optimal_stepsizes(
-                oracle, ParamVector(x, part), ParamVector(x_star, part)
-            )
+            second_d = part.block_sums(mean**2 + var)
+            gamma_hat = optimal_stepsizes(x, x_star, mean, second_d, part)
             grid = np.linspace(-2, 2, 10_001)
             for k, (lo, hi) in enumerate(((0, 2), (2, 5))):
                 dxk = x[lo:hi] - x_star[lo:hi]
                 inner = float(dxk @ mean[lo:hi])
-                second = float(oracle.second_moment_d[k])
+                second = float(second_d[k])
                 objective = -2 * grid * inner + grid**2 * second
                 best = grid[np.argmin(objective)]
                 assert abs(best - gamma_hat[k]) <= (grid[1] - grid[0]) + 1e-12
 
-
-class TestMomentOracle:
     def test_rejects_inconsistent_moments(self):
+        """A second moment below the squared block mean is not a moment pair."""
         part = BlockPartition.singleton(1)
-        with pytest.raises(OptimizerError):
-            MomentOracle(np.array([2.0]), np.array([1.0]), part)
+        with pytest.raises(OptimizerError, match="below squared block mean"):
+            optimal_stepsizes(np.ones(1), np.zeros(1), np.array([2.0]), np.array([1.0]), part)
 
 
 class TestGoldenTrace:
@@ -434,7 +434,8 @@ class TestGoldenTrace:
         grads = np.array([[0.5, -1.0], [1.5, 0.25], [-0.75, 2.0]])
         cfg = OptimizerConfig("bcos_c", beta1=0.9, epsilon=1e-6,
                               weight_decay_lambda=0.1, decoupled=True)
-        rows = trace_rows(cfg, vector([1.0, -2.0]), grads, alphas=[0.1, 0.05, 0.025])
+        rows = trace_rows(cfg, np.array([1.0, -2.0]), grads, [0.1, 0.05, 0.025],
+                          BlockPartition.singleton(2))
         assert rows == [
             "t,x0,x1,m0,m1,v0,v1",
             "1,0.8900001999996,-1.8800000999999,0.5,-1.0,,",
@@ -447,9 +448,9 @@ class TestGoldenTrace:
         grads = rng.standard_normal((25, 3))
         cfg = OptimizerConfig("bcos_m", beta1=0.9, beta2=0.95, epsilon=1e-6,
                               weight_decay_lambda=0.01, decoupled=True)
-        x0 = vector(np.ones(3))
-        rows1 = trace_rows(cfg, x0, grads, alphas=[0.1] * 25)
-        rows2 = trace_rows(cfg, x0, grads, alphas=[0.1] * 25)
+        x0, part = np.ones(3), BlockPartition.singleton(3)
+        rows1 = trace_rows(cfg, x0, grads, [0.1] * 25, part)
+        rows2 = trace_rows(cfg, x0, grads, [0.1] * 25, part)
         assert rows1 == rows2
         assert rows1[0].startswith("t,x0")
         assert len(rows1) == 26
