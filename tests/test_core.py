@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bcoslab.core import BlockPartition, ShapeError, row_sums
-from bcoslab.optim import OptimizerConfig, normalize
+from bcoslab.core import BlockPartition, NonFiniteError, ShapeError, row_sums
+from bcoslab.optim import OptimizerConfig, OptimizerState, normalize, step
 
 
 class TestBlockPartition:
@@ -41,6 +41,22 @@ class TestBlockPartition:
         assert sums.tolist() == [1.0, 2.0, 12.0]
         expanded = p.expand(np.array([10.0, 20.0, 30.0]))
         assert expanded.tolist() == [10, 10, 20, 30, 30, 30]
+
+
+class TestParamVector:
+    """A parameter vector is a plain (n,) float64 array; step checks it
+    against the partition and keeps it finite."""
+
+    def test_rejects_non_finite(self):
+        for x in ([1.0, float("nan")], [np.inf, 0.0]):
+            with pytest.raises(NonFiniteError):
+                step(OptimizerConfig("sgd"), OptimizerState(), np.array(x), np.zeros(2), 0.1,
+                     BlockPartition.singleton(2))
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ShapeError):
+            step(OptimizerConfig("sgd"), OptimizerState(), np.ones(3), np.ones(4), 0.1,
+                 BlockPartition.singleton(4))
 
 
 class TestBlockSqNorms:
