@@ -10,16 +10,23 @@ relative to this directory:
 - ``curve_blocks.csv`` is a library ``mean_trajectory`` curve with a 2+2
   partition, rendered by ``cli.curve_csv``;
 - ``trace/<algorithm>_<partition>.csv`` is the ``trace_rows`` text of each
-  practical algorithm at the singleton and 2+2 partitions.
+  practical algorithm at the singleton and 2+2 partitions;
+- ``counterexamples/`` holds the stdout of ``bcoslab counterexamples`` and
+  the CSV and manifest it writes.
 
-tests/test_golden.py compares them byte for byte. Rewrite the files only
-when an output is meant to change, and say why in CHANGES.md:
+tests/test_golden.py compares them byte for byte. ``VERIFY`` is the stdout
+of ``bcoslab verify``; ``main`` writes it beside the corpus, and
+tests/test_cli.py compares it inside the verify run it already makes, so
+the suite runs the 1 s catalog once. Rewrite the files only when an output
+is meant to change, and say why in CHANGES.md:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import tempfile
 
@@ -33,6 +40,7 @@ from bcoslab.problems import NoisyQuadratic
 from bcoslab.schedules import inverse_time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+VERIFY = "verify.txt"
 PRACTICAL = [name for name in ALGORITHMS if name != "conceptual_bcos"]
 PARTITIONS = {"singleton": BlockPartition.singleton(4), "2+2": BlockPartition.from_sizes([2, 2])}
 
@@ -72,9 +80,27 @@ def _run_configs() -> dict[str, tuple[str, str]]:
     return configs
 
 
+def _stdout(argv: list[str]) -> str:
+    """The stdout of ``bcoslab argv``, which must exit 0."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        if cli.main(argv) != 0:
+            raise RuntimeError(f"bcoslab {argv[0]} failed")
+    return buffer.getvalue()
+
+
+def _read_dir(out: str, prefix: str, files: dict[str, str]) -> None:
+    for file in sorted(os.listdir(out)):
+        with open(os.path.join(out, file), encoding="utf-8", newline="") as fh:
+            files[f"{prefix}/{file}"] = fh.read()
+
+
 def _cli_files() -> dict[str, str]:
     files = {}
     with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "counterexamples")
+        files["counterexamples/stdout.txt"] = _stdout(["counterexamples", "--out", out])
+        _read_dir(out, "counterexamples", files)
         for name, (command, text) in _run_configs().items():
             path = os.path.join(tmp, f"{name}.cfg")
             with open(path, "w", encoding="utf-8") as fh:
@@ -82,9 +108,7 @@ def _cli_files() -> dict[str, str]:
             out = os.path.join(tmp, name)
             if cli.main([command, "--config", path, "--out", out]) != 0:
                 raise RuntimeError(f"bcoslab {command} failed on {name}")
-            for file in sorted(os.listdir(out)):
-                with open(os.path.join(out, file), encoding="utf-8", newline="") as fh:
-                    files[f"{name}/{file}"] = fh.read()
+            _read_dir(out, name, files)
     return files
 
 
@@ -113,7 +137,7 @@ def corpus() -> dict[str, str]:
 
 
 def main() -> None:
-    for name, text in corpus().items():
+    for name, text in {**corpus(), VERIFY: _stdout(["verify"])}.items():
         path = os.path.join(HERE, name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -1,6 +1,7 @@
 """Config parsing, CSV determinism, sweep grids, and verifier wiring."""
 
 import pytest
+from test_golden import assert_golden, regenerate
 
 from bcoslab import cli
 from bcoslab.cli import ConfigError, ExperimentConfig, config_text, parse_config
@@ -396,7 +397,8 @@ class TestCmdVerify:
         """verify takes no config: a header, the five sections in their order
         and exactly 17 check lines, all PASS."""
         rc = cli.main(["verify"])
-        lines = capsys.readouterr().out.splitlines()
+        out = capsys.readouterr().out
+        lines = out.splitlines()
         assert rc == 0
         assert lines[0] == "name,observed,bound,tolerance,status"
         assert [ln for ln in lines if ln.startswith("# ")] == [
@@ -406,6 +408,8 @@ class TestCmdVerify:
         checks = [ln for ln in lines[1:] if not ln.startswith("# ")]
         assert len(checks) == 17
         assert all(ln.endswith(",PASS") for ln in checks)
+        # the same run, byte for byte against the golden corpus
+        assert_golden(regenerate.VERIFY, out)
 
     def test_negative_control_fails(self, monkeypatch, capsys):
         """A wrong closed form for the expected variances must flip the

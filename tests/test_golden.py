@@ -1,8 +1,11 @@
 """The golden corpus under tests/golden/, byte for byte: CLI runs and a
-sweep with their manifests, a block-partition library curve and the
-``trace_rows`` text of every practical algorithm. tests/golden/regenerate.py
-produces the files; a mismatch names the first differing file, line and
-column, and numpy's version, since the streams come from numpy's generators."""
+sweep with their manifests, ``counterexamples`` output, a block-partition
+library curve and the ``trace_rows`` text of every practical algorithm.
+tests/golden/regenerate.py produces the files. The corpus pins this
+toolchain: a mismatch names the first differing file, line and column,
+numpy's version and the CPU model, since the streams come from numpy's
+generators and the last bits of BLAS dots and exp/log can depend on the
+SIMD path."""
 
 import importlib.util
 import os
@@ -36,15 +39,34 @@ def first_difference(expected: str, actual: str) -> tuple[int, int]:
     return line, pos - (expected.rfind("\n", 0, pos) + 1) + 1
 
 
+def cpu_model() -> str:
+    """The first ``model name`` of /proc/cpuinfo, or "unknown"."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return "unknown"
+
+
+def assert_golden(name: str, produced: str) -> None:
+    """Fail at the first character where ``produced`` differs from the
+    committed corpus file ``name``."""
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        expected = fh.read().decode("utf-8")
+    if produced != expected:
+        line, column = first_difference(expected, produced)
+        pytest.fail(f"{name} differs first at line {line}, column {column} "
+                    f"(numpy {np.__version__}, CPU {cpu_model()})")
+
+
 def test_corpus_is_byte_identical():
     produced = regenerate.corpus()
-    assert sorted(produced) == committed_files()
+    # verify.txt is compared inside tests/test_cli.py's verify run
+    assert sorted([*produced, regenerate.VERIFY]) == committed_files()
     # the manifests last: a data file's own first difference says more than
     # the hash line that records it
     for name in sorted(produced, key=lambda name: (name.endswith("manifest.txt"), name)):
-        with open(os.path.join(GOLDEN, name), "rb") as fh:
-            expected = fh.read().decode("utf-8")
-        if produced[name] != expected:
-            line, column = first_difference(expected, produced[name])
-            pytest.fail(f"{name} differs first at line {line}, column {column} "
-                        f"(numpy {np.__version__})")
+        assert_golden(name, produced[name])
