@@ -839,6 +839,36 @@ class RatioExpansionReport:
         return all(c.passed for c in self.checks)
 
 
+def _ratio_row(dist: RatioDistribution, s: float, W: np.ndarray, V: np.ndarray,
+               Z: np.ndarray) -> RatioExpansionRow:
+    """One scale of the expansion check, with Z as the scale's work buffer.
+    Z's mean and variance come before Y exists, so numpy's temporary inside
+    ``var`` never stacks on Y; Y and the one work array die on return."""
+    np.multiply(W, s, out=Z)
+    np.subtract(Z, 0.5 * s * s, out=Z)
+    np.exp(Z, out=Z)
+    np.multiply(Z, dist.z_mean, out=Z)
+    # a NaN minimum passes here and shows as a NaN residual, which fails its check
+    if Z.min() <= 0:
+        raise AnalysisError("Z must stay strictly positive")
+    mz = float(Z.mean())
+    vz = float(Z.var(ddof=1))
+    Y = np.subtract(Z, dist.z_mean)
+    np.multiply(Y, dist.coupling, out=Y)
+    np.add(Y, dist.y_mean, out=Y)
+    work = np.multiply(V, dist.y_noise * s)
+    np.add(Y, work, out=Y)
+    np.sqrt(Z, out=work)
+    np.divide(Y, work, out=work)
+    mc = float(work.mean())
+    my = float(Y.mean())
+    Y -= my
+    Z -= mz
+    cov = float(np.dot(Y, Z) / (len(Z) - 1))
+    expansion = my / math.sqrt(mz) * (1.0 - cov / (2 * my * mz) + 3.0 * vz / (8 * mz * mz))
+    return RatioExpansionRow(s, mc, expansion, abs(mc - expansion))
+
+
 def verify_ratio_expansion(
     dist: RatioDistribution = RatioDistribution(),
     n_mc: int = 10**6,
@@ -849,33 +879,30 @@ def verify_ratio_expansion(
     E[Y]/sqrt(E[Z]) * (1 - Cov(Y,Z)/(2 E[Y] E[Z]) + 3 Var(Z)/(8 E[Z]^2)).
 
     The residual must shrink at least quadratically as the noise scale drops
-    (consecutive-scale ratio at least (s_i/s_{i+1})^2 up to a factor of 2).
-    The same underlying normal draws serve every scale, which makes the
-    ratios stable.
+    (consecutive-scale ratio at least (s_i/s_{i+1})^2 up to a factor of 2);
+    a non-finite residual fails its check. The same underlying normal draws
+    serve every scale, which makes the ratios stable. The footprint is the
+    draws W and V plus three arrays of n_mc floats: every mean is numpy's
+    pairwise sum and the covariance one BLAS dot, so chunking them would
+    change the bytes.
     """
     scales = [float(s) for s in noise_scales]
     if any(b >= a for a, b in zip(scales, scales[1:])):
         raise AnalysisError("noise_scales must be strictly decreasing")
+    if n_mc < 2:
+        raise AnalysisError(f"n_mc must be >= 2 for a sample variance, got {n_mc}")
     rng = make_rng(seed, MC_STREAM)
     W = rng.standard_normal(n_mc)
     V = rng.standard_normal(n_mc)
-    rows = []
-    for s in scales:
-        Z = dist.z_mean * np.exp(s * W - 0.5 * s * s)
-        if np.any(Z <= 0):
-            raise AnalysisError("Z must stay strictly positive")
-        Y = dist.y_mean + dist.coupling * (Z - dist.z_mean) + dist.y_noise * s * V
-        mc = float(np.mean(Y / np.sqrt(Z)))
-        my = float(Y.mean())
-        mz = float(Z.mean())
-        vz = float(Z.var(ddof=1))
-        cov = float(np.dot(Y - my, Z - mz) / (n_mc - 1))
-        expansion = my / math.sqrt(mz) * (1.0 - cov / (2 * my * mz) + 3.0 * vz / (8 * mz * mz))
-        rows.append(RatioExpansionRow(s, mc, expansion, abs(mc - expansion)))
+    Z = np.empty(n_mc)
+    rows = [_ratio_row(dist, s, W, V, Z) for s in scales]
     checks = []
     for a, b in zip(rows, rows[1:]):
         expected = (a.scale / b.scale) ** 2
-        observed = a.residual / b.residual if b.residual > 0 else math.inf
+        if not (math.isfinite(a.residual) and math.isfinite(b.residual)):
+            observed = math.nan  # fails the comparison below
+        else:
+            observed = a.residual / b.residual if b.residual > 0 else math.inf
         checks.append(
             CheckResult(
                 name=f"residual_ratio_{a.scale:g}_to_{b.scale:g}",
@@ -898,18 +925,26 @@ def _scan_decay(coeff, drive, t0: int, T: int, x0: float,
     the same recursion with no drive, via a chunked closed form (log-cumsum)
     so 1e7+ horizons stay fast and exact to float64 even though the
     recursion is sequential. Without a drive each chunk only multiplies by
-    its total decay, so one scan gives both. coeff must return a fresh
-    array: it becomes the chunk's work buffer."""
+    its total decay, so one scan gives both.
+
+    ``coeff(t, out)`` and ``drive(t, out)`` write into ``out`` and return
+    it; drive is handed t itself as out. The scan allocates three arrays of
+    at most ``chunk`` floats once: the offsets, t and the coefficients.
+    Each chunk's t is lo + offsets, equal to np.arange(lo, hi) bit for bit
+    since whole numbers are exact in float64."""
     x = undriven = float(x0)
+    offsets = np.arange(max(0, min(chunk, T - t0)), dtype=np.float64)
+    t_buf = np.empty_like(offsets)
+    c_buf = np.empty_like(offsets)
     lo = t0
     while lo < T:
-        hi = min(lo + chunk, T)
-        t = np.arange(lo, hi, dtype=np.float64)
-        c = coeff(t)
+        n = min(chunk, T - lo)
+        t = np.add(offsets[:n], lo, out=t_buf[:n])
+        c = coeff(t, c_buf[:n])
         # min and max propagate NaN, which fails both comparisons
         if not (c.min() > 0 and c.max() < 1):
             raise AnalysisError("recursion coefficients must lie in (0, 1); raise t0")
-        d = drive(t)
+        d = drive(t, t)
         S = np.log(c, out=c)
         np.cumsum(S, out=S)
         last = S[-1]
@@ -920,7 +955,7 @@ def _scan_decay(coeff, drive, t0: int, T: int, x0: float,
         S *= d
         x = float(decay * x + np.sum(S))
         undriven = float(decay * undriven)
-        lo = hi
+        lo += n
     return x, undriven
 
 
@@ -963,24 +998,35 @@ def verify_chung_recursions(T: int = 10**7) -> ChungReport:
         return CheckResult(name, scaled, bound, f"|observed-bound| <= {rel_tol:g}*bound",
                            abs(scaled - bound) <= rel_tol * bound)
 
-    def harmonic_form(a, p, b, x0=1.0):
-        """The scaled iterate with the drive b and with none."""
-        t0 = int(math.floor(a)) + 1
-        x, undriven = _scan_decay(lambda t: 1.0 - a / t,
-                                  lambda t: b / t ** (p + 1.0), t0, T, x0)
-        return T**p * x, T**p * undriven
+    def harmonic(a, p, b):
+        """Form 1 as (name, start, coeff, drive, scaling exponent, limit)."""
+        return (f"harmonic_decay_a{a:g}_p{p:g}_b{b:g}", int(math.floor(a)) + 1,
+                lambda t, out: np.subtract(1.0, np.divide(a, t, out=out), out=out),
+                lambda t, out: np.divide(b, np.power(t, p + 1.0, out=out), out=out),
+                p, b / (a - p))
 
-    def power_form(a, p, q, b, x0=1.0):
-        t0 = int(math.ceil(a ** (1.0 / p))) + 1
-        x = _scan_decay(lambda t: 1.0 - a / t**p, lambda t: b / t**q, t0, T, x0)[0]
-        return T ** (q - p) * x
+    def power(a, p, q, b):
+        """Form 2 as (name, start, coeff, drive, scaling exponent, limit)."""
+        return (f"power_decay_a{a:g}_p{p:g}_q{q:g}_b{b:g}", int(math.ceil(a ** (1.0 / p))) + 1,
+                lambda t, out: np.subtract(1.0, np.divide(a, np.power(t, p, out=out), out=out),
+                                           out=out),
+                lambda t, out: np.divide(b, np.power(t, q, out=out), out=out),
+                q - p, b / a)
 
-    # with no drive the scaled iterate decays like 1/t
-    harmonic, zero_drive = harmonic_form(2.0, 1.0, 1.0)
+    forms = (harmonic(2.0, 1.0, 1.0), power(1.0, 0.6, 1.35, 1.0), power(2.0, 0.75, 1.5, 1.0))
+    latest = max(form[1] for form in forms)
+    if T <= latest:
+        raise AnalysisError(f"T must exceed every recursion's start, the latest being "
+                            f"{latest}; got T = {T}")
+    scans = []
+    for name, t0, coeff, drive, exponent, limit in forms:
+        x, undriven = _scan_decay(coeff, drive, t0, T, 1.0)
+        scans.append((name, T**exponent * x, T**exponent * undriven, limit))
+    (name, scaled, zero_drive, limit), *powers = scans
     return ChungReport((
-        near("harmonic_decay_a2_p1_b1", harmonic, 1.0 / (2.0 - 1.0)),
+        near(name, scaled, limit),
+        # with no drive the scaled harmonic iterate decays like 1/t
         CheckResult("harmonic_decay_zero_drive", zero_drive, 10.0 / T,
                     "observed <= 10/T", zero_drive <= 10.0 / T),
-        near("power_decay_a1_p0.6_q1.35_b1", power_form(1.0, 0.6, 1.35, 1.0), 1.0),
-        near("power_decay_a2_p0.75_q1.5_b1", power_form(2.0, 0.75, 1.5, 1.0), 0.5),
+        *(near(name, scaled, limit) for name, scaled, _, limit in powers),
     ))

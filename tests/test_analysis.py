@@ -942,6 +942,32 @@ class TestRatioExpansion:
         with pytest.raises(AnalysisError):
             verify_ratio_expansion(n_mc=10**4, noise_scales=(0.1, 0.2))
 
+    def test_nan_residual_fails(self):
+        report = verify_ratio_expansion(RatioDistribution(y_mean=np.nan), n_mc=10**4)
+        assert not report.passed
+        assert all(math.isnan(check.observed) and not check.passed for check in report.checks)
+
+    @pytest.mark.parametrize("n_mc", [0, 1])
+    def test_fewer_than_two_draws_rejected(self, n_mc):
+        with pytest.raises(AnalysisError, match="n_mc must be >= 2"):
+            verify_ratio_expansion(n_mc=n_mc)
+
+    @pytest.mark.parametrize("residuals, observed, passed", [
+        ((1e-3, 0.0), math.inf, True),
+        ((1e-3, 1e-4), 10.0, True),
+        ((math.inf, 1e-4), math.nan, False),
+        ((1e-3, math.nan), math.nan, False),
+    ])
+    def test_ratio_check_rule(self, monkeypatch, residuals, observed, passed):
+        """An exactly zero residual at the finer scale reads as an infinite
+        ratio and passes; a non-finite residual fails."""
+        by_scale = dict(zip((0.5, 0.25), residuals))
+        monkeypatch.setattr(analysis, "_ratio_row", lambda dist, s, W, V, Z:
+                            analysis.RatioExpansionRow(s, 0.0, 0.0, by_scale[s]))
+        check, = verify_ratio_expansion(n_mc=2, noise_scales=(0.5, 0.25)).checks
+        assert check.observed == pytest.approx(observed, nan_ok=True)
+        assert check.passed is passed
+
 
 class TestRecursionScan:
     def test_scan_matches_naive_loop(self):
@@ -951,7 +977,9 @@ class TestRecursionScan:
         for t in range(t0, T):
             x = (1 - a / t) * x + b / t ** (p + 1)
         scanned = analysis._scan_decay(
-            lambda t: 1 - a / t, lambda t: b / t ** (p + 1), t0, T, 1.0, chunk=700
+            lambda t, out: np.subtract(1, np.divide(a, t, out=out), out=out),
+            lambda t, out: np.divide(b, np.power(t, p + 1, out=out), out=out),
+            t0, T, 1.0, chunk=700,
         )[0]
         assert scanned == pytest.approx(x, rel=1e-12)
 
@@ -960,6 +988,13 @@ class TestRecursionScan:
         by_name = {c.name: c for c in report.checks}
         assert by_name["harmonic_decay_a2_p1_b1"].passed
         assert by_name["harmonic_decay_zero_drive"].passed
+
+    @pytest.mark.parametrize("T", [0, 2, 4])
+    def test_horizon_must_pass_every_start(self, T):
+        """The latest recursion starts at t = 4; a horizon at or before it
+        would scan nothing and still report PASS."""
+        with pytest.raises(AnalysisError, match=f"latest being 4; got T = {T}"):
+            analysis.verify_chung_recursions(T=T)
 
     def test_k_p_tail_closed_form(self):
         # sum over t>=1 of (t+1)^-2 = pi^2/6 - 1
@@ -970,18 +1005,87 @@ class TestDecayScan:
     def test_undriven_value_is_the_zero_drive_scan(self):
         """The second value of one scan equals a separate scan with a zero
         drive, bit for bit, across several chunks."""
-        coeff = lambda t: 1.0 - 2.0 / t  # noqa: E731
-        _, undriven = analysis._scan_decay(coeff, lambda t: 1.0 / t**2, 3, 5000, 1.0,
+        coeff = lambda t, out: np.subtract(1.0, np.divide(2.0, t, out=out), out=out)  # noqa: E731
+        drive = lambda t, out: np.divide(1.0, np.power(t, 2, out=out), out=out)  # noqa: E731
+        zero = lambda t, out: np.divide(0.0, t, out=out)  # noqa: E731
+        _, undriven = analysis._scan_decay(coeff, drive, 3, 5000, 1.0,
                                            chunk=700)
-        assert undriven == analysis._scan_decay(coeff, lambda t: 0.0 / t, 3, 5000, 1.0,
+        assert undriven == analysis._scan_decay(coeff, zero, 3, 5000, 1.0,
                                                 chunk=700)[0]
 
     @pytest.mark.parametrize("bad", [np.nan, 0.0, 1.0, -0.5])
     def test_coefficients_outside_the_open_unit_interval_rejected(self, bad):
-        def coeff(t):
-            c = np.full_like(t, 0.5)
-            c[len(c) // 2] = bad
-            return c
+        def coeff(t, out):
+            out.fill(0.5)
+            out[len(out) // 2] = bad
+            return out
 
         with pytest.raises(AnalysisError, match="must lie in"):
-            analysis._scan_decay(coeff, lambda t: 0.0 * t, 3, 100, 1.0)
+            analysis._scan_decay(coeff, lambda t, out: np.multiply(0.0, t, out=out), 3, 100, 1.0)
+
+
+def reference_scan(coeff, drive, t0, T, x0, chunk):
+    """_scan_decay written with fresh arrays for every chunk and callables
+    that return new arrays: the reference for the in-place scan."""
+    x = undriven = float(x0)
+    lo = t0
+    while lo < T:
+        hi = min(lo + chunk, T)
+        t = np.arange(lo, hi, dtype=np.float64)
+        S = np.cumsum(np.log(coeff(t)))
+        decay = np.exp(S[-1])
+        x = float(decay * x + np.sum(np.exp(S[-1] - S) * drive(t)))
+        undriven = float(decay * undriven)
+        lo = hi
+    return x, undriven
+
+
+class TestInPlaceScan:
+    @settings(max_examples=60, deadline=None)
+    @given(harmonic=st.booleans(), a=st.floats(0.1, 3.0), p=st.floats(0.3, 1.5),
+           q=st.floats(0.5, 3.0), b=st.floats(-2.0, 2.0), shift=st.integers(0, 20),
+           chunk=st.integers(2, 300), full=st.integers(0, 6), part=st.integers(1, 299))
+    def test_matches_fresh_array_reference_bitwise(self, harmonic, a, p, q, b, shift, chunk,
+                                                   full, part):
+        """Both recursion forms over several chunks and a partial last one."""
+        if harmonic:
+            t0 = int(math.floor(a)) + 1 + shift
+            coeff = lambda t: 1.0 - a / t  # noqa: E731
+            drive = lambda t: b / t ** (p + 1.0)  # noqa: E731
+            coeff_into = lambda t, out: np.subtract(1.0, np.divide(a, t, out=out), out=out)  # noqa: E731
+            drive_into = lambda t, out: np.divide(  # noqa: E731
+                b, np.power(t, p + 1.0, out=out), out=out)
+        else:
+            t0 = int(math.ceil(a ** (1.0 / p))) + 1 + shift
+            coeff = lambda t: 1.0 - a / t**p  # noqa: E731
+            drive = lambda t: b / t**q  # noqa: E731
+            coeff_into = lambda t, out: np.subtract(  # noqa: E731
+                1.0, np.divide(a, np.power(t, p, out=out), out=out), out=out)
+            drive_into = lambda t, out: np.divide(b, np.power(t, q, out=out), out=out)  # noqa: E731
+        # `full` whole chunks, then a last one holding 1..chunk-1 steps
+        T = t0 + full * chunk + 1 + part % (chunk - 1)
+        expected = reference_scan(coeff, drive, t0, T, 1.0, chunk)
+        assert analysis._scan_decay(coeff_into, drive_into, t0, T, 1.0, chunk) == expected
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestVerifyFootprint:
+    """verify's two large sections work in buffers they allocate once."""
+
+    def test_decay_scans_hold_three_chunk_arrays(self):
+        peak = traced_peak(lambda: analysis.verify_chung_recursions(T=2_500_000))
+        assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_ratio_expansion_holds_the_draws_and_three_arrays(self):
+        n_mc = 2 * 10**5
+        verify_ratio_expansion(n_mc=2)  # the first draw imports numpy.random
+        peak = traced_peak(lambda: verify_ratio_expansion(n_mc=n_mc))
+        assert peak <= 5.25 * n_mc * 8, f"peak {peak / (n_mc * 8):.2f} x n_mc floats"
