@@ -3,9 +3,14 @@
 ``corpus()`` produces every file of the corpus as text, keyed by its path
 relative to this directory:
 
-- ``run_<algorithm>/`` holds the trajectory.csv and manifest.txt of
-  ``bcoslab run`` for each practical algorithm (4 seeds x 40 steps,
-  sigma_every = 10) and for one conceptual config;
+- ``run_<name>/`` holds the trajectory.csv and manifest.txt of
+  ``bcoslab run`` (4 seeds x 40 steps, sigma_every = 10) for each practical
+  algorithm, for three conceptual configs (decoupled and coupled decay with
+  Gaussian noise, decoupled decay with Student-t noise) and for a logistic
+  problem;
+- ``logistic_loss.csv`` is the mean loss curve of the logistic run, which
+  its trajectory.csv does not hold (the problem has no target, so every
+  distance column there reads nan);
 - ``sweep/`` holds those of a 2 x 2 ``bcoslab sweep``;
 - ``curve_blocks.csv`` is a library ``mean_trajectory`` curve with a 2+2
   partition, rendered by ``cli.curve_csv``;
@@ -73,6 +78,17 @@ def _run_configs() -> dict[str, tuple[str, str]]:
         "optimizer.algorithm = conceptual_bcos\n"
         "optimizer.weight_decay_lambda = 1.5\noptimizer.decoupled = true\n"
         "schedule.kind = inverse_time\nschedule.alpha = 0.5\n"))
+    configs["run_conceptual_coupled"] = ("run", BASE + (
+        "optimizer.algorithm = conceptual_bcos\n"
+        "optimizer.weight_decay_lambda = 0.5\noptimizer.decoupled = false\n"
+        "schedule.kind = inverse_time\nschedule.alpha = 0.5\n"))
+    configs["run_conceptual_student_t"] = ("run", BASE + (
+        "problem.noise = student_t\noptimizer.algorithm = conceptual_bcos\n"
+        "optimizer.weight_decay_lambda = 1.5\noptimizer.decoupled = true\n"
+        "schedule.kind = inverse_time\nschedule.alpha = 0.5\n"))
+    configs["run_logistic"] = ("run", BASE + (
+        "problem.kind = logistic\nproblem.n_samples = 200\nproblem.batch = 16\n"
+        "optimizer.algorithm = bcos_c\nschedule.alpha = 0.05\n"))
     configs["sweep"] = ("sweep", BASE + (
         "optimizer.algorithm = bcos_c\n"
         "sweep.param = schedule.alpha\nsweep.values = 0.02,0.1\n"
@@ -118,6 +134,12 @@ def _library_files() -> dict[str, str]:
                             base_seed=5, x0=np.full(4, 2.0),
                             partition=PARTITIONS["2+2"])
     files = {"curve_blocks.csv": cli.curve_csv(curve)}
+    logistic = cli.parse_config(_run_configs()["run_logistic"][1])
+    problem, opt, schedule, x0 = cli._build(logistic)
+    curve = mean_trajectory(problem, opt, schedule, logistic.steps, logistic.n_seeds,
+                            logistic.base_seed, x0=x0)
+    files["logistic_loss.csv"] = "t,mean_loss\n" + "".join(
+        f"{t},{loss!r}\n" for t, loss in zip(curve.t.tolist(), curve.mean_loss.tolist()))
     gradients = np.random.default_rng(7).standard_normal((12, 4))
     alphas = [0.1 / np.sqrt(1.0 + t) for t in range(12)]
     x0 = np.array([1.0, -2.0, 0.5, 3.0])

@@ -1,11 +1,11 @@
 """The golden corpus under tests/golden/, byte for byte: CLI runs and a
 sweep with their manifests, ``counterexamples`` output, a block-partition
-library curve and the ``trace_rows`` text of every practical algorithm.
-tests/golden/regenerate.py produces the files. The corpus pins this
-toolchain: a mismatch names the first differing file, line and column,
-numpy's version and the CPU model, since the streams come from numpy's
-generators and the last bits of BLAS dots and exp/log can depend on the
-SIMD path."""
+library curve, the loss curve of a logistic run and the ``trace_rows`` text
+of every practical algorithm. tests/golden/regenerate.py produces the
+files. The corpus pins this toolchain: a mismatch names the first
+differing file, line and column, numpy's version and the CPU model, since
+the streams come from numpy's generators and the last bits of BLAS dots
+and exp/log can depend on the SIMD path."""
 
 import importlib.util
 import os
