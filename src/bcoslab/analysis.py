@@ -168,11 +168,15 @@ def _estimator_diag(problem, config, state, x, t, sigma_every, base_seed, partit
         return None
 
 
-def _start(problem: StochasticProblem, x0: np.ndarray | None,
-           partition: BlockPartition) -> np.ndarray:
-    """The (n,) float64 start of a run, x0 or else the problem's default,
-    checked against the problem's and the partition's dimension and checked
-    finite; both engines take it before anything reads the start."""
+def _start(problem: StochasticProblem, config: OptimizerConfig, T: int,
+           x0: np.ndarray | None, partition: BlockPartition | None) -> tuple:
+    """(partition, start, oracle) of a run: the partition, singleton by
+    default, the checked (n,) float64 start, x0 or else the problem's default,
+    and whether the problem has exact moments. Both engines take it first."""
+    if T < 0:
+        raise AnalysisError("T must be >= 0")
+    if partition is None:
+        partition = BlockPartition.singleton(problem.dim)
     start = problem.default_start() if x0 is None else np.array(x0, dtype=np.float64)
     if partition.total_dim != problem.dim:
         raise ShapeError(f"partition dim {partition.total_dim} != problem dim {problem.dim}")
@@ -180,7 +184,10 @@ def _start(problem: StochasticProblem, x0: np.ndarray | None,
         raise ShapeError(f"start shape {start.shape} != ({problem.dim},) of the problem")
     if not np.isfinite(start).all():
         raise NonFiniteError("start contains NaN/Inf entries")
-    return start
+    oracle = problem.moments(start) is not None
+    if config.algorithm == "conceptual_bcos" and not oracle:
+        raise AnalysisError("conceptual runs need a problem with exact moments")
+    return partition, start, oracle
 
 
 def _nonfinite(config: OptimizerConfig, seed: int, t: int) -> NonFiniteError:
@@ -215,16 +222,10 @@ def run_trajectory(
     iterate non-finite, raises NonFiniteError naming the seed and the step,
     as mean_trajectory does.
     """
-    if T < 0:
-        raise AnalysisError("T must be >= 0")
-    if partition is None:
-        partition = BlockPartition.singleton(problem.dim)
-    x = _start(problem, x0, partition)
+    partition, x, _ = _start(problem, config, T, x0, partition)
     rng = make_rng(base_seed, TRAJECTORY_STREAM, seed_index)
     state = OptimizerState()
     conceptual = config.algorithm == "conceptual_bcos"
-    if conceptual and problem.moments(x) is None:
-        raise AnalysisError("conceptual runs need a problem with exact moments")
     lam = config.decay_lambda
     records: list[TrajectoryRecord] = []
     for t in range(T + 1):
@@ -301,15 +302,8 @@ def mean_trajectory(
     """
     if n_seeds < 2:
         raise AnalysisError("n_seeds must be >= 2")
-    if T < 0:
-        raise AnalysisError("T must be >= 0")
-    if partition is None:
-        partition = BlockPartition.singleton(problem.dim)
-    start = _start(problem, x0, partition)
+    partition, start, oracle = _start(problem, config, T, x0, partition)
     conceptual = config.algorithm == "conceptual_bcos"
-    oracle = problem.moments(start) is not None
-    if conceptual and not oracle:
-        raise AnalysisError("conceptual runs need a problem with exact moments")
     momentum = ALGORITHMS[config.algorithm].direction == "momentum"
     rngs = [make_rng(base_seed, TRAJECTORY_STREAM, i) for i in range(n_seeds)]
     alphas = np.array([value_at(schedule, t) for t in range(T + 1)])
@@ -478,9 +472,10 @@ def _record_block(problem, config, schedule, partition, X, mean, second, t0, cur
     two shaped like X, one like second and three (W, S) ones.
 
     Each row is reduced in the same order as a single (S, n) step would be:
-    einsum for the distances, sums along the contiguous last axis, and one
-    BLAS dot per row for the SE's sum of squares, so the curves do not depend
-    on how the steps are split into blocks."""
+    einsum for the distances, sums along the contiguous last axis, and the
+    BLAS dot of each row with itself for the SE's sum of squares (which a
+    stacked matmul of vectors calls), so the curves do not depend on how the
+    steps are split into blocks."""
     W, S, _ = X.shape
     diffs, products, roots, dist, values, work = (a[:W] for a in scratch)
     x_star = problem.x_star
@@ -500,7 +495,7 @@ def _record_block(problem, config, schedule, partition, X, mean, second, t0, cur
         d0 = dist[:, 0]
         delta = np.subtract(dist, d0[:, None], out=values)
         s1 = delta.sum(axis=1)
-        sq = np.array([np.dot(row, row) for row in delta])
+        sq = np.matmul(delta[:, None, :], delta[:, :, None])[:, 0, 0]
         mean_curve[:] = d0 + s1 / S
         v = (sq - s1 * s1 / S) / (S - 1)
         se_curve[:] = np.sqrt(np.maximum(v, 0.0) / S)
@@ -667,7 +662,10 @@ def mc_variance_se(samples: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EstimatorStats:
-    """Per-coordinate Monte Carlo diagnostics of a second-moment estimator."""
+    """Per-coordinate Monte Carlo diagnostics of a second-moment estimator.
+    ``v_draws`` holds the (n_mc, n) sampled estimates that mean_v, variance
+    and bias reduce, so a record that carries it holds n_mc x n floats
+    (320 KB for SIGMA_N_MC draws at n = 4)."""
 
     mean_d: np.ndarray
     snr_d: np.ndarray
@@ -681,6 +679,7 @@ class EstimatorStats:
     sigma_t: float = float("nan")
     epsilon: float = 0.0
     n_mc: int = 0
+    v_draws: np.ndarray | None = None
 
 
 def estimator_stats(
@@ -696,8 +695,9 @@ def estimator_stats(
     make_rng(seed, MC_STREAM, *key), and measure the bias, variance, SNRs and
     direction correlation of the estimate the next step would divide by, per
     coordinate. Directions and estimates come from ``optim.propose``, which
-    ``step`` runs, with the draws as a batch axis. The bias reference E[d^2]
-    is exact, from the oracle of the direction the step uses."""
+    ``step`` runs, with the draws as a batch axis; ``v_draws`` holds the
+    estimates, one row per draw. The bias reference E[d^2] is exact, from the
+    oracle of the direction the step uses."""
     if n_mc < 10**4:
         raise AnalysisError(f"n_mc must be >= 1e4 for stable estimates, got {n_mc}")
     for name, arr in (("m", state.m), ("v", state.v)):
@@ -755,6 +755,7 @@ def estimator_stats(
         tau_hat=tau_hat,
         epsilon=eps,
         n_mc=n_mc,
+        v_draws=v,
     )
     # the leading-order gap bound only makes sense for tau < 1
     sigma = step_gap_bound(stats, tau_hat).value if tau_hat < 1.0 else math.inf

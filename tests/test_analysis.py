@@ -910,6 +910,44 @@ class TestEstimatorSeeds:
         assert all(r.estimator_diag is None for r in records)
 
 
+class TestEstimatorDraws:
+    """``v_draws`` holds the sampled estimates that the statistics reduce,
+    and the verify catalog takes its standard errors from it. The references
+    are the estimators written out by hand, at the catalog's state and
+    seeds, on the draws of make_rng(seed, MC_STREAM)."""
+
+    @pytest.mark.parametrize("alg, seed", [
+        ("bcos_m", 101), ("adam", 102), ("bcos_c", 103), ("sign_sgd", 104)])
+    def test_draws_are_the_hand_written_estimates(self, alg, seed):
+        beta1, beta2 = 0.9, 0.95
+        prob = NoisyQuadratic(h=[1.0, 2.0, 0.5], sigma=[0.5, 1.0, 1.5], x_star=np.zeros(3))
+        x = np.array([1.2, -0.7, 2.0])
+        m_prev = np.array([0.5, -1.0, 0.25])
+        v_prev = np.array([1.0, 1.5, 2.0])
+        n_mc = 10**5
+        G = prob.sample_gradients(x, make_rng(seed, MC_STREAM), n_mc)
+        m_draws = beta1 * m_prev + (1 - beta1) * G
+        state_mv = OptimizerState(t=1, m=m_prev, v=v_prev)
+        cases = {
+            "bcos_m": (OptimizerConfig("bcos_m", beta1=beta1, beta2=beta2, epsilon=1e-6),
+                       state_mv, beta2 * v_prev + (1 - beta2) * m_draws**2),
+            "adam": (OptimizerConfig("adam", beta1=beta1, beta2=beta2, epsilon=1e-6),
+                     state_mv, beta2 * v_prev + (1 - beta2) * G**2),
+            "bcos_c": (OptimizerConfig("bcos_c", beta1=beta1, epsilon=1e-6),
+                       OptimizerState(t=1, m=m_prev),
+                       (1 - (1 - beta1) ** 2) * m_prev**2 + (1 - beta1) ** 2 * G**2),
+            "sign_sgd": (OptimizerConfig("sign_sgd", beta1=0.0, epsilon=0.0),
+                         OptimizerState(), G**2),
+        }
+        cfg, state, expected = cases[alg]
+        stats = estimator_stats(prob, x, state, cfg, n_mc, seed=seed)
+        assert stats.v_draws.shape == (n_mc, 3)
+        assert stats.v_draws.tobytes() == expected.tobytes()
+        # the statistics are reductions of these very draws
+        assert stats.mean_v.tobytes() == stats.v_draws.mean(axis=0).tobytes()
+        assert stats.variance.tobytes() == stats.v_draws.var(axis=0, ddof=1).tobytes()
+
+
 class TestMcHelpers:
     def test_variance_se_calibrated(self):
         rng = make_rng(16, MC_STREAM)
