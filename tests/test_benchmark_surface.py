@@ -91,8 +91,12 @@ def test_ensemble_step_calls(monkeypatch, algorithm, steps_per_seed_step):
 
 def test_default_verify_calls(monkeypatch, capsys):
     """The traced hook of bench/run.py on verify_default: five estimator
-    checks and no optimizer step."""
+    checks and no optimizer step. Each check draws its gradients once and
+    takes its standard error from the estimates it drew, so verify makes
+    five gradient draws."""
     steps = count_calls(monkeypatch, analysis, "step")
     stats = count_calls(monkeypatch, analysis, "estimator_stats")
+    draws = count_calls(monkeypatch, NoisyQuadratic, "sample_gradients")
     assert cli.cmd_verify(cli.ExperimentConfig()) == 0
     assert (len(stats), len(steps)) == (5, 0)
+    assert len(draws) == 5

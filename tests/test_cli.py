@@ -3,7 +3,7 @@
 import pytest
 from test_golden import assert_golden, regenerate
 
-from bcoslab import cli, problems
+from bcoslab import cli
 from bcoslab.cli import ConfigError, ExperimentConfig, config_text, parse_config
 
 
@@ -410,21 +410,6 @@ class TestCmdVerify:
         assert all(ln.endswith(",PASS") for ln in checks)
         # the same run, byte for byte against the golden corpus
         assert_golden(regenerate.VERIFY, out)
-
-    def test_draws_each_monte_carlo_batch_once(self, monkeypatch, capsys):
-        """The catalog takes its standard errors from the estimates its
-        statistics drew: one gradient draw per estimator_stats call."""
-        draw = problems.NoisyQuadratic.sample_gradients
-        calls = []
-
-        def counted(self, *args, **kwargs):
-            calls.append(args)
-            return draw(self, *args, **kwargs)
-
-        monkeypatch.setattr(problems.NoisyQuadratic, "sample_gradients", counted)
-        assert cli.main(["verify"]) == 0
-        capsys.readouterr()
-        assert len(calls) == 5
 
     def test_negative_control_fails(self, monkeypatch, capsys):
         """A wrong closed form for the expected variances must flip the
