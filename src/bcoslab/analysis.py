@@ -45,9 +45,9 @@ class AnalysisError(ValueError):
 
 class DivergenceError(RuntimeError):
     """A trajectory blew past the divergence threshold. The message names the
-    seed index, the step and the squared distance; ``records`` ends with the
-    diverged seed's record at that step (run_trajectory also keeps the
-    records before it)."""
+    seed index, the step k and the squared distance. From run_trajectory,
+    ``records`` holds that seed's records of steps 0 .. k; from
+    mean_trajectory, only the diverged seed's record of step k."""
 
     def __init__(self, message: str, records):
         super().__init__(message)
@@ -135,21 +135,17 @@ def _direction_moments(problem, config, x, m, partition, out=(None, None)):
 
 def _seed_record(problem, config, schedule, partition, t, x, moments,
                  diag=None) -> TrajectoryRecord:
-    """The record of one seed at step t, from its iterate x and the
-    _direction_moments of the direction it is about to take. The aiming value
-    is None without moments (or with NaN ones) and where a second moment is
-    zero: the direction is degenerate there (a converged noiseless state)."""
-    aiming = None
+    """The record of one seed at step t, from its iterate x and the moments
+    of the direction it is about to take, NaN when there are none. The
+    aiming value is None without moments and where a second moment is zero:
+    the direction is degenerate there (a converged noiseless state)."""
+    dist_sq, aiming = float("nan"), None
     if problem.x_star is not None:
         diff = x - problem.x_star
         # einsum matches the batched ensemble recorder bit for bit
         dist_sq = float(np.einsum("i,i->", diff, diff))
-        if moments is not None:
-            value = float(aiming_values(x, diff, dist_sq, config.decay_lambda, *moments,
-                                        partition))
-            aiming = None if math.isnan(value) else value
-    else:
-        dist_sq = float("nan")
+        value = float(aiming_values(x, diff, dist_sq, config.decay_lambda, *moments, partition))
+        aiming = None if math.isnan(value) else value
     return TrajectoryRecord(t, dist_sq, float(problem.loss(x)), value_at(schedule, t),
                             aiming, diag)
 
@@ -172,7 +168,8 @@ def _start(problem: StochasticProblem, config: OptimizerConfig, T: int,
            x0: np.ndarray | None, partition: BlockPartition | None) -> tuple:
     """(partition, start, oracle) of a run: the partition, singleton by
     default, the checked (n,) float64 start, x0 or else the problem's default,
-    and whether the problem has exact moments. Both engines take it first."""
+    and whether the problem has exact moments. The lockstep engine takes it
+    first, so run_trajectory and mean_trajectory check a start alike."""
     if T < 0:
         raise AnalysisError("T must be >= 0")
     if partition is None:
@@ -200,6 +197,10 @@ def _nonfinite_gradient(config: OptimizerConfig, seed: int, t: int) -> NonFinite
     return NonFiniteError(f"{config.algorithm} gradient is non-finite at seed {seed}, t={t}")
 
 
+def _diverged(seed: int, t: int, size: float, records: list) -> DivergenceError:
+    return DivergenceError(f"seed {seed} diverged at t={t}: squared distance {size:.3e}", records)
+
+
 def run_trajectory(
     problem: StochasticProblem,
     config: OptimizerConfig,
@@ -211,65 +212,18 @@ def run_trajectory(
     partition: BlockPartition | None = None,
     sigma_every: int = 0,
 ) -> list[TrajectoryRecord]:
-    """Run T steps from x0, recording one row per iterate (T+1 rows total).
-
-    Deterministic given (base_seed, seed_index). Aborts with DivergenceError
-    once a recorded squared distance (or the squared norm, when no target is
-    known) exceeds 1e12, the last one included. With sigma_every > 0, Monte
-    Carlo estimator diagnostics are attached to every sigma_every-th record
-    (needs a moment oracle, a practical algorithm and coordinatewise blocks;
-    skipped otherwise). A non-finite gradient, or a step that makes the
-    iterate non-finite, raises NonFiniteError naming the seed and the step,
-    as mean_trajectory does.
-    """
-    partition, x, _ = _start(problem, config, T, x0, partition)
-    rng = make_rng(base_seed, TRAJECTORY_STREAM, seed_index)
-    state = OptimizerState()
-    conceptual = config.algorithm == "conceptual_bcos"
-    lam = config.decay_lambda
-    records: list[TrajectoryRecord] = []
-    for t in range(T + 1):
-        moments = _direction_moments(problem, config, x, state.m, partition)
-        diag = _estimator_diag(problem, config, state, x, t, sigma_every, base_seed, partition)
-        records.append(_seed_record(problem, config, schedule, partition, t, x, moments, diag))
-        gauge = records[-1].dist_sq
-        if not math.isnan(gauge):
-            size = gauge
-        else:
-            size = float(np.dot(x, x))
-        if size > DIVERGENCE_THRESHOLD:
-            raise DivergenceError(
-                f"seed {seed_index} diverged at t={t}: squared distance {size:.3e}", records
-            )
-        if t == T:
-            return records
-        alpha = value_at(schedule, t)
-        # the conceptual method's sampled direction is its exact mean minus
-        # the additive noise it draws
-        g = problem.draw(rng) if conceptual else problem.sample_gradient(x, rng)
-        if not np.isfinite(g).all():
-            raise _nonfinite_gradient(config, seed_index, t)
-        try:
-            if conceptual:
-                # a zero second moment makes x non-finite
-                mean, second = moments
-                x = conceptual_update(x, mean - g, second, alpha, lam, partition)
-                if not np.isfinite(x).all():
-                    raise NonFiniteError("conceptual step produced non-finite parameters")
-            else:
-                x, state = step(config, state, x, g, alpha, partition)
-        except NonFiniteError as exc:
-            raise _nonfinite(config, seed_index, t) from exc
-
-
-# steps per pass of the ensemble recorder: its numpy calls cost the same for
-# one row as for a few hundred, so they run once per block. A block is also
-# the most noise the ensemble draws at once
-_BLOCK = 256
-# floats per (rows, seeds, n) array of one recorder slice (64 rows at 200
-# seeds x 4 coordinates): the recorder takes a block a slice at a time, with
-# scratch allocated once, so its temporaries stay few and small
-_SLICE = 51_200
+    """Run T steps from x0, recording one row per iterate (T+1 rows total):
+    the lockstep engine on the one seed seed_index, with the records
+    reduction. Deterministic given (base_seed, seed_index). Aborts with
+    DivergenceError once a recorded squared distance (or the squared norm,
+    when no target is known) exceeds 1e12, the last one included. With
+    sigma_every > 0, Monte Carlo estimator diagnostics are attached to every
+    sigma_every-th record (needs a moment oracle, a practical algorithm and
+    coordinatewise blocks; skipped otherwise). A non-finite gradient, or a
+    step that makes the iterate non-finite, raises NonFiniteError naming
+    seed_index and the step."""
+    return _lockstep(problem, config, schedule, T, base_seed, [seed_index], x0, partition,
+                     sigma_every, _Records).records
 
 
 def mean_trajectory(
@@ -283,34 +237,95 @@ def mean_trajectory(
     partition: BlockPartition | None = None,
     sigma_every: int = 0,
 ) -> MeanCurve:
-    """Pointwise mean and standard error of dist_sq over independent seeds.
-
-    The seeds advance in lockstep on an (S, n) iterate array. Seed i draws
-    its noise in chunks of at most one block of steps from
-    make_rng(base_seed, TRAJECTORY_STREAM, i), so its path is the
-    run_trajectory(seed_index=i) replay bit for bit. The conceptual method
-    steps every seed at once with its exact moments; the practical methods
-    take every seed's gradient at once when the problem has an oracle and
-    call ``step`` once per seed. The diagnostics of each block of steps are
-    recorded a slice of steps at a time and reduced in seed-index order, so
-    the output is reproducible. Estimator diagnostics (sigma_every > 0) are
-    sampled along the first seed only, and only with coordinatewise blocks.
-
-    The footprint does not grow with T: three history arrays of 256 x S x n
-    floats (the iterates and the direction's two moments), one block of
-    noise, one slice of recorder scratch and the (T+1,) curves.
-    """
+    """Pointwise mean and standard error of dist_sq over independent seeds:
+    the lockstep engine on seeds 0 .. n_seeds-1, with the curves reduction
+    in seed-index order, so seed i follows run_trajectory(seed_index=i) bit
+    for bit. sigma holds the sigma_t of seed 0's estimator diagnostics. Apart
+    from the (T+1,) curves, the footprint does not grow with T."""
     if n_seeds < 2:
         raise AnalysisError("n_seeds must be >= 2")
+    run = _lockstep(problem, config, schedule, T, base_seed, range(n_seeds), x0, partition,
+                    sigma_every, _Curves)
+    mean, se, loss, aim = run.curves
+    # t last: made before the run, it would add to the recorder's peak
+    return MeanCurve(np.arange(T + 1), mean, se, loss, run.alphas, aim, n_seeds, run.sigma)
+
+
+class _Curves:
+    """The mean_trajectory reduction: _record_block writes the seed
+    statistics of each slice into rows of the curves, and sigma keeps only
+    the sigma_t of each estimator diagnostic. Its scratch holds one slice."""
+
+    def __init__(self, problem, config, schedule, partition, seeds, alphas, cut):
+        S, n = len(seeds), problem.dim
+        self.args, self.alphas = (problem, config, schedule, partition), alphas
+        self.curves = tuple(np.empty(len(alphas)) for _ in range(4))
+        self.sigma = np.full(len(alphas), np.nan)
+        # x - x*, the products, the roots of the second moments, and the
+        # squared distances with two more arrays of row sums
+        self.scratch = tuple(np.empty((cut,) + shape) for shape in (
+            (S, n), (S, n), (S, partition.num_blocks), (S,), (S,), (S,)))
+
+    def diagnosed(self, t: int, diag) -> None:
+        self.sigma[t] = diag.sigma_t
+
+    def __call__(self, X, mean, second, t0: int) -> None:
+        _record_block(*self.args, X, mean, second, t0, self.curves, self.scratch)
+
+
+class _Records:
+    """The run_trajectory reduction: its one seed's TrajectoryRecord of each
+    step, from _seed_record with that step's estimator diagnostic. Its
+    DivergenceError holds every record up to the first past the threshold."""
+
+    def __init__(self, problem, config, schedule, partition, seeds, alphas, cut):
+        self.args = (problem, config, schedule, partition)
+        (self.seed,) = seeds
+        self.records, self.diags = [], {}
+
+    def diagnosed(self, t: int, diag) -> None:
+        self.diags[t] = diag
+
+    def __call__(self, X, mean, second, t0: int) -> None:
+        for t, x, m, v in zip(range(t0, t0 + len(X)), X[:, 0], mean[:, 0], second[:, 0]):
+            rec = _seed_record(*self.args, t, x, (m, v), self.diags.pop(t, None))
+            self.records.append(rec)
+            size = float(np.dot(x, x)) if math.isnan(rec.dist_sq) else rec.dist_sq
+            if size > DIVERGENCE_THRESHOLD:
+                raise _diverged(self.seed, t, size, self.records)
+
+
+# steps per pass of the ensemble recorder: its numpy calls cost the same for
+# one row as for a few hundred, so they run once per block. A block is also
+# the most noise the ensemble draws at once
+_BLOCK = 256
+# floats per (rows, seeds, n) array of one recorder slice (64 rows at 200
+# seeds x 4 coordinates): the recorder takes a block a slice at a time, with
+# scratch allocated once, so its temporaries stay few and small
+_SLICE = 51_200
+
+
+def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sigma_every,
+              reduction):
+    """The one loop that advances iterates: T steps from x0 of the seeds
+    whose TRAJECTORY_STREAM indices ``seeds`` lists, in lockstep on an (S, n)
+    array; returns reduction(problem, config, schedule, partition, seeds,
+    alphas, cut) once it has taken every row. Each block of steps goes to
+    reduction(X, mean, second, t0) a slice of at most cut steps at a time:
+    the iterates (W, S, n) of steps t0.. and the exact moments of each
+    seed's direction, NaN without an oracle; it raises DivergenceError at
+    the first row past the threshold. The estimator diagnostics of the first
+    seed go to reduction.diagnosed(t, diag). A fault names the seed's stream
+    index. The footprint is three 256 x S x n history arrays, one block of
+    noise and what the reduction keeps."""
     partition, start, oracle = _start(problem, config, T, x0, partition)
+    S = len(seeds)
     conceptual = config.algorithm == "conceptual_bcos"
     momentum = ALGORITHMS[config.algorithm].direction == "momentum"
-    rngs = [make_rng(base_seed, TRAJECTORY_STREAM, i) for i in range(n_seeds)]
+    rngs = [make_rng(base_seed, TRAJECTORY_STREAM, i) for i in seeds]
     alphas = np.array([value_at(schedule, t) for t in range(T + 1)])
-    curves = tuple(np.empty(T + 1) for _ in range(4))
-    sigma = np.full(T + 1, np.nan)
-    X = np.tile(start, (n_seeds, 1))
-    states = [OptimizerState()] * n_seeds
+    X = np.tile(start, (S, 1))
+    states = [OptimizerState()] * S
     # the momenta of the states, filled by each step as it fills the iterates
     M = np.empty_like(X) if momentum else None
     # each step writes the next iterates into this buffer, which then swaps
@@ -328,7 +343,7 @@ def mean_trajectory(
             if not finite_chunk:
                 bad = np.flatnonzero(~np.isfinite(Z).all(axis=1))
                 if bad.size:
-                    raise _nonfinite_gradient(config, int(bad[0]), s)
+                    raise _nonfinite_gradient(config, seeds[bad[0]], s)
             mean, second = moments
             direction = np.subtract(mean, Z, out=spare)
             x_new = conceptual_update(X, direction, second, alphas[s], lam, partition,
@@ -342,13 +357,13 @@ def mean_trajectory(
              else np.stack([problem.gradient(x, z) for x, z in zip(X, Z)]))
         checked = np.isfinite(G).all()
         new_states = []
-        for i in range(n_seeds):
+        for i in range(S):
             if not checked and not np.isfinite(G[i]).all():
-                raise _nonfinite_gradient(config, i, s)
+                raise _nonfinite_gradient(config, seeds[i], s)
             try:
                 spare[i], state = step(config, states[i], X[i], G[i], alphas[s], partition)
             except NonFiniteError as exc:
-                raise _nonfinite(config, i, s) from exc
+                raise _nonfinite(config, seeds[i], s) from exc
             if momentum:
                 M[i] = state.m
             new_states.append(state)
@@ -358,16 +373,11 @@ def mean_trajectory(
     # moments of the direction each seed takes there, NaN without an oracle
     # (no problem oracle, or a momentum not yet primed)
     rows = min(_BLOCK, T + 1)
-    history = np.empty((rows, n_seeds, problem.dim))
+    history = np.empty((rows, S, problem.dim))
     mean_history = np.full_like(history, np.nan)
-    second_history = np.full((rows, n_seeds, partition.num_blocks), np.nan)
-    # the recorder's scratch for one slice of the block: x - x*, the
-    # products, the roots of the second moments, and the squared distances
-    # with two more arrays of row sums
-    cut = max(1, min(rows, _SLICE // (n_seeds * problem.dim)))
-    scratch = tuple(np.empty((cut,) + shape) for shape in (
-        history.shape[1:], history.shape[1:], second_history.shape[1:],
-        (n_seeds,), (n_seeds,), (n_seeds,)))
+    second_history = np.full((rows, S, partition.num_blocks), np.nan)
+    cut = max(1, min(rows, _SLICE // (S * problem.dim)))
+    reduce = reduction(problem, config, schedule, partition, seeds, alphas, cut)
     t0 = 0  # first step whose iterate is not yet recorded
     caller_errors = np.geterr()
 
@@ -376,8 +386,7 @@ def mean_trajectory(
         with np.errstate(**caller_errors):
             for a in range(0, t_end - t0, cut):
                 b = min(a + cut, t_end - t0)
-                _record_block(problem, config, schedule, partition, history[a:b],
-                              mean_history[a:b], second_history[a:b], t0 + a, curves, scratch)
+                reduce(history[a:b], mean_history[a:b], second_history[a:b], t0 + a)
         t0 = t_end
 
     def keep(s: int):
@@ -402,21 +411,23 @@ def mean_trajectory(
         history[s - t0] = X
         if kept is not None and not conceptual:
             mean_history[s - t0], second_history[s - t0] = kept
+        diag = None
         if not conceptual:
             with np.errstate(**caller_errors):
                 diag = _estimator_diag(problem, config, states[0], X[0], s, sigma_every,
                                        base_seed, partition)
             if diag is not None:
-                sigma[s] = diag.sigma_t
-        if s + 1 - t0 == rows:
+                reduce.diagnosed(s, diag)
+        # a diagnostic ends a block too, so at most one is made past a divergence
+        if s + 1 - t0 == rows or diag is not None:
             flush(s + 1)
         return kept
 
     # a zero-width draw gives the shape and type of one draw and takes none
     probe = problem.draw(rngs[0], (0,))
-    chunk = min(_BLOCK, max(1, int(1_000_000 / max(1, n_seeds * probe.shape[-1]))))
+    chunk = min(_BLOCK, max(1, int(1_000_000 / max(1, S * probe.shape[-1]))))
     # time-major, so each step reads one contiguous (S, k) slice
-    noise_buffer = np.empty((min(chunk, T), n_seeds) + probe.shape[1:], probe.dtype)
+    noise_buffer = np.empty((min(chunk, T), S) + probe.shape[1:], probe.dtype)
     t = 0
     while t < T:
         width = min(chunk, T - t)
@@ -434,30 +445,20 @@ def mean_trajectory(
                     new = advance(noise[j], s, moments)
                 except (FloatingPointError, ValueError):
                     # a recorded row past the threshold ends the run before
-                    # this step, as in run_trajectory; otherwise the step is
-                    # repeated so the caller sees its warnings and errors
+                    # this step; otherwise the step is repeated so the
+                    # caller sees its warnings and errors
                     flush(s + 1)
                     with np.errstate(**caller_errors):
                         new = advance(noise[j], s, moments)
                     bad = np.flatnonzero(~np.all(np.isfinite(new[0]), axis=1))
                     if bad.size:
-                        raise _nonfinite(config, int(bad[0]), s)
+                        raise _nonfinite(config, seeds[bad[0]], s)
                 spare = X
                 X, states = new
         t += width
     keep(T)
     flush(T + 1)
-    mean_curve, se_curve, loss_curve, aim_curve = curves
-    return MeanCurve(
-        t=np.arange(T + 1),
-        mean_dist_sq=mean_curve,
-        se_dist_sq=se_curve,
-        mean_loss=loss_curve,
-        alpha=alphas,
-        aiming_min=aim_curve,
-        n_seeds=n_seeds,
-        sigma=sigma,
-    )
+    return reduce
 
 
 def _record_block(problem, config, schedule, partition, X, mean, second, t0, curves,
@@ -510,15 +511,13 @@ def _record_block(problem, config, schedule, partition, X, mean, second, t0, cur
 def _divergence(problem, config, schedule, partition, t, X, dist, mean,
                 second) -> DivergenceError:
     """The error for the first seed of the lockstep iterates X (S, n) past
-    the threshold at step t, with the record its run_trajectory replay ends
-    with; dist (S,) holds their squared distances (squared norms, with no
+    the threshold at step t, whose one record is that seed's _seed_record
+    there; dist (S,) holds their squared distances (squared norms, with no
     target), and mean and second are the direction's moments there, as in
     _record_block."""
     i = int(np.flatnonzero(dist > DIVERGENCE_THRESHOLD)[0])
     rec = _seed_record(problem, config, schedule, partition, t, X[i], (mean[i], second[i]))
-    return DivergenceError(
-        f"seed {i} diverged at t={t}: squared distance {dist[i]:.3e}", [rec]
-    )
+    return _diverged(i, t, dist[i], [rec])
 
 
 # ---------------------------------------------------------------------------

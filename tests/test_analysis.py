@@ -1,6 +1,7 @@
 """Trajectory statistics, rate fits, estimator diagnostics, and the
 deterministic verifiers."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -17,6 +18,7 @@ from bcoslab.analysis import (
     DivergenceError,
     EstimatorStats,
     RatioDistribution,
+    TrajectoryRecord,
     contraction_noise_bound,
     estimator_stats,
     fit_powerlaw,
@@ -35,6 +37,7 @@ from bcoslab.optim import (
     ALGORITHMS,
     OptimizerConfig,
     OptimizerState,
+    conceptual_update,
     momentum_moments,
     normalize,
     propose,
@@ -53,6 +56,74 @@ from bcoslab.schedules import constant, inverse_time, value_at
 
 def centered_quadratic(n=3, sigma=1.0):
     return NoisyQuadratic(h=np.linspace(1.0, 2.0, n), sigma=sigma, x_star=np.zeros(n))
+
+
+def replay_seed(problem, config, schedule, T, base_seed, seed_index=0, x0=None,
+                partition=None, sigma_every=0):
+    """The records of one seed, replayed one draw per step through optim.step
+    or optim.conceptual_update: the independent reference that run_trajectory
+    and each seed of mean_trajectory must match bit for bit, faults
+    included."""
+    part = BlockPartition.singleton(problem.dim) if partition is None else partition
+    x = problem.default_start() if x0 is None else np.array(x0, dtype=np.float64)
+    rng = make_rng(base_seed, TRAJECTORY_STREAM, seed_index)
+    state = OptimizerState()
+    conceptual = config.algorithm == "conceptual_bcos"
+    records = []
+    for t in range(T + 1):
+        moments = analysis._direction_moments(problem, config, x, state.m, part)
+        diag = None
+        if (sigma_every > 0 and t > 0 and t % sigma_every == 0 and not conceptual
+                and part.num_blocks == part.total_dim):
+            try:
+                diag = estimator_stats(problem, x, state, config, analysis.SIGMA_N_MC,
+                                       seed=base_seed, key=(t,))
+            except AnalysisError:
+                pass
+        dist_sq, aiming = float("nan"), None
+        if problem.x_star is not None:
+            diff = x - problem.x_star
+            dist_sq = float(np.einsum("i,i->", diff, diff))
+            if moments is not None:
+                value = float(aiming_values(x, diff, dist_sq, config.decay_lambda, *moments,
+                                            part))
+                aiming = None if math.isnan(value) else value
+        records.append(TrajectoryRecord(t, dist_sq, float(problem.loss(x)),
+                                        value_at(schedule, t), aiming, diag))
+        size = float(np.dot(x, x)) if math.isnan(dist_sq) else dist_sq
+        if size > analysis.DIVERGENCE_THRESHOLD:
+            raise DivergenceError(
+                f"seed {seed_index} diverged at t={t}: squared distance {size:.3e}", records)
+        if t == T:
+            return records
+        alpha = value_at(schedule, t)
+        # the conceptual direction is its exact mean minus the drawn noise
+        g = problem.draw(rng) if conceptual else problem.sample_gradient(x, rng)
+        if not np.isfinite(g).all():
+            raise NonFiniteError(
+                f"{config.algorithm} gradient is non-finite at seed {seed_index}, t={t}")
+        try:
+            if conceptual:
+                mean, second = moments
+                x = conceptual_update(x, mean - g, second, alpha, config.decay_lambda, part)
+                if not np.isfinite(x).all():
+                    raise NonFiniteError("conceptual step produced non-finite parameters")
+            else:
+                x, state = step(config, state, x, g, alpha, part)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"{config.algorithm} step produced non-finite parameters "
+                                 f"at seed {seed_index}, t={t}") from exc
+
+
+def record_bytes(rec):
+    """Every field of a TrajectoryRecord as bytes, each array of its
+    estimator diagnostic included."""
+    diag = rec.estimator_diag
+    return (rec.t, np.array([rec.dist_sq, rec.loss, rec.alpha_t]).tobytes(),
+            rec.aiming_value is None, np.float64(rec.aiming_value or 0.0).tobytes(),
+            None if diag is None else [
+                None if v is None else np.asarray(v).tobytes()
+                for v in (getattr(diag, f.name) for f in dataclasses.fields(diag))])
 
 
 class TestNoiseBound:
@@ -166,6 +237,44 @@ class TestRunTrajectory:
         assert records[-1].dist_sq < records[0].dist_sq
         assert records[-1].aiming_value is not None
 
+    @settings(max_examples=10, deadline=None)
+    @given(
+        alg=st.sampled_from(sorted(ALGORITHMS)),
+        kind=st.sampled_from(["gaussian", "student_t", "logistic"]),
+        sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        coupled=st.booleans(),
+        seed_index=st.integers(0, 5),
+        T=st.integers(0, 600),
+        sigma_every=st.sampled_from([0, 50]),
+        seed=st.integers(0, 2**16),
+    )
+    # crosses two 256-step blocks with diagnostics along a momentum oracle
+    @example(alg="bcos_c", kind="gaussian", sizes=[1, 1, 1, 1], coupled=False, seed_index=5,
+             T=600, sigma_every=50, seed=0)
+    @example(alg="conceptual_bcos", kind="student_t", sizes=[2, 1], coupled=True,
+             seed_index=3, T=513, sigma_every=50, seed=1)
+    @example(alg="adam", kind="logistic", sizes=[3, 1], coupled=True, seed_index=1, T=300,
+             sigma_every=50, seed=2)
+    def test_matches_replay_seed(self, alg, kind, sizes, coupled, seed_index, T, sigma_every,
+                                 seed):
+        """run_trajectory(seed_index=i) is the one-step-at-a-time replay of
+        seed i bit for bit in every record field, sigma_t and the rest of
+        the estimator diagnostics included."""
+        assume(not (alg == "conceptual_bcos" and kind == "logistic"))
+        n = sum(sizes)
+        if kind == "logistic":
+            prob = LogisticSmokeProblem(n_features=n, n_samples=50, batch=8)
+        else:
+            prob = NoisyQuadratic(h=np.linspace(1.0, 2.0, n), sigma=np.linspace(0.5, 1.5, n),
+                                  x_star=np.linspace(-1.0, 1.0, n), noise=kind)
+        part = BlockPartition.from_sizes(sizes)
+        cfg = OptimizerConfig(alg, weight_decay_lambda=0.1, decoupled=not coupled)
+        sch = inverse_time(0.3)
+        kwargs = dict(seed_index=seed_index, partition=part, sigma_every=sigma_every)
+        records = run_trajectory(prob, cfg, sch, T, seed, **kwargs)
+        replay = replay_seed(prob, cfg, sch, T, seed, **kwargs)
+        assert [record_bytes(r) for r in records] == [record_bytes(r) for r in replay]
+
 
 class TestMeanTrajectory:
     def test_deterministic_dynamics_zero_se(self):
@@ -180,7 +289,7 @@ class TestMeanTrajectory:
         sch = inverse_time(1.0)
         curve = mean_trajectory(prob, cfg, sch, 60, n_seeds=2, base_seed=9)
         d = [
-            np.array([r.dist_sq for r in run_trajectory(prob, cfg, sch, 60, 9, seed_index=i)])
+            np.array([r.dist_sq for r in replay_seed(prob, cfg, sch, 60, 9, seed_index=i)])
             for i in range(2)
         ]
         manual = d[0] + ((d[0] - d[0]) + (d[1] - d[0])) / 2
@@ -261,23 +370,67 @@ class TestDivergenceReport:
             f"seed {seed} diverged at t={rec.t}: squared distance {rec.dist_sq:.3e}"
         )
         with pytest.raises(DivergenceError) as replay:
-            run_trajectory(prob, cfg, constant(1e6), 50, base_seed=0, seed_index=seed)
+            replay_seed(prob, cfg, constant(1e6), 50, base_seed=0, seed_index=seed)
         assert replay.value.records[-1] == rec
 
 
     def test_last_row_is_checked_on_both_engines(self):
         """A run whose final iterate passes the threshold diverged: the
-        replay and the ensemble both stop there with the same record."""
+        replay, the one-seed run and the ensemble all stop there with the
+        same record."""
         prob = NoisyQuadratic(h=[1.0], sigma=0.0, x_star=[0.0])
         cfg = OptimizerConfig("sgd")
         with pytest.raises(DivergenceError) as replay:
-            run_trajectory(prob, cfg, constant(4.0), 13, base_seed=0, x0=np.array([1.0]))
+            replay_seed(prob, cfg, constant(4.0), 13, base_seed=0, x0=np.array([1.0]))
         with pytest.raises(DivergenceError) as err:
             mean_trajectory(prob, cfg, constant(4.0), 13, n_seeds=2, base_seed=0,
                             x0=np.array([1.0]))
         assert replay.value.records[-1].t == 13
         assert err.value.records == [replay.value.records[-1]]
         assert str(err.value) == str(replay.value)
+        with pytest.raises(DivergenceError) as run:
+            run_trajectory(prob, cfg, constant(4.0), 13, base_seed=0, x0=np.array([1.0]))
+        assert run.value.records == replay.value.records
+        assert str(run.value) == str(replay.value)
+
+    def test_records_hold_every_step_up_to_the_divergence(self):
+        """Decay past 1 makes the conceptual iterates of seed 2 pass the
+        threshold at a step k > 256 that no block of 256 steps ends at. The
+        one-seed run's error holds its records of steps 0 .. k, those of the
+        replay, and names seed 2."""
+        prob = NoisyQuadratic(h=[1.0, 2.0], sigma=0.5, x_star=[0.0, 1.0])
+        cfg = OptimizerConfig("conceptual_bcos", weight_decay_lambda=1.0, decoupled=True)
+        with pytest.raises(DivergenceError) as err:
+            run_trajectory(prob, cfg, constant(2.03), 3 * analysis._BLOCK, base_seed=0,
+                           seed_index=2)
+        records = err.value.records
+        k = records[-1].t
+        assert k > analysis._BLOCK and k % analysis._BLOCK != 0
+        assert [r.t for r in records] == list(range(k + 1))
+        assert records[-1].dist_sq > analysis.DIVERGENCE_THRESHOLD
+        assert all(r.dist_sq <= analysis.DIVERGENCE_THRESHOLD for r in records[:-1])
+        assert str(err.value) == (
+            f"seed 2 diverged at t={k}: squared distance {records[-1].dist_sq:.3e}"
+        )
+        with pytest.raises(DivergenceError) as replay:
+            replay_seed(prob, cfg, constant(2.03), 3 * analysis._BLOCK, base_seed=0,
+                        seed_index=2)
+        assert records == replay.value.records
+
+    def test_no_diagnostic_is_made_past_a_divergence(self):
+        """An estimator diagnostic ends a recorder block, so a run with one
+        due at every step samples none past the step where it diverges (not
+        up to the end of its 256-step block)."""
+        prob = NoisyQuadratic(h=[1.0, 2.0], sigma=0.5, x_star=[0.0, 1.0])
+        cfg, sch = OptimizerConfig("sgd"), constant(2.03)
+        for run in (lambda: run_trajectory(prob, cfg, sch, 1000, 0, sigma_every=1),
+                    lambda: mean_trajectory(prob, cfg, sch, 1000, 4, 0, sigma_every=1)):
+            with mock.patch.object(analysis, "estimator_stats",
+                                   wraps=analysis.estimator_stats) as stats:
+                with pytest.raises(DivergenceError) as err:
+                    run()
+            k = err.value.records[-1].t
+            assert 0 < k < analysis._BLOCK and stats.call_count == k
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -287,22 +440,27 @@ class TestDivergenceReport:
         ("sgd", 1e308, 0),
     ])
     def test_nonfinite_step_named_on_both_engines(self, alg, alpha, t):
+        """The ensemble names the seed the replay names; the one-seed run
+        names its own seed index, not its engine row 0."""
         prob = NoisyQuadratic(h=[1.0], sigma=0.0, x_star=[0.0])
         cfg = OptimizerConfig(alg)
         x0 = np.array([3.0])
         with pytest.raises(NonFiniteError) as replay:
-            run_trajectory(prob, cfg, constant(alpha), 10, base_seed=0, x0=x0)
+            replay_seed(prob, cfg, constant(alpha), 10, base_seed=0, x0=x0)
         with pytest.raises(NonFiniteError) as err:
             mean_trajectory(prob, cfg, constant(alpha), 10, n_seeds=2, base_seed=0, x0=x0)
         assert str(replay.value) == str(err.value) == (
             f"{alg} step produced non-finite parameters at seed 0, t={t}"
         )
+        with pytest.raises(NonFiniteError) as run:
+            run_trajectory(prob, cfg, constant(alpha), 10, base_seed=0, seed_index=2, x0=x0)
+        assert str(run.value) == f"{alg} step produced non-finite parameters at seed 2, t={t}"
 
     def test_nonfinite_gradient_row_fails_as_each_row_would(self):
         """One seed's infinite draw makes a row of the ensemble's batched
         gradient (a conceptual direction, for conceptual_bcos) non-finite; the
         run fails as the replay of that seed does, naming the gradient, the
-        seed and the step."""
+        seed and the step. The one-seed run at seed index 2 names seed 2."""
         for alg in ("bcos_c", "conceptual_bcos"):
             cfg = OptimizerConfig(alg)
             prob = PoisonedDraw(seed=2, t=5)
@@ -311,20 +469,26 @@ class TestDivergenceReport:
             assert prob.poisoned
             replay_prob = PoisonedDraw(seed=2, t=5)
             with pytest.raises(NonFiniteError) as replay:
-                run_trajectory(replay_prob, cfg, constant(0.05), 10, base_seed=0, seed_index=2)
+                replay_seed(replay_prob, cfg, constant(0.05), 10, base_seed=0, seed_index=2)
             assert replay_prob.poisoned
             assert str(err.value) == str(replay.value) == (
                 f"{alg} gradient is non-finite at seed 2, t=5"
             )
+            # the one seed of run_trajectory is the engine's first row
+            run_prob = PoisonedDraw(seed=0, t=5)
+            with pytest.raises(NonFiniteError) as run:
+                run_trajectory(run_prob, cfg, constant(0.05), 10, base_seed=0, seed_index=2)
+            assert run_prob.poisoned
+            assert str(run.value) == f"{alg} gradient is non-finite at seed 2, t=5"
 
 
 class PoisonedDraw(NoisyQuadratic):
-    """A three-coordinate quadratic whose noise for one seed is infinite at
-    one step t < 256. mean_trajectory draws each chunk (at most one 256-step
-    block) seed by seed in index order after a zero-width probe, so the draw
-    of that seed's first chunk is the (seed+1)-th nonempty one.
-    run_trajectory draws one step at a time along one seed, so there the
-    draw of step t is the (t+1)-th."""
+    """A three-coordinate quadratic whose noise for one engine row is
+    infinite at one step t < 256. The lockstep engine draws each chunk (at
+    most one 256-step block) row by row in order after a zero-width probe,
+    so the draw of a row's first chunk is the (row+1)-th nonempty one; the
+    one seed of run_trajectory is row 0. replay_seed draws one step at a
+    time along one seed, so there the draw of step t is the (t+1)-th."""
 
     def __init__(self, seed, t):
         super().__init__(h=[1.0, 2.0, 0.5], sigma=1.0, x_star=[0.0, 0.0, 0.0])
@@ -524,8 +688,8 @@ class TestLockstepEngine:
              T=300, sigma_every=0, seed=1)
     def test_seeds_replay_run_trajectory(self, alg, kind, sizes, coupled, S, T,
                                          sigma_every, seed):
-        """Each seed of the lockstep ensemble follows its run_trajectory
-        replay bit for bit (distances, losses, the sigma_t column along seed
+        """Each seed of the lockstep ensemble follows its replay_seed
+        reference bit for bit (distances, losses, the sigma_t column along seed
         0), and the curves equal a seed-order reduction of the replays up to
         float reassociation."""
         assume(not (alg == "conceptual_bcos" and kind == "logistic"))
@@ -540,8 +704,8 @@ class TestLockstepEngine:
         curve, X = lockstep_run(prob, cfg, sch, T, S, seed, partition=part,
                                 sigma_every=sigma_every)
         replays = [
-            run_trajectory(prob, cfg, sch, T, seed, seed_index=i, partition=part,
-                           sigma_every=sigma_every if i == 0 else 0)
+            replay_seed(prob, cfg, sch, T, seed, seed_index=i, partition=part,
+                        sigma_every=sigma_every if i == 0 else 0)
             for i in range(S)
         ]
         dist = np.array([[r.dist_sq for r in rec] for rec in replays])
