@@ -45,9 +45,10 @@ class AnalysisError(ValueError):
 
 class DivergenceError(RuntimeError):
     """A trajectory blew past the divergence threshold. The message names the
-    seed index, the step k and the squared distance. From run_trajectory,
-    ``records`` holds that seed's records of steps 0 .. k; from
-    mean_trajectory, only the diverged seed's record of step k."""
+    seed's stream index, the step k and the squared distance (the squared
+    norm, with no target). ``records`` holds the diverged seed's records, each
+    a one-seed row of the recorder: from run_trajectory, those of steps
+    0 .. k; from mean_trajectory, only its record of step k."""
 
     def __init__(self, message: str, records):
         super().__init__(message)
@@ -133,23 +134,6 @@ def _direction_moments(problem, config, x, m, partition, out=(None, None)):
     return mean, partition.block_sums(second, out[1])
 
 
-def _seed_record(problem, config, schedule, partition, t, x, moments,
-                 diag=None) -> TrajectoryRecord:
-    """The record of one seed at step t, from its iterate x and the moments
-    of the direction it is about to take, NaN when there are none. The
-    aiming value is None without moments and where a second moment is zero:
-    the direction is degenerate there (a converged noiseless state)."""
-    dist_sq, aiming = float("nan"), None
-    if problem.x_star is not None:
-        diff = x - problem.x_star
-        # einsum matches the batched ensemble recorder bit for bit
-        dist_sq = float(np.einsum("i,i->", diff, diff))
-        value = float(aiming_values(x, diff, dist_sq, config.decay_lambda, *moments, partition))
-        aiming = None if math.isnan(value) else value
-    return TrajectoryRecord(t, dist_sq, float(problem.loss(x)), value_at(schedule, t),
-                            aiming, diag)
-
-
 def _estimator_diag(problem, config, state, x, t, sigma_every, base_seed, partition):
     """The estimator diagnostics due at step t, or None. They measure the
     coordinatewise estimate, so a run whose step divides by per-block
@@ -197,10 +181,6 @@ def _nonfinite_gradient(config: OptimizerConfig, seed: int, t: int) -> NonFinite
     return NonFiniteError(f"{config.algorithm} gradient is non-finite at seed {seed}, t={t}")
 
 
-def _diverged(seed: int, t: int, size: float, records: list) -> DivergenceError:
-    return DivergenceError(f"seed {seed} diverged at t={t}: squared distance {size:.3e}", records)
-
-
 def run_trajectory(
     problem: StochasticProblem,
     config: OptimizerConfig,
@@ -213,17 +193,19 @@ def run_trajectory(
     sigma_every: int = 0,
 ) -> list[TrajectoryRecord]:
     """Run T steps from x0, recording one row per iterate (T+1 rows total):
-    the lockstep engine on the one seed seed_index, with the records
-    reduction. Deterministic given (base_seed, seed_index). Aborts with
-    DivergenceError once a recorded squared distance (or the squared norm,
-    when no target is known) exceeds 1e12, the last one included. With
-    sigma_every > 0, Monte Carlo estimator diagnostics are attached to every
-    sigma_every-th record (needs a moment oracle, a practical algorithm and
-    coordinatewise blocks; skipped otherwise). A non-finite gradient, or a
-    step that makes the iterate non-finite, raises NonFiniteError naming
-    seed_index and the step."""
-    return _lockstep(problem, config, schedule, T, base_seed, [seed_index], x0, partition,
-                     sigma_every, _Records).records
+    the lockstep engine on the one seed seed_index, whose records are the
+    rows of its one-seed curves. Deterministic given (base_seed, seed_index).
+    Aborts with DivergenceError once a recorded squared distance (or the
+    squared norm, when no target is known) exceeds 1e12, the last one
+    included. With sigma_every > 0, Monte Carlo estimator diagnostics are
+    attached to every sigma_every-th record (needs a moment oracle, a
+    practical algorithm and coordinatewise blocks; skipped otherwise). A
+    non-finite gradient, or a step that makes the iterate non-finite, raises
+    NonFiniteError naming seed_index and the step."""
+    diags = {}
+    alphas, curves, _ = _lockstep(problem, config, schedule, T, base_seed, [seed_index], x0,
+                                  partition, sigma_every, diags)
+    return [_record(curves, t, t, alphas[t], diags.get(t)) for t in range(T + 1)]
 
 
 def mean_trajectory(
@@ -238,61 +220,37 @@ def mean_trajectory(
     sigma_every: int = 0,
 ) -> MeanCurve:
     """Pointwise mean and standard error of dist_sq over independent seeds:
-    the lockstep engine on seeds 0 .. n_seeds-1, with the curves reduction
-    in seed-index order, so seed i follows run_trajectory(seed_index=i) bit
-    for bit. sigma holds the sigma_t of seed 0's estimator diagnostics. Apart
-    from the (T+1,) curves, the footprint does not grow with T."""
+    the lockstep engine's curves on seeds 0 .. n_seeds-1, reduced in
+    seed-index order, so seed i follows run_trajectory(seed_index=i) bit for
+    bit. sigma holds the sigma_t of seed 0's estimator diagnostics, and no
+    diagnostic is kept past its step. Apart from the (T+1,) curves, the
+    footprint does not grow with T."""
     if n_seeds < 2:
         raise AnalysisError("n_seeds must be >= 2")
-    run = _lockstep(problem, config, schedule, T, base_seed, range(n_seeds), x0, partition,
-                    sigma_every, _Curves)
-    mean, se, loss, aim = run.curves
+    alphas, (mean, se, loss, aim), sigma = _lockstep(
+        problem, config, schedule, T, base_seed, range(n_seeds), x0, partition, sigma_every)
     # t last: made before the run, it would add to the recorder's peak
-    return MeanCurve(np.arange(T + 1), mean, se, loss, run.alphas, aim, n_seeds, run.sigma)
+    return MeanCurve(np.arange(T + 1), mean, se, loss, alphas, aim, n_seeds, sigma)
 
 
-class _Curves:
-    """The mean_trajectory reduction: _record_block writes the seed
-    statistics of each slice into rows of the curves, and sigma keeps only
-    the sigma_t of each estimator diagnostic. Its scratch holds one slice."""
-
-    def __init__(self, problem, config, schedule, partition, seeds, alphas, cut):
-        S, n = len(seeds), problem.dim
-        self.args, self.alphas = (problem, config, schedule, partition), alphas
-        self.curves = tuple(np.empty(len(alphas)) for _ in range(4))
-        self.sigma = np.full(len(alphas), np.nan)
-        # x - x*, the products, the roots of the second moments, and the
-        # squared distances with two more arrays of row sums
-        self.scratch = tuple(np.empty((cut,) + shape) for shape in (
-            (S, n), (S, n), (S, partition.num_blocks), (S,), (S,), (S,)))
-
-    def diagnosed(self, t: int, diag) -> None:
-        self.sigma[t] = diag.sigma_t
-
-    def __call__(self, X, mean, second, t0: int) -> None:
-        _record_block(*self.args, X, mean, second, t0, self.curves, self.scratch)
+def _record(curves, row: int, t: int, alpha: float, diag=None) -> TrajectoryRecord:
+    """The record of step t of a one-seed run, read from a row of its
+    (mean, SE, loss, aiming-min) curves: the mean of one squared distance is
+    that distance, NaN without a target, and an aiming value is None where
+    it is NaN (no oracle, a momentum not yet primed, or a zero second
+    moment)."""
+    dist_sq, _, loss, aiming = (float(c[row]) for c in curves)
+    return TrajectoryRecord(t, dist_sq, loss, float(alpha),
+                            None if math.isnan(aiming) else aiming, diag)
 
 
-class _Records:
-    """The run_trajectory reduction: its one seed's TrajectoryRecord of each
-    step, from _seed_record with that step's estimator diagnostic. Its
-    DivergenceError holds every record up to the first past the threshold."""
-
-    def __init__(self, problem, config, schedule, partition, seeds, alphas, cut):
-        self.args = (problem, config, schedule, partition)
-        (self.seed,) = seeds
-        self.records, self.diags = [], {}
-
-    def diagnosed(self, t: int, diag) -> None:
-        self.diags[t] = diag
-
-    def __call__(self, X, mean, second, t0: int) -> None:
-        for t, x, m, v in zip(range(t0, t0 + len(X)), X[:, 0], mean[:, 0], second[:, 0]):
-            rec = _seed_record(*self.args, t, x, (m, v), self.diags.pop(t, None))
-            self.records.append(rec)
-            size = float(np.dot(x, x)) if math.isnan(rec.dist_sq) else rec.dist_sq
-            if size > DIVERGENCE_THRESHOLD:
-                raise _diverged(self.seed, t, size, self.records)
+def _scratch(rows: int, S: int, n: int, m: int) -> tuple:
+    """The arrays _record_block works in for slices of up to ``rows`` steps
+    of S seeds in n coordinates and m blocks: x - x*, the products, the
+    roots of the second moments, and the squared distances with two more
+    arrays of row sums."""
+    shapes = ((S, n), (S, n), (S, m), (S,), (S,), (S,))
+    return tuple(np.empty((rows,) + shape) for shape in shapes)
 
 
 # steps per pass of the ensemble recorder: its numpy calls cost the same for
@@ -306,18 +264,20 @@ _SLICE = 51_200
 
 
 def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sigma_every,
-              reduction):
+              diags=None):
     """The one loop that advances iterates: T steps from x0 of the seeds
     whose TRAJECTORY_STREAM indices ``seeds`` lists, in lockstep on an (S, n)
-    array; returns reduction(problem, config, schedule, partition, seeds,
-    alphas, cut) once it has taken every row. Each block of steps goes to
-    reduction(X, mean, second, t0) a slice of at most cut steps at a time:
-    the iterates (W, S, n) of steps t0.. and the exact moments of each
-    seed's direction, NaN without an oracle; it raises DivergenceError at
-    the first row past the threshold. The estimator diagnostics of the first
-    seed go to reduction.diagnosed(t, diag). A fault names the seed's stream
-    index. The footprint is three 256 x S x n history arrays, one block of
-    noise and what the reduction keeps."""
+    array. Returns (alphas, curves, sigma): the stepsize of each step, the
+    (mean, SE, loss, aiming-min) curves, and the sigma_t of the first seed's
+    estimator diagnostics (NaN where there is none). Each block of steps
+    goes to _record_block a slice of at most cut steps at a time, which
+    raises DivergenceError at the first row past the threshold. Each
+    diagnostic goes into ``diags`` by step when given (a one-seed run must
+    give it), and is dropped otherwise. With one seed the curves are that
+    seed's rows, so its DivergenceError holds its records of steps 0 .. k,
+    each with its diagnostic. A fault names the seed's stream index. The
+    footprint is three 256 x S x n history arrays, one block of noise, one
+    slice of recorder scratch and the curves."""
     partition, start, oracle = _start(problem, config, T, x0, partition)
     S = len(seeds)
     conceptual = config.algorithm == "conceptual_bcos"
@@ -377,16 +337,29 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
     mean_history = np.full_like(history, np.nan)
     second_history = np.full((rows, S, partition.num_blocks), np.nan)
     cut = max(1, min(rows, _SLICE // (S * problem.dim)))
-    reduce = reduction(problem, config, schedule, partition, seeds, alphas, cut)
+    curves = tuple(np.empty(T + 1) for _ in range(4))
+    sigma = np.full(T + 1, np.nan)
+    scratch = _scratch(cut, S, problem.dim, partition.num_blocks)
     t0 = 0  # first step whose iterate is not yet recorded
     caller_errors = np.geterr()
 
     def flush(t_end: int) -> None:
         nonlocal t0
-        with np.errstate(**caller_errors):
-            for a in range(0, t_end - t0, cut):
-                b = min(a + cut, t_end - t0)
-                reduce(history[a:b], mean_history[a:b], second_history[a:b], t0 + a)
+        try:
+            with np.errstate(**caller_errors):
+                for a in range(0, t_end - t0, cut):
+                    b = min(a + cut, t_end - t0)
+                    _record_block(problem, config, partition, history[a:b], mean_history[a:b],
+                                  second_history[a:b], t0 + a, curves, scratch, seeds, alphas)
+        except DivergenceError as exc:
+            if S == 1:
+                # one seed: its records of steps 0 .. k-1 are the rows
+                # recorded so far, and the error holds that of step k
+                (last,) = exc.records
+                exc.records[:] = [_record(curves, t, t, alphas[t], diags.get(t))
+                                  for t in range(last.t)]
+                exc.records.append(replace(last, estimator_diag=diags.get(last.t)))
+            raise
         t0 = t_end
 
     def keep(s: int):
@@ -417,7 +390,9 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
                 diag = _estimator_diag(problem, config, states[0], X[0], s, sigma_every,
                                        base_seed, partition)
             if diag is not None:
-                reduce.diagnosed(s, diag)
+                sigma[s] = diag.sigma_t
+                if diags is not None:
+                    diags[s] = diag
         # a diagnostic ends a block too, so at most one is made past a divergence
         if s + 1 - t0 == rows or diag is not None:
             flush(s + 1)
@@ -458,19 +433,22 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
         t += width
     keep(T)
     flush(T + 1)
-    return reduce
+    return alphas, curves, sigma
 
 
-def _record_block(problem, config, schedule, partition, X, mean, second, t0, curves,
-                  scratch) -> None:
+def _record_block(problem, config, partition, X, mean, second, t0, curves, scratch, seeds,
+                  alphas) -> None:
     """Seed statistics of the lockstep iterates X (W, S, n) of steps t0 ..
     t0+W-1, written into rows t0.. of the (mean, SE, loss, aiming-min)
-    curves; mean (W, S, n) and second (W, S, m) are the exact moments of the
-    direction each seed takes there, NaN without an oracle, and are only
-    read. Raises the ensemble DivergenceError at the first step whose largest
-    squared distance (squared norm, with no target) passes the threshold.
-    ``scratch`` holds the arrays the slice works in, each of at least W rows:
-    two shaped like X, one like second and three (W, S) ones.
+    curves: the one reduction of recorded rows, whose one-seed rows are
+    run_trajectory's records. mean (W, S, n) and second (W, S, m) are the
+    exact moments of the direction each seed takes there, NaN without an
+    oracle, and are only read. At the first step where a squared distance
+    (squared norm, with no target) passes the threshold, it records the rows
+    before that step and raises _divergence's error; ``seeds`` holds the
+    stream indices of the S seeds and ``alphas`` the stepsizes by step.
+    With seeds None the rows are recorded unchecked. ``scratch`` holds the
+    arrays the slice works in (see _scratch), each of at least W rows.
 
     Each row is reduced in the same order as a single (S, n) step would be:
     einsum for the distances, sums along the contiguous last axis, and the
@@ -484,22 +462,31 @@ def _record_block(problem, config, schedule, partition, X, mean, second, t0, cur
     diff = X if x_star is None else np.subtract(X, np.tile(x_star, (S, 1)), out=diffs)
     dist = np.einsum("wij,wij->wi", diff, diff, out=dist)
     crossed = np.flatnonzero(np.max(dist, axis=1) > DIVERGENCE_THRESHOLD)
-    if crossed.size:
+    if crossed.size and seeds is not None:
         k = int(crossed[0])
-        raise _divergence(problem, config, schedule, partition, t0 + k, X[k], dist[k], mean[k],
-                          second[k])
+        error = _divergence(problem, config, partition, t0 + k, X[k], dist[k], mean[k],
+                            second[k], seeds, alphas)
+        if k:
+            _record_block(problem, config, partition, X[:k], mean[:k], second[:k], t0, curves,
+                          scratch, seeds, alphas)
+        raise error
     mean_curve, se_curve, loss_curve, aim_curve = (c[t0 : t0 + W] for c in curves)
     if x_star is None:
         for curve in (mean_curve, se_curve, aim_curve):
             curve[:] = np.nan
     else:
         d0 = dist[:, 0]
-        delta = np.subtract(dist, d0[:, None], out=values)
-        s1 = delta.sum(axis=1)
-        sq = np.matmul(delta[:, None, :], delta[:, :, None])[:, 0, 0]
-        mean_curve[:] = d0 + s1 / S
-        v = (sq - s1 * s1 / S) / (S - 1)
-        se_curve[:] = np.sqrt(np.maximum(v, 0.0) / S)
+        if S == 1:
+            # one seed's own distance, an overflowed inf included (inf - inf
+            # would make the shifted mean NaN), with no spread
+            mean_curve[:], se_curve[:] = d0, 0.0
+        else:
+            delta = np.subtract(dist, d0[:, None], out=values)
+            s1 = delta.sum(axis=1)
+            sq = np.matmul(delta[:, None, :], delta[:, :, None])[:, 0, 0]
+            mean_curve[:] = d0 + s1 / S
+            v = (sq - s1 * s1 / S) / (S - 1)
+            se_curve[:] = np.sqrt(np.maximum(v, 0.0) / S)
         # NaN, skipped by fmin, without an oracle or where a second moment is zero
         aim = aiming_values(X, diff, dist, config.decay_lambda, mean, second, partition,
                             (products, roots, values, work))
@@ -508,16 +495,20 @@ def _record_block(problem, config, schedule, partition, X, mean, second, t0, cur
     loss_curve[:] = np.mean(problem.loss(X, (diffs, products, values)), axis=1)
 
 
-def _divergence(problem, config, schedule, partition, t, X, dist, mean,
-                second) -> DivergenceError:
+def _divergence(problem, config, partition, t, X, dist, mean, second, seeds,
+                alphas) -> DivergenceError:
     """The error for the first seed of the lockstep iterates X (S, n) past
-    the threshold at step t, whose one record is that seed's _seed_record
-    there; dist (S,) holds their squared distances (squared norms, with no
-    target), and mean and second are the direction's moments there, as in
-    _record_block."""
+    the threshold at step t, named by its stream index in seeds; dist (S,)
+    holds their squared distances (squared norms, with no target), and mean
+    and second are the direction's moments there, as in _record_block. Its
+    one record is _record_block's reduction of that seed's one row."""
     i = int(np.flatnonzero(dist > DIVERGENCE_THRESHOLD)[0])
-    rec = _seed_record(problem, config, schedule, partition, t, X[i], (mean[i], second[i]))
-    return _diverged(i, t, dist[i], [rec])
+    row = tuple(np.empty(1) for _ in range(4))
+    scratch = _scratch(1, 1, problem.dim, partition.num_blocks)
+    _record_block(problem, config, partition, X[None, i : i + 1], mean[None, i : i + 1],
+                  second[None, i : i + 1], 0, row, scratch, None, None)
+    return DivergenceError(f"seed {seeds[i]} diverged at t={t}: squared distance {dist[i]:.3e}",
+                           [_record(row, 0, t, alphas[t])])
 
 
 # ---------------------------------------------------------------------------

@@ -505,6 +505,199 @@ class PoisonedDraw(NoisyQuadratic):
         return z
 
 
+def with_fault(problem, base_seed, seed, t, value):
+    """problem with the first entry of trajectory seed ``seed``'s draw for
+    step t set to ``value``, however its draws are chunked. A seed's stream
+    is told apart by its generator's state at its first draw, so the Monte
+    Carlo draws go untouched. The logistic problem's minibatch indices come
+    back as floats, and a non-finite one makes its gradient non-finite. Each
+    run needs a fresh problem: the draw counts are kept by generator id."""
+    target = make_rng(base_seed, TRAJECTORY_STREAM, seed).bit_generator.state
+    drawn = {}  # id of the target generator -> the steps it has drawn
+    draw, gradient = problem.draw, problem.gradient
+
+    def faulty_draw(rng, shape=()):
+        if id(rng) not in drawn and rng.bit_generator.state == target:
+            drawn[id(rng)] = 0
+        z = np.asarray(draw(rng, shape), dtype=np.float64)
+        if id(rng) in drawn:
+            first, width = drawn[id(rng)], shape[0] if shape else 1
+            if first <= t < first + width:
+                z[(t - first, 0) if shape else (0,)] = value
+            drawn[id(rng)] = first + width
+        return z
+
+    def index_gradient(x, z):
+        z = np.asarray(z)
+        g = gradient(x, np.where(np.isfinite(z), z, 0).astype(np.intp))
+        bad = z[~np.isfinite(z)]
+        return g + bad[0] if bad.size else g
+
+    problem.draw = faulty_draw
+    if isinstance(problem, LogisticSmokeProblem):
+        problem.gradient = index_gradient
+    return problem
+
+
+def outcome(run):
+    """(records, None) of a run that ends, (None, error) of one that fails."""
+    try:
+        return run(), None
+    except (DivergenceError, NonFiniteError) as exc:
+        return None, exc
+
+
+def failure_key(exc, seed):
+    """Where a seed's run fails first in the lockstep ensemble: by step,
+    then a divergence (checked on the row before the step) ahead of a step
+    fault, then by seed."""
+    if isinstance(exc, DivergenceError):
+        return exc.records[-1].t, 0, seed
+    return int(str(exc).rsplit("t=", 1)[1]), 1, seed
+
+
+class TestFaultModel:
+    FAULTS = {"+inf": np.inf, "-inf": -np.inf, "nan": np.nan, "overflow": None,
+              "zero_second_moment": None}
+
+    # a step's own warnings reach the caller, as for a run without faults
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning",
+                                "ignore:divide by zero:RuntimeWarning")
+    @settings(max_examples=30, deadline=None)
+    @given(
+        alg=st.sampled_from(sorted(ALGORITHMS)),
+        kind=st.sampled_from(["gaussian", "student_t", "logistic"]),
+        fault=st.sampled_from(sorted(FAULTS)),
+        S=st.integers(2, 4),
+        index=st.integers(0, 3),
+        t=st.integers(0, 299),
+        T=st.integers(1, 600),
+        sigma_every=st.sampled_from([0, 1, 50]),
+        base=st.integers(0, 2**16),
+    )
+    # an infinite conceptual draw of seed 2 in the second 256-step block
+    @example(alg="conceptual_bcos", kind="student_t", fault="+inf", S=3, index=2, t=290,
+             T=400, sigma_every=0, base=0)
+    # iterates that pass the threshold and then overflow within one block
+    @example(alg="sgd", kind="gaussian", fault="overflow", S=4, index=0, t=0, T=300,
+             sigma_every=1, base=1)
+    @example(alg="conceptual_bcos", kind="gaussian", fault="overflow", S=2, index=0, t=0,
+             T=300, sigma_every=0, base=2)
+    # a noiseless conceptual iterate that lands on the target: 0/0 at step 3
+    @example(alg="conceptual_bcos", kind="gaussian", fault="zero_second_moment", S=2, index=0,
+             t=3, T=20, sigma_every=0, base=3)
+    # a start on the target, where every seed's gradient is 0
+    @example(alg="bcos_c", kind="student_t", fault="zero_second_moment", S=3, index=0, t=0,
+             T=20, sigma_every=0, base=3)
+    @example(alg="sgd", kind="gaussian", fault="zero_second_moment", S=2, index=0, t=4,
+             T=20, sigma_every=0, base=3)
+    @example(alg="bcos_c", kind="logistic", fault="nan", S=2, index=1, t=60, T=100,
+             sigma_every=50, base=4)
+    def test_runs_fail_as_their_replays(self, alg, kind, fault, S, index, t, T, sigma_every,
+                                        base):
+        """One fault at a time: a +-inf or NaN draw of one seed at step t,
+        iterates that overflow past the divergence threshold, or a noiseless
+        iterate whose direction has a zero second moment. run_trajectory of
+        each seed ends as replay_seed of that seed does: the same records,
+        or the same error with the same records. mean_trajectory raises the
+        error of the seed whose replay fails first, with the record the
+        replay ends with (the ensemble attaches no estimator diagnostic to
+        it), and ends cleanly when no replay fails."""
+        conceptual = alg == "conceptual_bcos"
+        assume(not (conceptual and kind == "logistic"))
+        assume(not (fault == "zero_second_moment" and kind == "logistic"))
+        # a diagnostic at every step: the run stops early to stay quick
+        T = min(T, 12) if sigma_every == 1 else T
+        seed, t = index % S, min(t, T - 1)
+        x_star = np.array([1.0, -1.0, 0.0, 0.5])
+        sigma = 0.0 if fault == "zero_second_moment" else [0.5, 1.0, 1.5, 1.0]
+        lam, sch, x0 = 0.1, inverse_time(0.3), None
+        if fault == "overflow":
+            # only the conceptual step accepts alpha * lambda > 1; the
+            # others grow by the stepsize times the curvature
+            lam, sch = (1.0 if conceptual else 0.0), constant(1e3)
+        elif fault == "zero_second_moment":
+            # the noiseless conceptual step moves each coordinate by alpha,
+            # onto the target at step t % 4 (at the start when that is 0)
+            lam, sch = 0.0, constant(0.25)
+            x0 = x_star + 0.25 * (t % 4) * np.array([1.0, -1.0, 1.0, -1.0])
+
+        def make():
+            if kind == "logistic":
+                prob = LogisticSmokeProblem(n_features=4, n_samples=50, batch=8)
+            else:
+                prob = NoisyQuadratic(h=[1.0, 2.0, 0.5, 1.5], sigma=sigma, x_star=x_star,
+                                      noise=kind)
+            value = self.FAULTS[fault]
+            return prob if value is None else with_fault(prob, base, seed, t, value)
+
+        cfg = OptimizerConfig(alg, weight_decay_lambda=lam, decoupled=True)
+        kwargs = dict(x0=x0, sigma_every=sigma_every)
+        replays = [outcome(lambda: replay_seed(make(), cfg, sch, T, base, seed_index=i, **kwargs))
+                   for i in range(S)]
+        for i, (records, error) in enumerate(replays):
+            run, run_error = outcome(
+                lambda: run_trajectory(make(), cfg, sch, T, base, seed_index=i, **kwargs))
+            if error is None:
+                assert run_error is None
+                assert [record_bytes(r) for r in run] == [record_bytes(r) for r in records]
+            else:
+                assert type(run_error) is type(error) and str(run_error) == str(error)
+                assert ([record_bytes(r) for r in getattr(run_error, "records", [])]
+                        == [record_bytes(r) for r in getattr(error, "records", [])])
+
+        failed = [(failure_key(error, i), error) for i, (_, error) in enumerate(replays)
+                  if error is not None]
+        _, err = outcome(lambda: mean_trajectory(make(), cfg, sch, T, S, base, **kwargs))
+        if not failed:
+            assert err is None
+            return
+        _, first = min(failed, key=lambda f: f[0])
+        assert type(err) is type(first) and str(err) == str(first)
+        if isinstance(first, DivergenceError):
+            last = dataclasses.replace(first.records[-1], estimator_diag=None)
+            assert [record_bytes(r) for r in err.records] == [record_bytes(last)]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowed_distance_is_recorded_as_inf(self):
+        """One sgd step at alpha = 1e200 takes the squared distance past the
+        float range. With the overflow warning let through, both functions
+        end with the replay's record, whose distance is inf, not NaN."""
+        prob, cfg = NoisyQuadratic(h=[1.0], sigma=0.0, x_star=[0.0]), OptimizerConfig("sgd")
+        kwargs = dict(base_seed=0, x0=np.array([1.0]))
+        errors = {}
+        for name, run in (("replay", replay_seed), ("run", run_trajectory),
+                          ("mean", lambda *a, **kw: mean_trajectory(*a, n_seeds=2, **kw))):
+            with pytest.raises(DivergenceError) as errors[name]:
+                run(prob, cfg, constant(1e200), 5, **kwargs)
+        replay = errors["replay"].value
+        assert replay.records[-1].dist_sq == math.inf
+        assert errors["run"].value.records == replay.records
+        assert errors["mean"].value.records == replay.records[-1:]
+        assert str(errors["run"].value) == str(errors["mean"].value) == str(replay)
+
+    def test_targetless_divergence_names_the_squared_norm(self):
+        """The logistic problem has no x*, so its divergence check sizes the
+        iterate by its squared norm. The one-seed run fails as its replay
+        does: the same records, each with a NaN distance, and the same
+        message, which gives the squared norm."""
+        cfg = OptimizerConfig("bcos_c")
+        runs = {}
+        for name, run in (("run", run_trajectory), ("replay", replay_seed)):
+            prob = LogisticSmokeProblem(n_features=4, n_samples=50, batch=8)
+            with pytest.raises(DivergenceError) as runs[name]:
+                run(prob, cfg, constant(1e5), 600, 0, seed_index=2)
+        records, replay = runs["run"].value.records, runs["replay"].value.records
+        assert [record_bytes(r) for r in records] == [record_bytes(r) for r in replay]
+        k = records[-1].t
+        assert k > 5 and [r.t for r in records] == list(range(k + 1))
+        assert all(math.isnan(r.dist_sq) and r.aiming_value is None for r in records)
+        assert str(runs["run"].value) == str(runs["replay"].value)
+        head, size = str(runs["run"].value).split(": squared distance ")
+        assert head == f"seed 2 diverged at t={k}" and float(size) > analysis.DIVERGENCE_THRESHOLD
+
+
 def per_step_ensemble(problem, config, schedule, T, n_seeds, base_seed, x0=None):
     """The lockstep conceptual ensemble with its diagnostics recorded one step
     at a time, as the library did before it recorded blocks of steps: the
@@ -547,10 +740,18 @@ def per_step_ensemble(problem, config, schedule, T, n_seeds, base_seed, x0=None)
         for j in range(width):
             dist = record(t + j)
             if np.max(dist) > analysis.DIVERGENCE_THRESHOLD:
-                part = BlockPartition.singleton(n)
-                oracle = analysis._direction_moments(problem, config, X, None, part)
-                raise analysis._divergence(problem, config, schedule, part, t + j, X, dist,
-                                           *oracle)
+                # the first diverged seed's record, made as replay_seed makes it
+                i = int(np.flatnonzero(dist > analysis.DIVERGENCE_THRESHOLD)[0])
+                x, diff = X[i], X[i] - x_star
+                dist_sq = float(np.einsum("i,i->", diff, diff))
+                mean_g = h * diff
+                aiming = float(aiming_values(x, diff, dist_sq, lam, mean_g, mean_g * mean_g + var,
+                                             BlockPartition.singleton(n)))
+                rec = TrajectoryRecord(t + j, dist_sq, float(problem.loss(x)),
+                                       value_at(schedule, t + j),
+                                       None if math.isnan(aiming) else aiming)
+                raise DivergenceError(
+                    f"seed {i} diverged at t={t + j}: squared distance {dist_sq:.3e}", [rec])
             alpha = alphas[t + j]
             mean_g = h * (X - x_star)
             g = mean_g - h * (sig * noise[:, j, :])
@@ -659,9 +860,9 @@ def lockstep_run(problem, config, schedule, T, S, seed, **kwargs):
     blocks = []
     record = analysis._record_block
 
-    def capture(problem, config, schedule, partition, X, *rest):
+    def capture(problem, config, partition, X, *rest):
         blocks.append(X.copy())
-        record(problem, config, schedule, partition, X, *rest)
+        record(problem, config, partition, X, *rest)
 
     with mock.patch.object(analysis, "_record_block", capture):
         curve = mean_trajectory(problem, config, schedule, T, n_seeds=S, base_seed=seed,
