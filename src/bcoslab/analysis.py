@@ -48,7 +48,9 @@ class DivergenceError(RuntimeError):
     seed's stream index, the step k and the squared distance (the squared
     norm, with no target). ``records`` holds the diverged seed's records, each
     a one-seed row of the recorder: from run_trajectory, those of steps
-    0 .. k; from mean_trajectory, only its record of step k."""
+    0 .. k; from mean_trajectory, only its record of step k, which carries
+    the estimator diagnostic of step k when the seed is seed 0, the one the
+    ensemble's diagnostics follow."""
 
     def __init__(self, message: str, records):
         super().__init__(message)
@@ -273,11 +275,13 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
     goes to _record_block a slice of at most cut steps at a time, which
     raises DivergenceError at the first row past the threshold. Each
     diagnostic goes into ``diags`` by step when given (a one-seed run must
-    give it), and is dropped otherwise. With one seed the curves are that
-    seed's rows, so its DivergenceError holds its records of steps 0 .. k,
-    each with its diagnostic. A fault names the seed's stream index. The
-    footprint is three 256 x S x n history arrays, one block of noise, one
-    slice of recorder scratch and the curves."""
+    give it); otherwise it is dropped once its block is recorded, unless
+    the first seed diverges at its step and the error's record keeps it.
+    With one seed the curves are that seed's rows, so its DivergenceError
+    holds its records of steps 0 .. k, each with its diagnostic. A fault
+    names the seed's stream index. The footprint is three 256 x S x n
+    history arrays, one block of noise, one slice of recorder scratch and
+    the curves."""
     partition, start, oracle = _start(problem, config, T, x0, partition)
     S = len(seeds)
     conceptual = config.algorithm == "conceptual_bcos"
@@ -340,6 +344,10 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
     curves = tuple(np.empty(T + 1) for _ in range(4))
     sigma = np.full(T + 1, np.nan)
     scratch = _scratch(cut, S, problem.dim, partition.num_blocks)
+    # the first seed's diagnostics by step, which its divergence record
+    # carries: the caller's dict keeps them all, else each is dropped once
+    # its block is recorded
+    held = {} if diags is None else diags
     t0 = 0  # first step whose iterate is not yet recorded
     caller_errors = np.geterr()
 
@@ -350,15 +358,14 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
                 for a in range(0, t_end - t0, cut):
                     b = min(a + cut, t_end - t0)
                     _record_block(problem, config, partition, history[a:b], mean_history[a:b],
-                                  second_history[a:b], t0 + a, curves, scratch, seeds, alphas)
+                                  second_history[a:b], t0 + a, curves, scratch, seeds, alphas,
+                                  held)
         except DivergenceError as exc:
             if S == 1:
                 # one seed: its records of steps 0 .. k-1 are the rows
                 # recorded so far, and the error holds that of step k
-                (last,) = exc.records
-                exc.records[:] = [_record(curves, t, t, alphas[t], diags.get(t))
-                                  for t in range(last.t)]
-                exc.records.append(replace(last, estimator_diag=diags.get(last.t)))
+                exc.records[:0] = [_record(curves, t, t, alphas[t], held.get(t))
+                                   for t in range(exc.records[0].t)]
             raise
         t0 = t_end
 
@@ -391,11 +398,12 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
                                        base_seed, partition)
             if diag is not None:
                 sigma[s] = diag.sigma_t
-                if diags is not None:
-                    diags[s] = diag
+                held[s] = diag
         # a diagnostic ends a block too, so at most one is made past a divergence
         if s + 1 - t0 == rows or diag is not None:
             flush(s + 1)
+            if diags is None:
+                held.clear()
         return kept
 
     # a zero-width draw gives the shape and type of one draw and takes none
@@ -437,7 +445,7 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
 
 
 def _record_block(problem, config, partition, X, mean, second, t0, curves, scratch, seeds,
-                  alphas) -> None:
+                  alphas, diags) -> None:
     """Seed statistics of the lockstep iterates X (W, S, n) of steps t0 ..
     t0+W-1, written into rows t0.. of the (mean, SE, loss, aiming-min)
     curves: the one reduction of recorded rows, whose one-seed rows are
@@ -446,8 +454,9 @@ def _record_block(problem, config, partition, X, mean, second, t0, curves, scrat
     oracle, and are only read. At the first step where a squared distance
     (squared norm, with no target) passes the threshold, it records the rows
     before that step and raises _divergence's error; ``seeds`` holds the
-    stream indices of the S seeds and ``alphas`` the stepsizes by step.
-    With seeds None the rows are recorded unchecked. ``scratch`` holds the
+    stream indices of the S seeds, ``alphas`` the stepsizes by step and
+    ``diags`` the first seed's estimator diagnostics by step. With seeds
+    None the rows are recorded unchecked. ``scratch`` holds the
     arrays the slice works in (see _scratch), each of at least W rows.
 
     Each row is reduced in the same order as a single (S, n) step would be:
@@ -465,10 +474,10 @@ def _record_block(problem, config, partition, X, mean, second, t0, curves, scrat
     if crossed.size and seeds is not None:
         k = int(crossed[0])
         error = _divergence(problem, config, partition, t0 + k, X[k], dist[k], mean[k],
-                            second[k], seeds, alphas)
+                            second[k], seeds, alphas, diags)
         if k:
             _record_block(problem, config, partition, X[:k], mean[:k], second[:k], t0, curves,
-                          scratch, seeds, alphas)
+                          scratch, seeds, alphas, diags)
         raise error
     mean_curve, se_curve, loss_curve, aim_curve = (c[t0 : t0 + W] for c in curves)
     if x_star is None:
@@ -496,19 +505,21 @@ def _record_block(problem, config, partition, X, mean, second, t0, curves, scrat
 
 
 def _divergence(problem, config, partition, t, X, dist, mean, second, seeds,
-                alphas) -> DivergenceError:
+                alphas, diags) -> DivergenceError:
     """The error for the first seed of the lockstep iterates X (S, n) past
     the threshold at step t, named by its stream index in seeds; dist (S,)
     holds their squared distances (squared norms, with no target), and mean
     and second are the direction's moments there, as in _record_block. Its
-    one record is _record_block's reduction of that seed's one row."""
+    one record is _record_block's reduction of that seed's one row, with
+    the diagnostic of step t in diags when that seed is the first one,
+    along which the diagnostics are made."""
     i = int(np.flatnonzero(dist > DIVERGENCE_THRESHOLD)[0])
     row = tuple(np.empty(1) for _ in range(4))
     scratch = _scratch(1, 1, problem.dim, partition.num_blocks)
     _record_block(problem, config, partition, X[None, i : i + 1], mean[None, i : i + 1],
-                  second[None, i : i + 1], 0, row, scratch, None, None)
+                  second[None, i : i + 1], 0, row, scratch, None, None, None)
     return DivergenceError(f"seed {seeds[i]} diverged at t={t}: squared distance {dist[i]:.3e}",
-                           [_record(row, 0, t, alphas[t])])
+                           [_record(row, 0, t, alphas[t], diags.get(t) if i == 0 else None)])
 
 
 # ---------------------------------------------------------------------------
@@ -957,19 +968,6 @@ class ChungReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-def k_p_tail(p: float, terms: int = 10**7) -> float:
-    """Direct summation of sum_{t=1..terms} 1/(t+1)^(2p)."""
-    total = 0.0
-    lo = 1
-    chunk = 10**6
-    while lo <= terms:
-        hi = min(lo + chunk - 1, terms)
-        t = np.arange(lo, hi + 1, dtype=np.float64)
-        total += float(np.sum((t + 1.0) ** (-2.0 * p)))
-        lo = hi + 1
-    return total
 
 
 def verify_chung_recursions(T: int = 10**7) -> ChungReport:

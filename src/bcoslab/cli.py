@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verifier failure, divergence or a numeric failure
 from __future__ import annotations
 
 import argparse
+import contextvars
 import hashlib
 import math
 import os
@@ -512,14 +513,31 @@ def _counterexample_checks() -> tuple[list[CheckResult], list[CheckResult]]:
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
-    """Print the fixed check catalog; 1 if any check fails, else 0. cfg is not read."""
-    log_checks, quad_checks = _counterexample_checks()
+    """Print the fixed check catalog; 1 if any check fails, else 0. cfg is not read.
+
+    The decay recursions run on a worker thread while this thread runs the
+    counterexamples and the estimator catalog; the ratio expansion runs
+    alone after the join. Every large numpy call releases the GIL, so the
+    two overlap on two cores. The recursions and the catalog together
+    (about 23 + 14 MiB traced) stay under the ratio expansion's 38 MiB,
+    which still sets the peak. The worker runs in a copy of the caller's
+    context, so the caller's np.errstate holds there too, and its error is
+    raised here after the join. The output is printed in the catalog's order
+    once every section is done, the same bytes as one section after another."""
+    # imported here: a module import would add to every command's start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        chung = pool.submit(contextvars.copy_context().run, analysis.verify_chung_recursions)
+        log_checks, quad_checks = _counterexample_checks()
+        catalog = _estimator_fixture_checks()
+        chung_checks = chung.result().checks
     sections = [
         ("counterexample_log_aiming", log_checks),
         ("counterexample_quadratic_not_aiming", quad_checks),
-        ("chung_recursions", analysis.verify_chung_recursions().checks),
+        ("chung_recursions", chung_checks),
         ("ratio_expansion", analysis.verify_ratio_expansion().checks),
-        ("estimator_catalog", _estimator_fixture_checks()),
+        ("estimator_catalog", catalog),
     ]
     all_pass = True
     print("name,observed,bound,tolerance,status")

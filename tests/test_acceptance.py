@@ -15,7 +15,6 @@ from bcoslab.analysis import (
     contraction_noise_bound,
     estimator_stats,
     fit_rate,
-    k_p_tail,
     mc_mean_se,
     mc_variance_se,
     mean_trajectory,
@@ -35,6 +34,20 @@ from bcoslab.problems import (
     counterexample_quadratic_not_aiming,
     make_rng,
 )
+
+
+def k_p_tail(p: float, terms: int = 10**7) -> float:
+    """Direct summation of sum_{t=1..terms} 1/(t+1)^(2p), the tail constant
+    of criterion 06's limit."""
+    total = 0.0
+    lo = 1
+    chunk = 10**6
+    while lo <= terms:
+        hi = min(lo + chunk - 1, terms)
+        t = np.arange(lo, hi + 1, dtype=np.float64)
+        total += float(np.sum((t + 1.0) ** (-2.0 * p)))
+        lo = hi + 1
+    return total
 
 
 def report(n, name):

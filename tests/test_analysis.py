@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from test_acceptance import k_p_tail
 
-from bcoslab import analysis
+from bcoslab import analysis, cli
 from bcoslab.analysis import (
     AnalysisError,
     DivergenceError,
@@ -22,7 +23,6 @@ from bcoslab.analysis import (
     contraction_noise_bound,
     estimator_stats,
     fit_powerlaw,
-    k_p_tail,
     mc_mean_se,
     mc_variance_se,
     mean_trajectory,
@@ -602,8 +602,9 @@ class TestFaultModel:
         each seed ends as replay_seed of that seed does: the same records,
         or the same error with the same records. mean_trajectory raises the
         error of the seed whose replay fails first, with the record the
-        replay ends with (the ensemble attaches no estimator diagnostic to
-        it), and ends cleanly when no replay fails."""
+        replay ends with (its estimator diagnostic included when that seed
+        is seed 0, the one the ensemble's diagnostics follow), and ends
+        cleanly when no replay fails."""
         conceptual = alg == "conceptual_bcos"
         assume(not (conceptual and kind == "logistic"))
         assume(not (fault == "zero_second_moment" and kind == "logistic"))
@@ -653,11 +654,37 @@ class TestFaultModel:
         if not failed:
             assert err is None
             return
-        _, first = min(failed, key=lambda f: f[0])
+        (_, _, failed_seed), first = min(failed, key=lambda f: f[0])
         assert type(err) is type(first) and str(err) == str(first)
         if isinstance(first, DivergenceError):
-            last = dataclasses.replace(first.records[-1], estimator_diag=None)
+            last = first.records[-1]
+            if failed_seed != 0:
+                # the ensemble makes its diagnostics along seed 0 alone
+                last = dataclasses.replace(last, estimator_diag=None)
             assert [record_bytes(r) for r in err.records] == [record_bytes(last)]
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_ensemble_divergence_carries_seed_zero_diagnostic(self, seed):
+        """A huge draw of one seed at step 3 makes it diverge at step 4, a
+        diagnostic step. The ensemble's diagnostics follow seed 0, so its
+        error's record carries the diagnostic of step 4 when seed 0 diverged,
+        as seed 0's replay does, and none when another seed did."""
+        cfg, sch = OptimizerConfig("sgd"), constant(0.1)
+
+        def make():
+            prob = NoisyQuadratic(h=[1.0, 2.0], sigma=1.0, x_star=[0.0, 0.0])
+            return with_fault(prob, 5, seed, 3, 1e9)
+
+        with pytest.raises(DivergenceError) as replay:
+            replay_seed(make(), cfg, sch, 10, 5, seed_index=seed, sigma_every=1)
+        with pytest.raises(DivergenceError) as ensemble:
+            mean_trajectory(make(), cfg, sch, 10, 3, 5, sigma_every=1)
+        last = replay.value.records[-1]
+        assert str(ensemble.value) == str(replay.value) and last.t == 4
+        assert last.estimator_diag is not None
+        if seed:
+            last = dataclasses.replace(last, estimator_diag=None)
+        assert [record_bytes(r) for r in ensemble.value.records] == [record_bytes(last)]
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowed_distance_is_recorded_as_inf(self):
@@ -1492,3 +1519,15 @@ class TestVerifyFootprint:
         verify_ratio_expansion(n_mc=2)  # the first draw imports numpy.random
         peak = traced_peak(lambda: verify_ratio_expansion(n_mc=n_mc))
         assert peak <= 5.25 * n_mc * 8, f"peak {peak / (n_mc * 8):.2f} x n_mc floats"
+
+    def test_sections_run_together_stay_under_the_ratio_peak(self):
+        """cli.cmd_verify runs the decay recursions beside the estimator
+        catalog, and the ratio expansion alone. At default sizes the first
+        two peaks add up to no more than the ratio expansion's, so it still
+        sets verify's footprint."""
+        verify_ratio_expansion(n_mc=2)  # the first draw imports numpy.random
+        chung = traced_peak(analysis.verify_chung_recursions)
+        catalog = traced_peak(cli._estimator_fixture_checks)
+        ratio = traced_peak(verify_ratio_expansion)
+        assert chung + catalog <= ratio, (
+            f"{chung / 2**20:.1f} + {catalog / 2**20:.1f} > {ratio / 2**20:.1f} MiB")

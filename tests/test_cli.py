@@ -1,9 +1,12 @@
 """Config parsing, CSV determinism, sweep grids, and verifier wiring."""
 
+import threading
+
+import numpy as np
 import pytest
 from test_golden import assert_golden, regenerate
 
-from bcoslab import cli
+from bcoslab import analysis, cli
 from bcoslab.cli import ConfigError, ExperimentConfig, config_text, parse_config
 
 
@@ -423,6 +426,51 @@ class TestCmdVerify:
                   if ln.endswith(",FAIL")]
         assert failed == ["ema_variance_dev_se", "adam_variance_dev_se",
                           "conditional_variance_dev_se"]
+
+
+    def test_failure_on_the_worker_fails_verify(self, monkeypatch, capsys):
+        """An error in the decay recursions, which run on a worker thread,
+        exits 2 as it would on the main thread: nothing on stdout, the
+        message on stderr and no thread left running."""
+        def failing():
+            raise analysis.AnalysisError("recursion scan failed")
+
+        monkeypatch.setattr(analysis, "verify_chung_recursions", failing)
+        threads = threading.active_count()
+        rc = cli.main(["verify"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: recursion scan failed\n"
+        assert threading.active_count() == threads
+
+    def test_failing_recursion_check_fails_verify(self, monkeypatch, capsys):
+        """A wrong scan of the recursion that starts at t = 4 flips its one
+        line to FAIL and exits 1."""
+        scan = analysis._scan_decay
+
+        def wrong(coeff, drive, t0, T, x0):
+            x, undriven = scan(coeff, drive, t0, T, x0)
+            return (2.0 * x if t0 == 4 else x), undriven
+
+        monkeypatch.setattr(analysis, "_scan_decay", wrong)
+        rc = cli.main(["verify"])
+        assert rc == 1
+        failed = [ln.split(",")[0] for ln in capsys.readouterr().out.splitlines()
+                  if ln.endswith(",FAIL")]
+        assert failed == ["power_decay_a2_p0.75_q1.5_b1"]
+
+    def test_caller_errstate_reaches_the_worker(self, monkeypatch):
+        """The caller's np.errstate holds on the worker thread: an overflow
+        in the decay recursions raises out of cmd_verify."""
+        def overflowing():
+            np.exp(np.array([1000.0]))
+            return analysis.ChungReport(())
+
+        monkeypatch.setattr(analysis, "verify_chung_recursions", overflowing)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError) as raised:
+            cli.cmd_verify(ExperimentConfig())
+        assert raised.traceback[-1].name == "overflowing"
 
 
 class TestCmdCounterexamples:
