@@ -95,8 +95,7 @@ class MeanCurve:
     """Pointwise seed statistics of squared distance to the target.
 
     ``sigma`` holds the step-gap diagnostic sampled along the first seed's
-    trajectory when requested (nan elsewhere, and everywhere in block
-    mode)."""
+    trajectory when requested, on any partition (nan elsewhere)."""
 
     t: np.ndarray
     mean_dist_sq: np.ndarray
@@ -137,15 +136,14 @@ def _direction_moments(problem, config, x, m, partition, out=(None, None)):
 
 
 def _estimator_diag(problem, config, state, x, t, sigma_every, base_seed, partition):
-    """The estimator diagnostics due at step t, or None. They measure the
-    coordinatewise estimate, so a run whose step divides by per-block
-    estimates (a coarser partition) gets none."""
+    """The estimator diagnostics due at step t, or None: they measure the
+    estimate the step divides by, one per block of the run's partition."""
     if (sigma_every <= 0 or t == 0 or t % sigma_every != 0
-            or config.algorithm == "conceptual_bcos"
-            or partition.num_blocks != partition.total_dim):
+            or config.algorithm == "conceptual_bcos"):
         return None
     try:
-        return estimator_stats(problem, x, state, config, SIGMA_N_MC, seed=base_seed, key=(t,))
+        return estimator_stats(problem, x, state, config, SIGMA_N_MC, seed=base_seed, key=(t,),
+                               partition=partition)
     except AnalysisError:
         return None
 
@@ -200,10 +198,10 @@ def run_trajectory(
     Aborts with DivergenceError once a recorded squared distance (or the
     squared norm, when no target is known) exceeds 1e12, the last one
     included. With sigma_every > 0, Monte Carlo estimator diagnostics are
-    attached to every sigma_every-th record (needs a moment oracle, a
-    practical algorithm and coordinatewise blocks; skipped otherwise). A
-    non-finite gradient, or a step that makes the iterate non-finite, raises
-    NonFiniteError naming seed_index and the step."""
+    attached to every sigma_every-th record (needs a moment oracle and a
+    practical algorithm; skipped otherwise). A non-finite gradient, or a
+    step that makes the iterate non-finite, raises NonFiniteError naming
+    seed_index and the step."""
     diags = {}
     alphas, curves, _ = _lockstep(problem, config, schedule, T, base_seed, [seed_index], x0,
                                   partition, sigma_every, diags)
@@ -663,10 +661,12 @@ def mc_variance_se(samples: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EstimatorStats:
-    """Per-coordinate Monte Carlo diagnostics of a second-moment estimator.
-    ``v_draws`` holds the (n_mc, n) sampled estimates that mean_v, variance
-    and bias reduce, so a record that carries it holds n_mc x n floats
-    (320 KB for SIGMA_N_MC draws at n = 4)."""
+    """Monte Carlo diagnostics of a second-moment estimator on a partition
+    of n coordinates into m blocks: mean_d, snr_d, snr_v and corr_dv are per
+    coordinate (snr_v and corr_dv pair each with its block's estimate), and
+    bias, variance, mean_v and exact_second_moment per block. ``v_draws``
+    holds the (n_mc, m) sampled estimates they reduce, so a record that
+    carries it holds n_mc x m floats (320 KB for SIGMA_N_MC draws at m = 4)."""
 
     mean_d: np.ndarray
     snr_d: np.ndarray
@@ -678,7 +678,6 @@ class EstimatorStats:
     exact_second_moment: np.ndarray | None = None
     tau_hat: float = 0.0
     sigma_t: float = float("nan")
-    epsilon: float = 0.0
     n_mc: int = 0
     v_draws: np.ndarray | None = None
 
@@ -691,22 +690,25 @@ def estimator_stats(
     n_mc: int,
     seed: int = 0,
     key: tuple[int, ...] = (),
+    partition: BlockPartition | None = None,
 ) -> EstimatorStats:
     """Freeze the optimizer state, draw n_mc fresh gradients at x from
     make_rng(seed, MC_STREAM, *key), and measure the bias, variance, SNRs and
-    direction correlation of the estimate the next step would divide by, per
-    coordinate. Directions and estimates come from ``optim.propose``, which
-    ``step`` runs, with the draws as a batch axis; ``v_draws`` holds the
-    estimates, one row per draw. The bias reference E[d^2] is exact, from the
-    oracle of the direction the step uses."""
+    direction correlation of the estimate the next step on ``partition``
+    (singleton by default) would divide by, one per block. Directions and
+    estimates come from ``optim.propose``, which ``step`` runs, with the
+    draws as a batch axis; ``v_draws`` holds the estimates, one row per draw.
+    The bias reference, the block sums of E[d^2], is exact, from the oracle
+    of the direction the step uses."""
     if n_mc < 10**4:
         raise AnalysisError(f"n_mc must be >= 1e4 for stable estimates, got {n_mc}")
-    for name, arr in (("m", state.m), ("v", state.v)):
-        if arr is not None and np.asarray(arr).shape != (problem.dim,):
-            raise AnalysisError(
-                f"estimator stats are coordinatewise; state.{name} must have "
-                f"length {problem.dim}"
-            )
+    if partition is None:
+        partition = BlockPartition.singleton(problem.dim)
+    if partition.total_dim != problem.dim:
+        raise ShapeError(f"partition dim {partition.total_dim} != problem dim {problem.dim}")
+    for name, arr, size in (("m", state.m, problem.dim), ("v", state.v, partition.num_blocks)):
+        if arr is not None and np.asarray(arr).shape != (size,):
+            raise ShapeError(f"state.{name} must have length {size}")
     alg = config.algorithm
     spec = ALGORITHMS[alg]
     if spec.estimate is None:
@@ -716,8 +718,7 @@ def estimator_stats(
         raise AnalysisError(f"{alg} estimator stats need a primed state holding {spec.state}")
     eps = config.epsilon
     x = np.asarray(x, dtype=np.float64)
-    coord = BlockPartition.singleton(problem.dim)
-    moments = _direction_moments(problem, config, x, state.m, coord)
+    moments = _direction_moments(problem, config, x, state.m, partition)
     if moments is None:
         raise AnalysisError("estimator stats need a problem with exact moments")
     exact_d2 = moments[1]
@@ -725,10 +726,10 @@ def estimator_stats(
         # the step divides the corrected momentum m/c1
         exact_d2 = exact_d2 / (1.0 - config.beta1 ** (state.t + 1)) ** 2
     if np.any(exact_d2 <= 0):
-        raise AnalysisError("estimator stats need E[d^2] > 0 on every coordinate")
+        raise AnalysisError("estimator stats need E[d^2] > 0 on every block")
     fold = config.fold_lambda
     G = problem.sample_gradients(x, make_rng(seed, MC_STREAM, *key), n_mc)
-    d, v, _, _ = propose(config, state, G + fold * x if fold else G, coord)
+    d, v, _, _ = propose(config, state, G + fold * x if fold else G, partition)
 
     mean_d = d.mean(axis=0)
     var_d = d.var(axis=0, ddof=1)
@@ -737,11 +738,10 @@ def estimator_stats(
     bias = np.abs(mean_v - exact_d2)
     with np.errstate(divide="ignore"):
         snr_d = np.where(var_d > 0, mean_d**2 / np.where(var_d > 0, var_d, 1.0), np.inf)
-        snr_v = np.where(var_v > 0, (mean_v + eps) ** 2 / np.where(var_v > 0, var_v, 1.0), np.inf)
-    dc = d - mean_d
-    vc = v - mean_v
-    cov = np.einsum("ij,ij->j", dc, vc) / (n_mc - 1)
-    denom = np.sqrt(var_d * var_v)
+        snr_v = partition.expand(
+            np.where(var_v > 0, (mean_v + eps) ** 2 / np.where(var_v > 0, var_v, 1.0), np.inf))
+    cov = np.einsum("ij,ij->j", d - mean_d, partition.expand(v - mean_v)) / (n_mc - 1)
+    denom = np.sqrt(var_d * partition.expand(var_v))
     corr = np.where(denom > 0, cov / np.where(denom > 0, denom, 1.0), 0.0)
     tau_hat = float(np.max(np.maximum(bias - eps, 0.0) / exact_d2))
     stats = EstimatorStats(
@@ -754,7 +754,6 @@ def estimator_stats(
         mean_v=mean_v,
         exact_second_moment=exact_d2,
         tau_hat=tau_hat,
-        epsilon=eps,
         n_mc=n_mc,
         v_draws=v,
     )

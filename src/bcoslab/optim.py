@@ -139,9 +139,10 @@ class AlgorithmSpec:
     """One algorithm: the vectors it keeps (``m``, ``v``), whether it steps
     along the ``gradient`` or the ``momentum``, and how it normalizes that
     direction: ``plain``, ``sign``, or ``sqrt`` (divide by the root of the
-    estimate). ``estimate(config, inputs)`` returns (estimate, v to store);
-    plain steps pair with the constant 1 and sign steps with d^2, as
-    sign(d) = d/sqrt(d^2). The conceptual method uses the exact moment."""
+    estimate). ``estimate(config, inputs)`` returns (estimate, v to store),
+    the estimate one value per block: plain steps pair with the constant 1
+    and sign steps with the block sums of d^2, as sign(d) = d/sqrt(d^2) on
+    singleton blocks. The conceptual method uses the exact moment."""
 
     state: tuple[str, ...]
     direction: str
@@ -187,11 +188,11 @@ def _conditional(config: OptimizerConfig, s: StepInputs) -> tuple:
 
 
 def _unit(config: OptimizerConfig, s: StepInputs) -> tuple:
-    return np.ones_like(s.direction), None
+    return np.ones(s.direction.shape[:-1] + (s.partition.num_blocks,)), None
 
 
 def _own_square(config: OptimizerConfig, s: StepInputs) -> tuple:
-    return s.direction * s.direction, None
+    return s.partition.block_sums(s.direction * s.direction), None
 
 
 ALGORITHMS = {

@@ -73,11 +73,10 @@ def replay_seed(problem, config, schedule, T, base_seed, seed_index=0, x0=None,
     for t in range(T + 1):
         moments = analysis._direction_moments(problem, config, x, state.m, part)
         diag = None
-        if (sigma_every > 0 and t > 0 and t % sigma_every == 0 and not conceptual
-                and part.num_blocks == part.total_dim):
+        if sigma_every > 0 and t > 0 and t % sigma_every == 0 and not conceptual:
             try:
                 diag = estimator_stats(problem, x, state, config, analysis.SIGMA_N_MC,
-                                       seed=base_seed, key=(t,))
+                                       seed=base_seed, key=(t,), partition=part)
             except AnalysisError:
                 pass
         dist_sq, aiming = float("nan"), None
@@ -1089,28 +1088,34 @@ class TestStepGapBound:
         assert gap.truncation == pytest.approx(0.2**2 / 2 + 1.1 * 0.01)
 
 
-class TestPracticalNeighborhood:
-    def test_plateau_inside_predicted_radius(self):
-        """End to end: run the conditional-estimator method with decay and a
-        diminishing schedule, measure the step-gap scalar along the way, and
-        confirm the trajectory settles inside the predicted neighborhood."""
-        from bcoslab.problems import TRAJECTORY_STREAM
-        from bcoslab.schedules import inverse_time, value_at
+PARTITIONS = {
+    "singleton": BlockPartition.singleton(4),
+    "2+2": BlockPartition.from_sizes([2, 2]),
+    "full": BlockPartition.full(4),
+}
 
+
+class TestPracticalNeighborhood:
+    @pytest.mark.parametrize("name", sorted(PARTITIONS))
+    def test_plateau_inside_predicted_radius(self, name):
+        """End to end: run the conditional-estimator method with decay and a
+        diminishing schedule, measure the step-gap scalar of the estimate
+        each step divides by along the way, and confirm the trajectory
+        settles inside the predicted neighborhood, on any partition."""
         prob = centered_quadratic(n=4)
         lam = 1.0
         cfg = OptimizerConfig("bcos_c", beta1=0.9, epsilon=1e-6,
                               weight_decay_lambda=lam, decoupled=True)
         sch = inverse_time(0.6)
         rng = make_rng(42, TRAJECTORY_STREAM, 0)
-        x, part = np.full(4, 3.0), BlockPartition.singleton(4)
+        x, part = np.full(4, 3.0), PARTITIONS[name]
         state = OptimizerState()
         sigmas = []
         for t in range(10_000):
             g = prob.sample_gradient(x, rng)
             x, state = step(cfg, state, x, g, value_at(sch, t), part)
             if t in (10, 100, 1000, 9999):
-                stats = estimator_stats(prob, x, state, cfg, 10**4, seed=t)
+                stats = estimator_stats(prob, x, state, cfg, 10**4, seed=t, partition=part)
                 sigmas.append(stats.sigma_t)
         radius = neighborhood_radius(max(sigmas), cfg.epsilon, lam, 4)
         assert float(x @ x) <= radius**2
@@ -1159,11 +1164,46 @@ class TestEstimatorStats:
         stats = estimator_stats(prob, np.array([2.0]), state, cfg, 10**4, seed=5)
         assert stats.corr_dv[0] > 0.5
 
-    def test_requires_enough_draws(self):
+    @pytest.mark.parametrize("n_mc, state, partition, error, message", [
+        (100, OptimizerState(), None, AnalysisError,
+         "n_mc must be >= 1e4 for stable estimates, got 100"),
+        (10**4, OptimizerState(t=1, m=np.zeros(2)), None, ShapeError,
+         "state.m must have length 3"),
+        (10**4, OptimizerState(t=1, m=np.zeros(3), v=np.ones(3)),
+         BlockPartition.from_sizes([2, 1]), ShapeError, "state.v must have length 2"),
+        (10**4, OptimizerState(), BlockPartition.singleton(4), ShapeError,
+         "partition dim 4 != problem dim 3"),
+    ], ids=["draws", "m", "v", "partition"])
+    def test_rejects_bad_inputs(self, n_mc, state, partition, error, message):
+        """The momentum has one entry per coordinate and the estimate one
+        per block of the partition, which covers the problem's coordinates."""
         prob = centered_quadratic()
-        with pytest.raises(AnalysisError):
-            estimator_stats(prob, np.zeros(3), OptimizerState(),
-                            OptimizerConfig("sgd"), 100)
+        with pytest.raises(error) as err:
+            estimator_stats(prob, np.zeros(3), state, OptimizerConfig("adam"), n_mc,
+                            partition=partition)
+        assert type(err.value) is error and str(err.value) == message
+
+    def test_block_conditional_closed_form(self):
+        """With Gaussian noise the coordinates are independent, so the
+        per-block conditional estimate's variance and signed bias are the
+        block sums of the coordinatewise closed forms, within 3 SE taken
+        from the sampled estimates."""
+        beta1 = 0.9
+        h, sd = np.array([1.0, 2.0, 0.5, 1.5]), np.array([0.5, 1.0, 1.5, 0.8])
+        prob = NoisyQuadratic(h=h, sigma=sd, x_star=np.zeros(4))
+        x = np.array([1.2, -0.7, 2.0, 0.4])
+        m_prev = np.array([0.5, -1.0, 0.25, 0.9])
+        part = BlockPartition.from_sizes([2, 2])
+        cfg = OptimizerConfig("bcos_c", beta1=beta1, epsilon=1e-6)
+        stats = estimator_stats(prob, x, OptimizerState(t=1, m=m_prev), cfg, 10**5, seed=103,
+                                partition=part)
+        mu, s = h * x, h * sd
+        assert stats.v_draws.shape == (10**5, 2)
+        variance = (1 - beta1) ** 4 * part.block_sums(4 * mu**2 * s**2 + 2 * s**4)
+        assert np.all(np.abs(stats.variance - variance) <= 3 * mc_variance_se(stats.v_draws))
+        bias = part.block_sums(2 * beta1 * (1 - beta1) * m_prev * (m_prev - mu))
+        signed = stats.mean_v - stats.exact_second_moment
+        assert np.all(np.abs(signed - bias) <= 3 * mc_mean_se(stats.v_draws))
 
     def test_full_conditional_bias_shrinks_by_beta(self):
         """Keeping the momentum cross term multiplies the signed bias by the
@@ -1211,27 +1251,31 @@ class TestEstimatorMatchesStep:
         decoupled=st.booleans(),
         full=st.booleans(),
         priming=st.integers(min_value=1, max_value=3),
+        sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
         seed=st.integers(min_value=0, max_value=2**16),
     )
     @settings(max_examples=10, deadline=None)
     def test_sampled_estimate_is_what_step_divides_by(
-        self, alg, bias_correction, placement, decoupled, full, priming, seed
+        self, alg, bias_correction, placement, decoupled, full, priming, sizes, seed
     ):
         """For every Monte Carlo draw, one step on that gradient lands where
-        the harness's (direction, estimate) pair says it does, bit for bit."""
-        prob = NoisyQuadratic(h=[1.0, 2.0, 0.5], sigma=[0.5, 1.0, 1.5], x_star=np.zeros(3))
+        the harness's (direction, estimate) pair says it does, bit for bit,
+        on any partition."""
+        part = BlockPartition.from_sizes(sizes)
+        n = part.total_dim
+        prob = NoisyQuadratic(h=np.linspace(1.0, 2.0, n), sigma=np.linspace(0.5, 1.5, n),
+                              x_star=np.zeros(n))
         lam, alpha = 0.1, 0.05
         cfg = OptimizerConfig(alg, beta1=0.9, beta2=0.95, epsilon=1e-6,
                               epsilon_placement=placement, weight_decay_lambda=lam,
                               decoupled=decoupled, bias_correction=bias_correction,
                               conditional_full=full and alg == "bcos_c")
-        x, state = np.array([1.2, -0.7, 2.0]), OptimizerState()
-        part = BlockPartition.singleton(3)
+        x, state = np.linspace(-0.7, 2.0, n), OptimizerState()
         rng = make_rng(seed, TRAJECTORY_STREAM, 0)
         for _ in range(priming):
             x, state = step(cfg, state, x, prob.sample_gradient(x, rng), alpha, part)
         n_mc = 10**4
-        stats = estimator_stats(prob, x, state, cfg, n_mc, seed=seed)
+        stats = estimator_stats(prob, x, state, cfg, n_mc, seed=seed, partition=part)
 
         G = prob.sample_gradients(x, make_rng(seed, MC_STREAM), n_mc)
         decay = 1.0 - alpha * lam if decoupled else 1.0
@@ -1239,6 +1283,7 @@ class TestEstimatorMatchesStep:
         # these are the draws the harness measured
         assert stats.mean_d.tobytes() == d.mean(axis=0).tobytes()
         assert stats.mean_v.tobytes() == v.mean(axis=0).tobytes()
+        assert stats.v_draws.shape == (n_mc, part.num_blocks)
         expected = decay * x - alpha * normalize(cfg, d, v, part)
         stepped = np.stack([step(cfg, state, x, g, alpha, part)[0] for g in G])
         assert stepped.tobytes() == expected.tobytes()
@@ -1275,31 +1320,29 @@ class TestEstimatorSeeds:
         b = estimator_stats(prob, x, OptimizerState(), cfg, 10**4, seed=1, key=(1009,))
         assert not np.array_equal(a.mean_d, b.mean_d)
 
-    def test_trajectory_diagnostic_uses_step_key(self):
-        prob = centered_quadratic()
-        cfg = OptimizerConfig("bcos_c", beta1=0.9)
-        records = run_trajectory(prob, cfg, constant(0.05), 2, base_seed=7,
-                                 sigma_every=2)
-        x, state = prob.default_start(), OptimizerState()
-        part = BlockPartition.singleton(prob.dim)
-        rng = make_rng(7, TRAJECTORY_STREAM, 0)
-        for _ in range(2):
-            x, state = step(cfg, state, x, prob.sample_gradient(x, rng), 0.05, part)
-        expected = estimator_stats(prob, x, state, cfg, 10**4, seed=7, key=(2,))
-        assert records[2].estimator_diag.sigma_t == expected.sigma_t
-
-    def test_block_mode_has_no_diagnostic(self):
-        """The diagnostic measures the coordinatewise estimate, which a step
-        on coarser blocks does not divide by, so block mode reports none."""
+    @pytest.mark.parametrize("name", ["singleton", "2+2"])
+    def test_trajectory_diagnostic_uses_step_key(self, name):
+        """The diagnostic of step t measures the estimate that step t divides
+        by, on the run's partition, from the stream keyed by t; the ensemble
+        keeps its sigma_t on exactly the diagnostic rows."""
         prob = centered_quadratic(n=4)
         cfg = OptimizerConfig("bcos_c", beta1=0.9)
-        part = BlockPartition.from_sizes([2, 2])
+        part = PARTITIONS[name]
+        records = run_trajectory(prob, cfg, constant(0.05), 100, base_seed=7, partition=part,
+                                 sigma_every=50)
+        x, state = prob.default_start(), OptimizerState()
+        rng = make_rng(7, TRAJECTORY_STREAM, 0)
+        for _ in range(50):
+            x, state = step(cfg, state, x, prob.sample_gradient(x, rng), 0.05, part)
+        expected = estimator_stats(prob, x, state, cfg, 10**4, seed=7, key=(50,), partition=part)
+        assert records[50].estimator_diag.sigma_t == expected.sigma_t
         curve = mean_trajectory(prob, cfg, constant(0.05), 100, n_seeds=2, base_seed=7,
                                 partition=part, sigma_every=50)
-        assert np.all(np.isnan(curve.sigma))
-        records = run_trajectory(prob, cfg, constant(0.05), 100, base_seed=7,
-                                 partition=part, sigma_every=50)
-        assert all(r.estimator_diag is None for r in records)
+        diagnostic = np.isin(curve.t, [50, 100])
+        assert np.all(np.isfinite(curve.sigma[diagnostic]))
+        assert np.all(np.isnan(curve.sigma[~diagnostic]))
+        assert curve.sigma[diagnostic].tolist() == [
+            records[t].estimator_diag.sigma_t for t in (50, 100)]
 
 
 class TestEstimatorDraws:
