@@ -150,10 +150,10 @@ def _estimator_diag(problem, config, state, x, t, sigma_every, base_seed, partit
 
 def _start(problem: StochasticProblem, config: OptimizerConfig, T: int,
            x0: np.ndarray | None, partition: BlockPartition | None) -> tuple:
-    """(partition, start, oracle) of a run: the partition, singleton by
-    default, the checked (n,) float64 start, x0 or else the problem's default,
-    and whether the problem has exact moments. The lockstep engine takes it
-    first, so run_trajectory and mean_trajectory check a start alike."""
+    """(partition, start) of a run: the partition, singleton by default, and
+    the checked (n,) float64 start, x0 or else the problem's default. The
+    lockstep engine takes it first, so run_trajectory and mean_trajectory
+    check a start alike."""
     if T < 0:
         raise AnalysisError("T must be >= 0")
     if partition is None:
@@ -165,10 +165,9 @@ def _start(problem: StochasticProblem, config: OptimizerConfig, T: int,
         raise ShapeError(f"start shape {start.shape} != ({problem.dim},) of the problem")
     if not np.isfinite(start).all():
         raise NonFiniteError("start contains NaN/Inf entries")
-    oracle = problem.moments(start) is not None
-    if config.algorithm == "conceptual_bcos" and not oracle:
+    if config.algorithm == "conceptual_bcos" and problem.moments(start) is None:
         raise AnalysisError("conceptual runs need a problem with exact moments")
-    return partition, start, oracle
+    return partition, start
 
 
 def _nonfinite(config: OptimizerConfig, seed: int, t: int) -> NonFiniteError:
@@ -280,7 +279,7 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
     names the seed's stream index. The footprint is three 256 x S x n
     history arrays, one block of noise, one slice of recorder scratch and
     the curves."""
-    partition, start, oracle = _start(problem, config, T, x0, partition)
+    partition, start = _start(problem, config, T, x0, partition)
     S = len(seeds)
     conceptual = config.algorithm == "conceptual_bcos"
     momentum = ALGORITHMS[config.algorithm].direction == "momentum"
@@ -311,12 +310,11 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
             x_new = conceptual_update(X, direction, second, alphas[s], lam, partition,
                                       out=direction)
             return x_new, states
-        # with an oracle the gradient is elementwise, so one call on every
-        # row equals the per-row calls bit for bit. Once all of it is checked
-        # finite its rows need no second scan; otherwise each row is checked
-        # before its step, so the first bad row fails as its replay does
-        G = (problem.gradient(X, Z) if oracle
-             else np.stack([problem.gradient(x, z) for x, z in zip(X, Z)]))
+        # one call on every row equals the per-row calls bit for bit. Once
+        # all of it is checked finite its rows need no second scan; otherwise
+        # each row is checked before its step, so the first bad row fails as
+        # its replay does
+        G = problem.gradient(X, Z)
         checked = np.isfinite(G).all()
         new_states = []
         for i in range(S):
@@ -457,11 +455,11 @@ def _record_block(problem, config, partition, X, mean, second, t0, curves, scrat
     None the rows are recorded unchecked. ``scratch`` holds the
     arrays the slice works in (see _scratch), each of at least W rows.
 
-    Each row is reduced in the same order as a single (S, n) step would be:
-    einsum for the distances, sums along the contiguous last axis, and the
-    BLAS dot of each row with itself for the SE's sum of squares (which a
-    stacked matmul of vectors calls), so the curves do not depend on how the
-    steps are split into blocks."""
+    Each row is reduced in the same order as a single (S, n) step would be,
+    by einsum for the distances and the SE's sum of squares and by sums along
+    the contiguous last axis, so the curves do not depend on how the steps
+    are split into blocks, nor, with no BLAS call, on the BLAS kernel; they
+    do on numpy's generators and the SIMD paths of exp and log."""
     W, S, _ = X.shape
     diffs, products, roots, dist, values, work = (a[:W] for a in scratch)
     x_star = problem.x_star
@@ -490,7 +488,7 @@ def _record_block(problem, config, partition, X, mean, second, t0, curves, scrat
         else:
             delta = np.subtract(dist, d0[:, None], out=values)
             s1 = delta.sum(axis=1)
-            sq = np.matmul(delta[:, None, :], delta[:, :, None])[:, 0, 0]
+            sq = np.einsum("ws,ws->w", delta, delta, out=work[:, 0])
             mean_curve[:] = d0 + s1 / S
             v = (sq - s1 * s1 / S) / (S - 1)
             se_curve[:] = np.sqrt(np.maximum(v, 0.0) / S)
@@ -539,11 +537,12 @@ def fit_powerlaw(t: np.ndarray, values: np.ndarray, window: tuple[int, int]) -> 
         raise AnalysisError("rate fit needs finite, strictly positive values in the window")
     lx = np.log(t[mask] + 1.0)
     ly = np.log(vals)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return RateFit(float(slope), float(intercept), r2, (int(t_lo), int(t_hi)))
+    # the centred closed form of the least-squares line, with no LAPACK call
+    cx, dy = lx - lx.mean(), ly - ly.mean()
+    slope = float(np.sum(cx * dy) / np.sum(cx * cx))
+    ss_tot = float(np.sum(dy**2))
+    r2 = 1.0 - float(np.sum((dy - slope * cx) ** 2)) / ss_tot if ss_tot > 0 else 1.0
+    return RateFit(slope, float(ly.mean() - slope * lx.mean()), r2, (int(t_lo), int(t_hi)))
 
 
 def fit_rate(curve: MeanCurve, window: tuple[int, int]) -> RateFit:
@@ -623,8 +622,8 @@ def one_step_contraction_check(
         raise AnalysisError("contraction check needs strictly positive second moments")
     partition = BlockPartition.singleton(problem.dim)
     d0 = x - problem.x_star
-    aiming = float(aiming_values(x, d0, np.einsum("i,i->", d0, d0), lam, mean, second,
-                                 partition))
+    dist0 = float(np.einsum("i,i->", d0, d0))
+    aiming = float(aiming_values(x, d0, dist0, lam, mean, second, partition))
     rng = make_rng(seed, MC_STREAM)
     G = problem.sample_gradients(x, rng, n_mc)
     X1 = conceptual_update(x, G, second, alpha, lam, partition)
@@ -632,7 +631,7 @@ def one_step_contraction_check(
     dsq = np.einsum("ij,ij->i", diff, diff)
     mc_mean = float(dsq.mean())
     mc_se = float(dsq.std(ddof=1) / math.sqrt(n_mc))
-    bound = (1.0 - alpha * lam) ** 2 * float(np.dot(d0, d0)) + alpha**2 * contraction_noise_bound(
+    bound = (1.0 - alpha * lam) ** 2 * dist0 + alpha**2 * contraction_noise_bound(
         problem.dim, lam, problem.x_star
     )
     return ContractionCheck(mc_mean, mc_se, bound, aiming, mc_mean <= bound + 3 * mc_se)
@@ -654,7 +653,8 @@ def mc_variance_se(samples: np.ndarray) -> np.ndarray:
     samples = np.asarray(samples)
     n = samples.shape[0]
     centered = samples - samples.mean(axis=0)
-    mu4 = np.mean(centered**4, axis=0)
+    # the fourth power as two squares in place: no pow, no temporary
+    mu4 = np.mean(np.square(np.square(centered, out=centered), out=centered), axis=0)
     s2 = samples.var(axis=0, ddof=1)
     return np.sqrt(np.maximum(mu4 - s2**2, 0.0) / n)
 

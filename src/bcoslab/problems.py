@@ -64,20 +64,17 @@ class StochasticProblem(ABC):
 
     @abstractmethod
     def gradient(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """The stochastic gradient at x for the draw z."""
+        """The stochastic gradient at x for the draw z, or at each row of a
+        (..., n) stack for the draws (..., k), each row as its own call."""
 
     def sample_gradient(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return self.gradient(x, self.draw(rng))
 
-    def sample_gradients(self, x: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
-        """size independent draws, stacked (size, dim). The default loops
-        sample_gradient; subclasses may vectorize."""
-        return np.stack([self.sample_gradient(x, rng) for _ in range(size)])
-
     def moments(self, x: np.ndarray, fold_lambda: float = 0.0, out=(None, None)):
         """Exact per-coordinate (E[g], E[g^2]) at x, a (..., n) array, with
         lambda*x folded into the gradient; None without an oracle. A problem
-        with an oracle draws additive noise: gradient(x, z) is E[g] - z.
+        with an oracle draws additive noise, gradient(x, z) is E[g] - z, and
+        sample_gradients(x, rng, size) stacks size of them.
         ``out`` names arrays shaped like x that receive the two moments (None
         allocates one); neither may be x."""
         return None
@@ -193,7 +190,7 @@ class LogisticSmokeProblem(StochasticProblem):
         self.features = rng.standard_normal((n_samples, n_features)) / math.sqrt(n_features)
         # the margin scale of the true weights
         w_true = 2.0 * rng.standard_normal(n_features)
-        p = _sigmoid(self.features @ w_true * math.sqrt(n_features))
+        p = _sigmoid(np.einsum("ij,j->i", self.features, w_true) * math.sqrt(n_features))
         self.labels = (rng.random(n_samples) < p).astype(np.float64)
         self.dim = n_features
         self.n_samples = n_samples
@@ -201,19 +198,20 @@ class LogisticSmokeProblem(StochasticProblem):
         self.x_star = None
 
     def loss(self, x: np.ndarray, out=(None, None, None)):
-        """Mean logistic loss at x, or at each row of a (..., n) stack; the
-        product scratch goes unused."""
-        x = np.asarray(x)
-        if x.ndim > 1:
-            losses = np.apply_along_axis(self.loss, -1, x)
-            if out[2] is None:
-                return losses
-            out[2][...] = losses
-            return out[2]
-        z = self.features @ x
-        # log(1 + exp(-s*z)) written stably
-        s = 2.0 * self.labels - 1.0
-        return float(np.mean(np.logaddexp(0.0, -s * z)))
+        """Mean logistic loss at x, or at each row of a (..., n) stack, in
+        pieces of 2**15 // n_samples rows; the product scratch goes unused."""
+        rows = np.reshape(x, (-1, self.dim))
+        losses = np.empty(len(rows))
+        piece = max(1, 2**15 // self.n_samples)
+        for a in range(0, len(rows), piece):
+            z = np.einsum("ij,rj->ri", self.features, rows[a : a + piece])
+            # log(1 + exp(-s*z)) with s = 2y - 1, written stably
+            z *= 1.0 - 2.0 * self.labels
+            np.mean(np.logaddexp(0.0, z, out=z), axis=1, out=losses[a : a + piece])
+        if out[2] is None:
+            return losses.reshape(np.shape(x)[:-1])[()]
+        out[2][...] = losses.reshape(out[2].shape)
+        return out[2]
 
     def draw(self, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
         """Minibatch indices; none when the batch is the whole data set."""
@@ -221,14 +219,16 @@ class LogisticSmokeProblem(StochasticProblem):
         return rng.integers(0, self.n_samples, size=shape + (size,))
 
     def gradient(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Minibatch gradient at x (n,) over the indices z (batch,); the
-        full-data gradient when the batch is the whole data set."""
+        """Minibatch gradient at x (..., n) over the indices z (..., batch), or
+        the full-data one when the batch is the whole data set; einsum's own
+        loops give a row of a stack its own call's bits, as BLAS does not."""
         if self.batch == self.n_samples:
             xb, yb = self.features, self.labels
         else:
             xb, yb = self.features[z], self.labels[z]
-        p = _sigmoid(xb @ np.asarray(x))
-        return xb.T @ (p - yb) / self.batch
+        p = _sigmoid(np.einsum("...bj,...j->...b", xb, x))
+        p -= yb
+        return np.einsum("...bj,...b->...j", xb, p) / self.batch
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -509,8 +509,9 @@ def with_fault(problem, base_seed, seed, t, value):
     step t set to ``value``, however its draws are chunked. A seed's stream
     is told apart by its generator's state at its first draw, so the Monte
     Carlo draws go untouched. The logistic problem's minibatch indices come
-    back as floats, and a non-finite one makes its gradient non-finite. Each
-    run needs a fresh problem: the draw counts are kept by generator id."""
+    back as floats, and a non-finite one makes the gradient of its row
+    non-finite. Each run needs a fresh problem: the draw counts are kept by
+    generator id."""
     target = make_rng(base_seed, TRAJECTORY_STREAM, seed).bit_generator.state
     drawn = {}  # id of the target generator -> the steps it has drawn
     draw, gradient = problem.draw, problem.gradient
@@ -528,9 +529,14 @@ def with_fault(problem, base_seed, seed, t, value):
 
     def index_gradient(x, z):
         z = np.asarray(z)
-        g = gradient(x, np.where(np.isfinite(z), z, 0).astype(np.intp))
-        bad = z[~np.isfinite(z)]
-        return g + bad[0] if bad.size else g
+        bad = ~np.isfinite(z)
+        g = gradient(x, np.where(bad, 0, z).astype(np.intp))
+        # only a row that holds a non-finite index takes its first one
+        rows = bad.any(axis=-1)
+        if rows.any():
+            first = np.take_along_axis(z, bad.argmax(axis=-1)[..., None], axis=-1)
+            g = np.where(rows[..., None], g + first, g)
+        return g
 
     problem.draw = faulty_draw
     if isinstance(problem, LogisticSmokeProblem):
@@ -745,7 +751,7 @@ def per_step_ensemble(problem, config, schedule, T, n_seeds, base_seed, x0=None)
         delta = dist - d0
         s1 = delta.sum()
         mean_curve[t] = d0 + s1 / n_seeds
-        v = (np.dot(delta, delta) - s1 * s1 / n_seeds) / (n_seeds - 1)
+        v = (np.einsum("s,s->", delta, delta) - s1 * s1 / n_seeds) / (n_seeds - 1)
         se_curve[t] = math.sqrt(max(v, 0.0) / n_seeds)
         loss_curve[t] = float(np.mean(0.5 * np.sum(h * diff * diff, axis=1)))
         mean_g = h * diff

@@ -174,8 +174,10 @@ class TestMomentumTracker:
 
 
 def analytic_gradient(prob, x):
-    """The full-data logistic gradient X^T (sigmoid(X x) - y) / N."""
-    return prob.features.T @ (_sigmoid(prob.features @ x) - prob.labels) / prob.n_samples
+    """The full-data logistic gradient X^T (sigmoid(X x) - y) / N, with both
+    products in einsum's own loops, as the problem makes them."""
+    residual = _sigmoid(np.einsum("ij,j->i", prob.features, x)) - prob.labels
+    return np.einsum("ij,i->j", prob.features, residual) / prob.n_samples
 
 
 class TestLogisticSmoke:
@@ -200,6 +202,32 @@ class TestLogisticSmoke:
     def test_loss_at_zero_is_log_two(self):
         prob = LogisticSmokeProblem()
         assert prob.loss(np.zeros(prob.dim)) == pytest.approx(np.log(2.0), rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(S=st.integers(1, 50), n=st.integers(2, 33), n_samples=st.integers(20, 1500),
+           batch=st.integers(1, 64), full=st.booleans(), seed=st.integers(0, 2**16))
+    @example(S=50, n=33, n_samples=1500, batch=1500, full=True, seed=0)
+    def test_stack_equals_its_rows_bitwise(self, S, n, n_samples, batch, full, seed):
+        """gradient and loss on an (S, n) stack give each row the bits of its
+        own call, with the full batch or a minibatch, and the loss of an
+        (S, n) stack taken in pieces of 2**15 // n_samples rows does too: the
+        products are einsum's own loops, whose sums do not depend on the
+        rows stacked beside them."""
+        prob = LogisticSmokeProblem(n_features=n, n_samples=n_samples,
+                                    batch=n_samples if full else min(batch, n_samples),
+                                    data_seed=seed)
+        rng = make_rng(seed, MC_STREAM)
+        X = rng.standard_normal((S, n))
+        Z = prob.draw(rng, (S,))
+        G = prob.gradient(X, Z)
+        assert G.shape == (S, n)
+        for x, z, g in zip(X, Z, G):
+            assert prob.gradient(x, z).tobytes() == g.tobytes()
+        rows = np.array([prob.loss(x) for x in X])
+        assert prob.loss(X).tobytes() == rows.tobytes()
+        out = np.empty((1, S))
+        assert prob.loss(X[None], (None, None, out)) is out
+        assert out.tobytes() == rows.tobytes()
 
 
 def aiming(prob, x, lam, partition=None):
