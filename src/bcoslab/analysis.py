@@ -630,7 +630,7 @@ def one_step_contraction_check(
     diff = X1 - problem.x_star
     dsq = np.einsum("ij,ij->i", diff, diff)
     mc_mean = float(dsq.mean())
-    mc_se = float(dsq.std(ddof=1) / math.sqrt(n_mc))
+    mc_se = float(mc_mean_se(dsq))
     bound = (1.0 - alpha * lam) ** 2 * dist0 + alpha**2 * contraction_noise_bound(
         problem.dim, lam, problem.x_star
     )

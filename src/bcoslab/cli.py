@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextvars
 import hashlib
+import itertools
 import math
 import os
 import sys
@@ -49,21 +50,23 @@ class ExperimentConfig:
     n_samples: int = 1000
     batch: int = 32
     data_seed: int = 2024
+    # the optimizer.* and schedule.* defaults are those of their dataclasses,
+    # which declare every field once; the CLI sets only the three they lack
     algorithm: str = "bcos_c"
-    beta1: float = 0.9
-    beta2: float = 0.99
-    epsilon: float = 1e-6
-    epsilon_placement: str = "outside_sqrt"
-    weight_decay_lambda: float = 0.0
-    decoupled: bool = False
-    bias_correction: str = "init_first_sample"
-    conditional_full: bool = False
+    beta1: float = OptimizerConfig.beta1
+    beta2: float = OptimizerConfig.beta2
+    epsilon: float = OptimizerConfig.epsilon
+    epsilon_placement: str = OptimizerConfig.epsilon_placement
+    weight_decay_lambda: float = OptimizerConfig.weight_decay_lambda
+    decoupled: bool = OptimizerConfig.decoupled
+    bias_correction: str = OptimizerConfig.bias_correction
+    conditional_full: bool = OptimizerConfig.conditional_full
     schedule_kind: str = "constant"
     alpha: float = 0.1
-    p: float = 0.75
-    warmup_steps: int = 0
-    total_steps: int = 0
-    alpha_min_ratio: float = 0.0
+    p: float = StepSchedule.p
+    warmup_steps: int = StepSchedule.warmup_steps
+    total_steps: int = StepSchedule.total_steps
+    alpha_min_ratio: float = StepSchedule.alpha_min_ratio
     steps: int = 100
     n_seeds: int = 4
     base_seed: int = 0
@@ -223,37 +226,29 @@ def build_problem(cfg: ExperimentConfig):
     raise ConfigError("problem.kind", f"unknown problem kind {cfg.problem_kind!r}")
 
 
+def _group(cfg: ExperimentConfig, group: str) -> dict:
+    """The values of one key group of KEY_TABLE ("optimizer" or "schedule"),
+    each named by the part of its key after the dot: the keyword arguments
+    of the group's dataclass."""
+    prefix = group + "."
+    return {key[len(prefix):]: getattr(cfg, attr)
+            for key, (attr, _, _) in KEY_TABLE.items() if key.startswith(prefix)}
+
+
 def build_optimizer(cfg: ExperimentConfig) -> OptimizerConfig:
     if cfg.algorithm == "conceptual_bcos" and cfg.problem_kind == "logistic":
         raise ConfigError("optimizer.algorithm",
                           "conceptual_bcos needs exact moments, which problem.kind = "
                           "logistic does not have")
     try:
-        return OptimizerConfig(
-            algorithm=cfg.algorithm,
-            beta1=cfg.beta1,
-            beta2=cfg.beta2,
-            epsilon=cfg.epsilon,
-            epsilon_placement=cfg.epsilon_placement,
-            weight_decay_lambda=cfg.weight_decay_lambda,
-            decoupled=cfg.decoupled,
-            bias_correction=cfg.bias_correction,
-            conditional_full=cfg.conditional_full,
-        )
+        return OptimizerConfig(**_group(cfg, "optimizer"))
     except ValueError as exc:
         raise ConfigError("optimizer", str(exc)) from exc
 
 
 def build_schedule(cfg: ExperimentConfig) -> StepSchedule:
     try:
-        return StepSchedule(
-            kind=cfg.schedule_kind,
-            alpha=cfg.alpha,
-            p=cfg.p,
-            warmup_steps=cfg.warmup_steps,
-            total_steps=cfg.total_steps,
-            alpha_min_ratio=cfg.alpha_min_ratio,
-        )
+        return StepSchedule(**_group(cfg, "schedule"))
     except ValueError as exc:
         raise ConfigError("schedule", str(exc)) from exc
 
@@ -314,23 +309,21 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def write_outputs(out_dir: str, cfg: ExperimentConfig, named_texts: dict[str, str]) -> None:
+    """Write each text and manifest.txt into out_dir as UTF-8, each encoded
+    once: the bytes written are the bytes the manifest hashes."""
     os.makedirs(out_dir, exist_ok=True)
-    for name, text in named_texts.items():
-        _write(os.path.join(out_dir, name), text)
+    files = {name: named_texts[name].encode() for name in sorted(named_texts)}
     manifest = [
         f"config_sha256 = {_sha256(config_text(cfg).encode())}",
         f"base_seed = {cfg.base_seed}",
+        *(f"file {name} sha256={_sha256(data)} bytes={len(data)}"
+          for name, data in files.items()),
     ]
-    for name in sorted(named_texts):
-        data = named_texts[name].encode()
-        manifest.append(f"file {name} sha256={_sha256(data)} bytes={len(data)}")
-    _write(os.path.join(out_dir, "manifest.txt"), "\n".join(manifest) + "\n")
+    files["manifest.txt"] = ("\n".join(manifest) + "\n").encode()
+    for name, data in files.items():
+        with open(os.path.join(out_dir, name), "wb") as fh:
+            fh.write(data)
 
 
 # ---------------------------------------------------------------------------
@@ -357,40 +350,44 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
 # sweep
 
 
-def _set_config_key(cfg: ExperimentConfig, key: str, value: float, field: str) -> ExperimentConfig:
-    """cfg with key set to the sweep value taken from the list named field; a
-    fractional value for an integer key is an error, not a truncation."""
+def _set_config_key(cfg: ExperimentConfig, key: str, value: float, axis: str) -> ExperimentConfig:
+    """cfg with key set to a value of the sweep axis whose fields end in axis
+    ("" for sweep.param/values, "2" for sweep.param2/values2); a fractional
+    value for an integer key is an error, not a truncation."""
     if key not in KEY_TABLE:
-        raise ConfigError("sweep.param", f"unknown config key {key!r}")
+        raise ConfigError(f"sweep.param{axis}", f"unknown config key {key!r}")
     current = getattr(cfg, KEY_TABLE[key][0])
     if isinstance(current, (bool, str, tuple)):
-        raise ConfigError("sweep.param", f"{key!r} is not a numeric scalar key")
+        raise ConfigError(f"sweep.param{axis}", f"{key!r} is not a numeric scalar key")
     if isinstance(current, int) and not float(value).is_integer():
-        raise ConfigError(field, f"{key!r} takes whole numbers, got {value!r}")
+        raise ConfigError(f"sweep.values{axis}", f"{key!r} takes whole numbers, got {value!r}")
     point = replace(cfg)
     _assign(point, key, str(int(value)) if isinstance(current, int) else repr(float(value)))
     return point
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
-    if not cfg.sweep_param or not cfg.sweep_values:
-        raise ConfigError("sweep.param", "sweep needs sweep.param and sweep.values")
-    grid2 = list(cfg.sweep_values2) if cfg.sweep_param2 else [None]
+    # (key, values, field suffix) of each axis; the second is there when
+    # either of its fields is set, and each needs both
+    axes = [(cfg.sweep_param, cfg.sweep_values, "")]
+    if cfg.sweep_param2 or cfg.sweep_values2:
+        axes.append((cfg.sweep_param2, cfg.sweep_values2, "2"))
+    for key, values, axis in axes:
+        for field, value in ((f"sweep.param{axis}", key), (f"sweep.values{axis}", values)):
+            if not value:
+                raise ConfigError(field, f"sweep needs sweep.param{axis} and sweep.values{axis}")
     out = out_dir or cfg.output_dir
-    header = [cfg.sweep_param]
-    if cfg.sweep_param2:
-        header.append(cfg.sweep_param2)
-    header += ["final_dist_sq", "final_loss", "slope", "diverged"]
+    header = [key for key, _, _ in axes] + ["final_dist_sq", "final_loss", "slope", "diverged"]
     rows = [",".join(header)]
-    # every grid point is built and checked before the first one runs
+    # every grid point, in row-major order, is built and checked before the
+    # first one runs
     points = []
-    for v1 in cfg.sweep_values:
-        first = _set_config_key(cfg, cfg.sweep_param, v1, "sweep.values")
-        for v2 in grid2:
-            point = first if v2 is None else _set_config_key(first, cfg.sweep_param2, v2,
-                                                             "sweep.values2")
-            points.append((v1, v2, point, _build(point)))
-    for v1, v2, point, (problem, opt, schedule, x0) in points:
+    for grid in itertools.product(*(values for _, values, _ in axes)):
+        point = cfg
+        for (key, _, axis), value in zip(axes, grid):
+            point = _set_config_key(point, key, value, axis)
+        points.append((grid, point, _build(point)))
+    for grid, point, (problem, opt, schedule, x0) in points:
         diverged = False
         try:
             curve = analysis.mean_trajectory(
@@ -408,10 +405,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
             final_d = float("inf")
             final_l = float("inf")
             slope = float("nan")
-        cells = [_fmt(v1)]
-        if v2 is not None:
-            cells.append(_fmt(v2))
-        cells += [_fmt(final_d), _fmt(final_l), _fmt(slope), str(int(diverged))]
+        cells = [*map(_fmt, grid), _fmt(final_d), _fmt(final_l), _fmt(slope),
+                 str(int(diverged))]
         rows.append(",".join(cells))
     write_outputs(out, cfg, {"sweep.csv": "\n".join(rows) + "\n"})
     print(f"wrote {out}/sweep.csv ({len(rows) - 1} grid points)")

@@ -1,13 +1,18 @@
 """Config parsing, CSV determinism, sweep grids, and verifier wiring."""
 
+import dataclasses
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_golden import assert_golden, regenerate
 
 from bcoslab import analysis, cli
 from bcoslab.cli import ConfigError, ExperimentConfig, config_text, parse_config
+from bcoslab.optim import ALGORITHMS, BIAS_CORRECTIONS, EPSILON_PLACEMENTS, OptimizerConfig
+from bcoslab.schedules import KINDS, StepSchedule
 
 
 def minimal_quadratic_config(**overrides):
@@ -38,14 +43,40 @@ def write_config(tmp_path, text, name="exp.cfg"):
     return str(path)
 
 
+FINITE_AT_LEAST_0 = st.floats(min_value=0.0, allow_infinity=False)
+UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+OPTIMIZER_VALUES = st.fixed_dictionaries({
+    "algorithm": st.sampled_from(sorted(ALGORITHMS)),
+    "beta1": UNIT,
+    "beta2": UNIT,
+    "epsilon": FINITE_AT_LEAST_0,
+    "epsilon_placement": st.sampled_from(EPSILON_PLACEMENTS),
+    "weight_decay_lambda": FINITE_AT_LEAST_0,
+    "decoupled": st.booleans(),
+    "bias_correction": st.sampled_from(BIAS_CORRECTIONS),
+    "conditional_full": st.booleans(),
+}).map(lambda v: {**v, "conditional_full": v["conditional_full"] and v["algorithm"] == "bcos_c"})
+
+
+@st.composite
+def schedule_values(draw):
+    warmup = draw(st.integers(0, 1000))
+    return {
+        "kind": draw(st.sampled_from(KINDS)),
+        "alpha": draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        "p": draw(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)),
+        "warmup_steps": warmup,
+        "total_steps": draw(st.integers(warmup + 1, 2000)),
+        "alpha_min_ratio": draw(st.floats(0.0, 1.0)),
+    }
+
+
 class TestConfigFormat:
     def test_default_roundtrip(self):
         cfg = ExperimentConfig()
         assert parse_config(config_text(cfg)) == cfg
 
     def test_nontrivial_roundtrip(self):
-        import dataclasses
-
         cfg = dataclasses.replace(
             ExperimentConfig(),
             h=(1.0, 2.5),
@@ -55,6 +86,35 @@ class TestConfigFormat:
             sweep_values=(0.8, 0.9),
         )
         assert parse_config(config_text(cfg)) == cfg
+
+    @pytest.mark.parametrize("group, cls", [("optimizer", OptimizerConfig),
+                                            ("schedule", StepSchedule)])
+    def test_group_keys_are_their_dataclass_fields(self, group, cls):
+        """The optimizer and schedule settings are declared once, as fields of
+        their dataclasses: the key group names exactly those fields, and the
+        CLI default of each field that has one is the dataclass default."""
+        attrs = {key.partition(".")[2]: attr for key, (attr, _, _) in cli.KEY_TABLE.items()
+                 if key.startswith(group + ".")}
+        fields = dataclasses.fields(cls)
+        assert sorted(attrs) == sorted(field.name for field in fields)
+        defaults = ExperimentConfig()
+        for field in fields:
+            if field.default is not dataclasses.MISSING:
+                assert getattr(defaults, attrs[field.name]) == field.default, field.name
+
+    @pytest.mark.parametrize("group, cls, build, strategy", [
+        ("optimizer", OptimizerConfig, cli.build_optimizer, OPTIMIZER_VALUES),
+        ("schedule", StepSchedule, cli.build_schedule, schedule_values()),
+    ])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_group_round_trip(self, group, cls, build, strategy, data):
+        """Valid values of a key group, written as config text and read back,
+        build the dataclass that those values make."""
+        values = data.draw(strategy)
+        cfg = dataclasses.replace(ExperimentConfig(), **{
+            cli.KEY_TABLE[f"{group}.{name}"][0]: value for name, value in values.items()})
+        assert build(parse_config(config_text(cfg))) == cls(**values)
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# a comment\n\nrun.steps = 5  # trailing\n")
@@ -200,6 +260,23 @@ class TestExitCodes:
             # verify reads no key of its own, so a verify.* key is unknown
             ("verify", {"verify.chung": "false"}, 2,
              "config error: config field 'verify.chung': unknown key"),
+            # each sweep axis needs both its fields, and an error names the
+            # field of its own axis
+            ("sweep", {"sweep.param": "schedule.alpha"}, 2,
+             "config error: config field 'sweep.values': sweep needs sweep.param and "
+             "sweep.values"),
+            ("sweep", {"sweep.param": "schedule.alpha", "sweep.values": "0.1",
+                       "sweep.param2": "optimizer.beta1"}, 2,
+             "config error: config field 'sweep.values2': sweep needs sweep.param2 and "
+             "sweep.values2"),
+            ("sweep", {"sweep.param": "schedule.alpha", "sweep.values": "0.1",
+                       "sweep.values2": "0.5"}, 2,
+             "config error: config field 'sweep.param2': sweep needs sweep.param2 and "
+             "sweep.values2"),
+            ("sweep", {"sweep.param": "schedule.alpha", "sweep.values": "0.1",
+                       "sweep.param2": "optimizer.beta3", "sweep.values2": "0.5"}, 2,
+             "config error: config field 'sweep.param2': unknown config key "
+             "'optimizer.beta3'"),
         ],
     )
     def test_exit_code(self, tmp_path, capsys, command, overrides, code, message):

@@ -7,11 +7,14 @@ not depend on the BLAS kernel. They still pin numpy: the streams come from
 its generators, and the last bits of exp and log can depend on its SIMD
 path. ``verify.txt`` also holds the ratio expansion's one BLAS dot, which
 gave the same bytes on every kernel tried. A mismatch names the first
-differing file, line and column, numpy's version and the CPU model."""
+differing file, line and column, numpy's version and the CPU model. The
+standing mutations show that the corpus catches a reordered float
+operation, a permuted seed or a moved default."""
 
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -69,19 +72,53 @@ def assert_golden(name: str, produced: str) -> None:
                     f"(numpy {np.__version__}, CPU {cpu_model()})")
 
 
+def in_check_order(names) -> list[str]:
+    """Corpus file names sorted with the manifests last: a data file's own
+    first difference says more than the hash line that records it."""
+    return sorted(names, key=lambda name: (name.endswith("manifest.txt"), name))
+
+
 def assert_corpus(produced: dict[str, str]) -> None:
     """Fail unless ``produced`` holds every committed corpus file, byte for
     byte, and no other."""
     # verify.txt is compared inside tests/test_cli.py's verify run
     assert sorted([*produced, regenerate.VERIFY]) == committed_files()
-    # the manifests last: a data file's own first difference says more than
-    # the hash line that records it
-    for name in sorted(produced, key=lambda name: (name.endswith("manifest.txt"), name)):
+    for name in in_check_order(produced):
         assert_golden(name, produced[name])
 
 
 def test_corpus_is_byte_identical():
     assert_corpus(regenerate.corpus())
+
+
+# Regenerates the corpus once per src directory named after the output path,
+# in one process, so numpy is imported once: {src: corpus, or the traceback
+# of a regeneration that raised}.
+_REGENERATE = """\
+import json, pathlib, runpy, sys, traceback
+results = {}
+for src in sys.argv[3:]:
+    sys.path.insert(0, src)
+    for name in [name for name in sys.modules if name.split(".")[0] == "bcoslab"]:
+        del sys.modules[name]
+    try:
+        results[src] = runpy.run_path(sys.argv[1])["corpus"]()
+    except Exception:
+        results[src] = traceback.format_exc()
+    sys.path.remove(src)
+pathlib.Path(sys.argv[2]).write_text(json.dumps(results), encoding="utf-8")
+"""
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(bcoslab.__file__)))
+
+
+def regenerate_in_subprocess(out, srcs: list[str], **env) -> dict:
+    """{src: corpus or traceback} of each src directory, regenerated in a
+    fresh process with env added to the environment."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", _REGENERATE, os.path.join(GOLDEN, "regenerate.py"),
+                    str(out), *srcs], env=env, check=True, capture_output=True)
+    return json.loads(out.read_text(encoding="utf-8"))
 
 
 def test_corpus_does_not_depend_on_the_blas_kernel(tmp_path):
@@ -90,13 +127,91 @@ def test_corpus_does_not_depend_on_the_blas_kernel(tmp_path):
     committed files. OPENBLAS_CORETYPE picks the kernel of an OpenBLAS built
     with DYNAMIC_ARCH, as numpy's wheels are; any other BLAS ignores it, and
     this test then repeats the one above in a fresh process."""
-    out = tmp_path / "corpus.json"
-    script = ("import json, pathlib, runpy, sys; "
-              "corpus = runpy.run_path(sys.argv[1])['corpus']; "
-              "pathlib.Path(sys.argv[2]).write_text(json.dumps(corpus()), encoding='utf-8')")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(bcoslab.__file__)))
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-c", script, os.path.join(GOLDEN, "regenerate.py"),
-                    str(out)], env=env, check=True, capture_output=True)
-    assert_corpus(json.loads(out.read_text(encoding="utf-8")))
+    corpus = regenerate_in_subprocess(tmp_path / "corpus.json", [SRC],
+                                      OPENBLAS_CORETYPE="Haswell")[SRC]
+    assert_corpus(corpus)
+
+
+def test_corpus_does_not_depend_on_numpy_simd(tmp_path):
+    """The corpus made with numpy's dispatch to its x86-64-v3 (AVX2),
+    x86-64-v4 and later AVX-512 loops switched off, so that its ufuncs run
+    the loops an older CPU runs, equals the committed files."""
+    corpus = regenerate_in_subprocess(
+        tmp_path / "corpus.json", [SRC],
+        NPY_DISABLE_CPU_FEATURES="X86_V3,X86_V4,AVX512_ICL,AVX512_SPR")[SRC]
+    assert_corpus(corpus)
+
+
+# name -> (module, anchor, replacement, the first corpus file it changes).
+# Each mutation reorders a float operation, permutes the seeds or moves a
+# default, changing output bytes but no behaviour a property test sees; the
+# corpus is what catches it. The anchor must occur exactly once, so that a
+# rewrite which moves the code restates the mutation rather than skip it.
+MUTATIONS = {
+    "conceptual_update_order": (
+        "optim.py",
+        "step = np.multiply(alpha, d, out=out)\n    step /= partition.expand(np.sqrt(second))\n",
+        "step = np.divide(d, partition.expand(np.sqrt(second)), out=out)\n    step *= alpha\n",
+        "run_conceptual_bcos/trajectory.csv"),
+    "noise_fill_seed_order": (
+        "analysis.py", "noise[:, i] = problem.draw(rng, (width,))",
+        "noise[:, S - 1 - i] = problem.draw(rng, (width,))", "curve_blocks.csv"),
+    "sigma_stream_key": (
+        "analysis.py", "seed=base_seed, key=(t,),", "seed=base_seed, key=(t + 1,),",
+        "run_bcos_c/trajectory.csv"),
+    "epsilon_default": (
+        "optim.py", "epsilon: float = 1e-6", "epsilon: float = 1e-8", "curve_blocks.csv"),
+    "momentum_write_back_order": (
+        "analysis.py", "M[i] = state.m", "M[S - 1 - i] = state.m",
+        "curve_blocks.csv"),
+    "diagnostic_row": (
+        "analysis.py", "states[0], X[0]", "states[1], X[1]", "run_adam/trajectory.csv"),
+}
+
+
+@pytest.fixture(scope="module")
+def mutated(tmp_path_factory):
+    """name -> (anchor count, corpus or traceback) of each mutation, and
+    "unmutated" -> (1, corpus) of a plain copy of src/."""
+    root = tmp_path_factory.mktemp("mutations")
+    counts, srcs = {"unmutated": 1}, {}
+    for name in ["unmutated", *MUTATIONS]:
+        srcs[name] = str(root / name)
+        shutil.copytree(SRC, srcs[name], ignore=shutil.ignore_patterns("__pycache__"))
+        if name in MUTATIONS:
+            module, anchor, replacement, _ = MUTATIONS[name]
+            path = os.path.join(srcs[name], "bcoslab", module)
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            counts[name] = text.count(anchor)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text.replace(anchor, replacement))
+    corpora = regenerate_in_subprocess(root / "corpora.json", list(srcs.values()))
+    return {name: (counts[name], corpora[src]) for name, src in srcs.items()}
+
+
+def first_changed_file(produced: dict[str, str]) -> str | None:
+    """The first file, in check order, that differs from the committed
+    corpus, or None."""
+    for name in in_check_order(produced):
+        with open(os.path.join(GOLDEN, name), "rb") as fh:
+            if produced[name] != fh.read().decode("utf-8"):
+                return name
+    return None
+
+
+def test_unmutated_copy_regenerates_the_corpus(mutated):
+    """The harness of the mutation test: a plain copy of src/, imported in
+    the process that regenerates every mutated copy, gives the corpus."""
+    _, corpus = mutated["unmutated"]
+    assert isinstance(corpus, dict), corpus
+    assert_corpus(corpus)
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_standing_mutations_fail_the_corpus(mutated, name):
+    count, corpus = mutated[name]
+    module, anchor, _, expected = MUTATIONS[name]
+    assert count == 1, f"{anchor!r} occurs {count} times in {module}; restate the mutation"
+    assert isinstance(corpus, dict), corpus
+    assert first_changed_file(corpus) == expected
