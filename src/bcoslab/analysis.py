@@ -830,16 +830,6 @@ class RatioExpansionRow:
     residual: float
 
 
-@dataclass(frozen=True)
-class RatioExpansionReport:
-    rows: tuple[RatioExpansionRow, ...]
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def _ratio_row(dist: RatioDistribution, s: float, W: np.ndarray, V: np.ndarray,
                Z: np.ndarray) -> RatioExpansionRow:
     """One scale of the expansion check, with Z as the scale's work buffer.
@@ -875,9 +865,10 @@ def verify_ratio_expansion(
     n_mc: int = 10**6,
     noise_scales=(0.5, 0.25, 0.125),
     seed: int = 11,
-) -> RatioExpansionReport:
+) -> tuple[CheckResult, ...]:
     """Check E[Y/sqrt(Z)] against the three-term expansion
-    E[Y]/sqrt(E[Z]) * (1 - Cov(Y,Z)/(2 E[Y] E[Z]) + 3 Var(Z)/(8 E[Z]^2)).
+    E[Y]/sqrt(E[Z]) * (1 - Cov(Y,Z)/(2 E[Y] E[Z]) + 3 Var(Z)/(8 E[Z]^2)),
+    one check per pair of consecutive noise scales.
 
     The residual must shrink at least quadratically as the noise scale drops
     (consecutive-scale ratio at least (s_i/s_{i+1})^2 up to a factor of 2);
@@ -913,7 +904,7 @@ def verify_ratio_expansion(
                 passed=observed >= expected / 2.0,
             )
         )
-    return RatioExpansionReport(tuple(rows), tuple(checks))
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -960,16 +951,7 @@ def _scan_decay(coeff, drive, t0: int, T: int, x0: float,
     return x, undriven
 
 
-@dataclass(frozen=True)
-class ChungReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def verify_chung_recursions(T: int = 10**7) -> ChungReport:
+def verify_chung_recursions(T: int = 10**7) -> tuple[CheckResult, ...]:
     """Iterate the two classical decay recursions to a long horizon and check
     the scaled iterates settle at their predicted limits, within 1%.
 
@@ -1011,10 +993,10 @@ def verify_chung_recursions(T: int = 10**7) -> ChungReport:
         x, undriven = _scan_decay(coeff, drive, t0, T, 1.0)
         scans.append((name, T**exponent * x, T**exponent * undriven, limit))
     (name, scaled, zero_drive, limit), *powers = scans
-    return ChungReport((
+    return (
         near(name, scaled, limit),
         # with no drive the scaled harmonic iterate decays like 1/t
         CheckResult("harmonic_decay_zero_drive", zero_drive, 10.0 / T,
                     "observed <= 10/T", zero_drive <= 10.0 / T),
         *(near(name, scaled, limit) for name, scaled, _, limit in powers),
-    ))
+    )

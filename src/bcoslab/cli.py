@@ -6,8 +6,9 @@ Configs are flat key = value text files; every run writes a manifest with a
 config hash and content hashes of its outputs, and output bytes are a pure
 function of (config, base_seed).
 
-Exit codes: 0 success, 1 verifier failure, divergence or a numeric failure
-(non-finite parameters), 2 config error.
+Exit codes: 0 success, 1 a failed check (verify, counterexamples), 2 a
+config or usage error, 3 a run that cannot finish (a divergence in run, or
+non-finite parameters in run or sweep).
 """
 
 from __future__ import annotations
@@ -340,7 +341,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
         )
     except DivergenceError as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
-        return 1
+        return 3
     write_outputs(out, cfg, {"trajectory.csv": curve_csv(curve)})
     print(f"wrote {out}/trajectory.csv ({cfg.steps + 1} rows) and manifest.txt")
     return 0
@@ -376,6 +377,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
         for field, value in ((f"sweep.param{axis}", key), (f"sweep.values{axis}", values)):
             if not value:
                 raise ConfigError(field, f"sweep needs sweep.param{axis} and sweep.values{axis}")
+    if len(axes) == 2 and cfg.sweep_param2 == cfg.sweep_param:
+        raise ConfigError("sweep.param2",
+                          f"must differ from sweep.param, both are {cfg.sweep_param!r}")
     out = out_dir or cfg.output_dir
     header = [key for key, _, _ in axes] + ["final_dist_sq", "final_loss", "slope", "diverged"]
     rows = [",".join(header)]
@@ -422,7 +426,7 @@ def _gaussian_square_variance(mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
     return 4.0 * mu**2 * sd**2 + 2.0 * sd**4
 
 
-def _estimator_fixture_checks() -> list[CheckResult]:
+def _estimator_fixture_checks() -> tuple[CheckResult, ...]:
     """Monte Carlo estimator statistics against the closed-form Gaussian
     references, on a frozen quadratic state. Each line reports the largest
     per-coordinate deviation in standard errors (bound: 3 SE), taken from
@@ -481,29 +485,30 @@ def _estimator_fixture_checks() -> list[CheckResult]:
     stats = analysis.estimator_stats(problem, x, OptimizerState(), opt, n_mc, seed=105)
     obs = float(np.max(stats.variance))
     checks.append(CheckResult("constant_variance_zero", obs, 0.0, "exact", obs == 0.0))
-    return checks
+    return tuple(checks)
 
 
-def _counterexample_checks() -> tuple[list[CheckResult], list[CheckResult]]:
-    log_report = problems.counterexample_log_aiming()
+def _counterexample_checks(log_report: problems.CounterexampleReport,
+                           quad: dict) -> tuple[tuple[CheckResult, ...], tuple[CheckResult, ...]]:
+    """The checks of the two counterexample reports, the log example's and
+    the quadratic's: the one verdict of verify and counterexamples alike."""
     min_inner = min(r.inner_product for r in log_report.rows)
     max_curv = max(r.curvature_witness for r in log_report.rows)
-    log_checks = [
+    log_checks = (
         CheckResult("log_aiming_min_inner", min_inner, 0.0, "observed >= 0",
                     log_report.aiming_all_pass),
         CheckResult("log_concavity_max_second_derivative", max_curv, 0.0,
                     "observed < 0", log_report.convexity_all_fail),
-    ]
-    quad = problems.counterexample_quadratic_not_aiming()
+    )
     eig_err = float(np.max(np.abs(quad["eigenvalues"] - np.array([0.0, 5.0]))))
-    quad_checks = [
+    quad_checks = (
         CheckResult("quadratic_aiming_value", quad["aiming_value"], -0.5,
                     "exact equality", quad["aiming_value"] == -0.5),
         CheckResult("quadratic_eigenvalues_dev", eig_err, 1e-12,
                     "abs dev <= 1e-12", eig_err <= 1e-12),
         CheckResult("quadratic_psd", float(quad["psd_certified"]), 1.0, "certified",
                     quad["psd_certified"]),
-    ]
+    )
     return log_checks, quad_checks
 
 
@@ -524,14 +529,15 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         chung = pool.submit(contextvars.copy_context().run, analysis.verify_chung_recursions)
-        log_checks, quad_checks = _counterexample_checks()
+        log_checks, quad_checks = _counterexample_checks(
+            problems.counterexample_log_aiming(), problems.counterexample_quadratic_not_aiming())
         catalog = _estimator_fixture_checks()
-        chung_checks = chung.result().checks
+        chung_checks = chung.result()
     sections = [
         ("counterexample_log_aiming", log_checks),
         ("counterexample_quadratic_not_aiming", quad_checks),
         ("chung_recursions", chung_checks),
-        ("ratio_expansion", analysis.verify_ratio_expansion().checks),
+        ("ratio_expansion", analysis.verify_ratio_expansion()),
         ("estimator_catalog", catalog),
     ]
     all_pass = True
@@ -545,15 +551,20 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
 
 def cmd_counterexamples(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
+    """Print both reports (and write the log grid's CSV when out_dir is set);
+    1 if any of the checks verify prints for them fails, each named on
+    stderr, else 0."""
     log_report = problems.counterexample_log_aiming()
     quad = problems.counterexample_quadratic_not_aiming()
     print(log_report.render_text())
     print(problems.render_quadratic_report(quad))
     if out_dir:
         write_outputs(out_dir, cfg, {"counterexample_log.csv": "\n".join(log_report.csv_rows()) + "\n"})
-    log_ok = log_report.aiming_all_pass and log_report.convexity_all_fail
-    quad_ok = quad["aiming_violated"] and quad["psd_certified"]
-    return 0 if (log_ok and quad_ok) else 1
+    failed = [check.name for checks in _counterexample_checks(log_report, quad)
+              for check in checks if not check.passed]
+    for name in failed:
+        print(f"check failed: {name}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +602,7 @@ def main(argv=None) -> int:
         return 2
     except NonFiniteError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
-        return 1
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -340,10 +340,6 @@ def counterexample_quadratic_not_aiming() -> dict:
     x_eval = np.array([1.5, 1.0])
     grad = A @ x_eval
     value = float(np.dot(x_eval, np.sign(grad)))
-    extra_points = []
-    for pt in ([1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [2.0, 1.0]):
-        p = np.array(pt)
-        extra_points.append((tuple(p), float(np.dot(p, np.sign(A @ p)))))
     return {
         "name": "convex_quadratic_not_aiming",
         "matrix": A,
@@ -352,7 +348,6 @@ def counterexample_quadratic_not_aiming() -> dict:
         "x_eval": x_eval,
         "aiming_value": value,
         "aiming_violated": value < 0.0,
-        "extra_points": extra_points,
     }
 
 

@@ -302,9 +302,9 @@ def test_criterion_08_counterexamples():
 def test_criterion_09_ratio_expansion():
     """Expansion residuals decay at second order across halving noise scales
     (consecutive ratio >= 4 within a factor 2), with 1e6 draws."""
-    rep = verify_ratio_expansion(n_mc=10**6)
-    assert rep.passed
-    for check in rep.checks:
+    checks = verify_ratio_expansion(n_mc=10**6)
+    assert all(check.passed for check in checks)
+    for check in checks:
         assert check.observed >= check.bound  # bound = expected_ratio / 2 = 2
     report(9, "square-root ratio expansion")
 
@@ -312,8 +312,7 @@ def test_criterion_09_ratio_expansion():
 def test_criterion_10_chung_recursions():
     """Scaled iterates of the decay recursions land within 1% of their
     predicted limits at T = 1e7."""
-    rep = verify_chung_recursions(T=10**7)
-    for check in rep.checks:
+    for check in verify_chung_recursions(T=10**7):
         assert check.passed, check
     report(10, "decay-recursion limits")
 

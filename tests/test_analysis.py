@@ -1403,28 +1403,30 @@ class TestMcHelpers:
 
 class TestRatioExpansion:
     def test_zero_noise_scale_exact(self):
-        report = verify_ratio_expansion(n_mc=10**4, noise_scales=(0.0,))
-        assert report.rows[0].residual == 0.0
+        rng = make_rng(11, MC_STREAM)
+        W, V = rng.standard_normal(10**4), rng.standard_normal(10**4)
+        row = analysis._ratio_row(RatioDistribution(), 0.0, W, V, np.empty(10**4))
+        assert row.residual == 0.0
 
     def test_second_order_decay(self):
-        report = verify_ratio_expansion(n_mc=2 * 10**5, noise_scales=(0.5, 0.25, 0.125))
-        assert report.passed
-        for check in report.checks:
+        checks = verify_ratio_expansion(n_mc=2 * 10**5, noise_scales=(0.5, 0.25, 0.125))
+        assert all(check.passed for check in checks)
+        for check in checks:
             assert check.observed >= check.bound
 
     def test_independent_pair_still_decays(self):
         dist = RatioDistribution(coupling=0.0, y_noise=0.5)
-        report = verify_ratio_expansion(dist, n_mc=2 * 10**5, noise_scales=(0.5, 0.25))
-        assert report.passed
+        checks = verify_ratio_expansion(dist, n_mc=2 * 10**5, noise_scales=(0.5, 0.25))
+        assert all(check.passed for check in checks)
 
     def test_scales_must_decrease(self):
         with pytest.raises(AnalysisError):
             verify_ratio_expansion(n_mc=10**4, noise_scales=(0.1, 0.2))
 
     def test_nan_residual_fails(self):
-        report = verify_ratio_expansion(RatioDistribution(y_mean=np.nan), n_mc=10**4)
-        assert not report.passed
-        assert all(math.isnan(check.observed) and not check.passed for check in report.checks)
+        checks = verify_ratio_expansion(RatioDistribution(y_mean=np.nan), n_mc=10**4)
+        assert not all(check.passed for check in checks)
+        assert all(math.isnan(check.observed) and not check.passed for check in checks)
 
     @pytest.mark.parametrize("n_mc", [0, 1])
     def test_fewer_than_two_draws_rejected(self, n_mc):
@@ -1443,7 +1445,7 @@ class TestRatioExpansion:
         by_scale = dict(zip((0.5, 0.25), residuals))
         monkeypatch.setattr(analysis, "_ratio_row", lambda dist, s, W, V, Z:
                             analysis.RatioExpansionRow(s, 0.0, 0.0, by_scale[s]))
-        check, = verify_ratio_expansion(n_mc=2, noise_scales=(0.5, 0.25)).checks
+        check, = verify_ratio_expansion(n_mc=2, noise_scales=(0.5, 0.25))
         assert check.observed == pytest.approx(observed, nan_ok=True)
         assert check.passed is passed
 
@@ -1463,8 +1465,7 @@ class TestRecursionScan:
         assert scanned == pytest.approx(x, rel=1e-12)
 
     def test_quick_harmonic_limit(self):
-        report = analysis.verify_chung_recursions(T=10**6)
-        by_name = {c.name: c for c in report.checks}
+        by_name = {c.name: c for c in analysis.verify_chung_recursions(T=10**6)}
         assert by_name["harmonic_decay_a2_p1_b1"].passed
         assert by_name["harmonic_decay_zero_drive"].passed
 

@@ -1,6 +1,10 @@
 """Config parsing, CSV determinism, sweep grids, and verifier wiring."""
 
 import dataclasses
+import importlib
+import operator
+import os
+import re
 import threading
 
 import numpy as np
@@ -9,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import assert_golden, regenerate
 
-from bcoslab import analysis, cli
+from bcoslab import analysis, cli, problems
 from bcoslab.cli import ConfigError, ExperimentConfig, config_text, parse_config
 from bcoslab.optim import ALGORITHMS, BIAS_CORRECTIONS, EPSILON_PLACEMENTS, OptimizerConfig
 from bcoslab.schedules import KINDS, StepSchedule
@@ -169,29 +173,57 @@ class TestConfigFormat:
         assert "config error: config field 'problem.data_seed'" in capsys.readouterr().err
 
 
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def readme_section(title):
+    """The lines of README.md under the heading ``### title``, up to the next
+    heading."""
+    with open(README, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = lines.index(f"### {title}") + 1
+    end = next((i for i in range(start, len(lines)) if lines[i].startswith("#")), len(lines))
+    return lines[start:end]
+
+
+# (check, report function, the report with that one check's input broken)
+COUNTEREXAMPLE_FAULTS = [
+    ("log_aiming_min_inner", "counterexample_log_aiming",
+     lambda report: dataclasses.replace(report, aiming_all_pass=False)),
+    ("log_concavity_max_second_derivative", "counterexample_log_aiming",
+     lambda report: dataclasses.replace(report, convexity_all_fail=False)),
+    ("quadratic_aiming_value", "counterexample_quadratic_not_aiming",
+     lambda quad: {**quad, "aiming_value": -0.25}),
+    # the matrix stays certified PSD, but not with the eigenvalues {0, 5}
+    ("quadratic_eigenvalues_dev", "counterexample_quadratic_not_aiming",
+     lambda quad: {**quad, "eigenvalues": quad["eigenvalues"] + np.array([0.0, 1e-9])}),
+    ("quadratic_psd", "counterexample_quadratic_not_aiming",
+     lambda quad: {**quad, "psd_certified": False}),
+]
+
 SGD_NO_DECAY = {"optimizer.algorithm": "sgd", "optimizer.weight_decay_lambda": 0.0}
 LANDS_ON_TARGET = {"problem.dim": 1, "problem.h": 1.0, "problem.sigma": 0.0,
                    "optimizer.weight_decay_lambda": 0.0, "schedule.alpha": 1.0}
 
 
 class TestExitCodes:
-    """0 success; 1 divergence or a numeric failure while computing; 2 a
-    config error."""
+    """0 success; 1 a failed check; 2 a config error; 3 a run that cannot
+    finish: a divergence, or a numeric failure while computing."""
 
     @pytest.mark.parametrize(
         "command, overrides, code, message",
         [
             ("run", {}, 0, ""),
-            ("run", {**SGD_NO_DECAY, "problem.sigma": 0.0, "schedule.alpha": 4.0}, 1,
+            ("run", {**SGD_NO_DECAY, "problem.sigma": 0.0, "schedule.alpha": 4.0}, 3,
              "run aborted: seed 0 diverged at t="),
             pytest.param(
-                "run", {**SGD_NO_DECAY, "schedule.alpha": 1e308}, 1,
+                "run", {**SGD_NO_DECAY, "schedule.alpha": 1e308}, 3,
                 "numeric error: sgd step produced non-finite parameters",
                 marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning"),
             ),
             pytest.param(
                 "sweep", {**SGD_NO_DECAY, "sweep.param": "schedule.alpha",
-                          "sweep.values": "0.1,1e308"}, 1,
+                          "sweep.values": "0.1,1e308"}, 3,
                 "numeric error: sgd step produced non-finite parameters",
                 marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning"),
             ),
@@ -204,7 +236,7 @@ class TestExitCodes:
              "config error: config field 'sweep.values': must be finite"),
             # a noiseless seed lands on the target at t=3, where the direction is 0/0
             *[pytest.param(
-                "run", {**LANDS_ON_TARGET, "problem.noise": noise}, 1,
+                "run", {**LANDS_ON_TARGET, "problem.noise": noise}, 3,
                 "numeric error: conceptual_bcos step produced non-finite parameters "
                 "at seed 0, t=3",
                 marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning"),
@@ -277,6 +309,11 @@ class TestExitCodes:
                        "sweep.param2": "optimizer.beta3", "sweep.values2": "0.5"}, 2,
              "config error: config field 'sweep.param2': unknown config key "
              "'optimizer.beta3'"),
+            # two axes on one key would write the same results under each label
+            ("sweep", {"sweep.param": "schedule.alpha", "sweep.values": "0.01,0.5",
+                       "sweep.param2": "schedule.alpha", "sweep.values2": "0.2"}, 2,
+             "config error: config field 'sweep.param2': must differ from sweep.param, "
+             "both are 'schedule.alpha'"),
         ],
     )
     def test_exit_code(self, tmp_path, capsys, command, overrides, code, message):
@@ -542,15 +579,50 @@ class TestCmdVerify:
         in the decay recursions raises out of cmd_verify."""
         def overflowing():
             np.exp(np.array([1000.0]))
-            return analysis.ChungReport(())
+            return ()
 
         monkeypatch.setattr(analysis, "verify_chung_recursions", overflowing)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError) as raised:
             cli.cmd_verify(ExperimentConfig())
         assert raised.traceback[-1].name == "overflowing"
 
+    def test_claim_table_cites_every_check(self):
+        """README's claim table cites every check line of verify exactly once
+        and no other name in its checks column, and every library entry
+        point it lists resolves."""
+        rows = [ln for ln in readme_section("Claims and their checks") if ln.startswith("| ")]
+        cited = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[3])]
+        with open(os.path.join(regenerate.HERE, regenerate.VERIFY), encoding="utf-8") as fh:
+            printed = [ln.split(",")[0] for ln in fh.read().splitlines()[1:]
+                       if not ln.startswith("# ")]
+        assert [name for name in cited if name not in printed] == []
+        assert {name: cited.count(name) for name in printed} == dict.fromkeys(printed, 1)
+        entry_points = [re.match(r"- `([^`]+)`", ln).group(1)
+                        for ln in readme_section("Library entry points") if ln.startswith("- ")]
+        assert entry_points
+        for dotted in entry_points:
+            package, module, attrs = dotted.split(".", 2)
+            target = operator.attrgetter(attrs)(importlib.import_module(f"{package}.{module}"))
+            assert callable(target), dotted
+
 
 class TestCmdCounterexamples:
+    @pytest.mark.parametrize("check, function, fault", COUNTEREXAMPLE_FAULTS,
+                             ids=[check for check, _, _ in COUNTEREXAMPLE_FAULTS])
+    def test_one_failed_check_fails_both_commands(self, monkeypatch, capsys, check,
+                                                  function, fault):
+        """verify and counterexamples share one verdict: with one
+        counterexample check's input broken, verify prints that check as its
+        only FAIL line and counterexamples names it on stderr; both exit 1."""
+        right = getattr(problems, function)
+        monkeypatch.setattr(problems, function, lambda: fault(right()))
+        assert cli.main(["verify"]) == 1
+        failed = [ln.split(",")[0] for ln in capsys.readouterr().out.splitlines()
+                  if ln.endswith(",FAIL")]
+        assert failed == [check]
+        assert cli.main(["counterexamples"]) == 1
+        assert capsys.readouterr().err == f"check failed: {check}\n"
+
     def test_prints_both_reports(self, capsys):
         rc = cli.main(["counterexamples"])
         out = capsys.readouterr().out

@@ -286,9 +286,3 @@ class TestCounterexamples:
         assert report["aiming_violated"]
         np.testing.assert_allclose(report["eigenvalues"], [0.0, 5.0], atol=1e-12)
         assert report["psd_certified"]
-
-    def test_quadratic_extra_point(self):
-        report = counterexample_quadratic_not_aiming()
-        extras = dict((tuple(p), v) for p, v in report["extra_points"])
-        # sign(A @ (1,1)) = sign((-1, 2)) = (-1, 1): inner product 0
-        assert extras[(1.0, 1.0)] == 0.0
