@@ -855,7 +855,7 @@ def _ratio_row(dist: RatioDistribution, s: float, W: np.ndarray, V: np.ndarray,
     my = float(Y.mean())
     Y -= my
     Z -= mz
-    cov = float(np.dot(Y, Z) / (len(Z) - 1))
+    cov = float(np.einsum("i,i->", Y, Z) / (len(Z) - 1))
     expansion = my / math.sqrt(mz) * (1.0 - cov / (2 * my * mz) + 3.0 * vz / (8 * mz * mz))
     return RatioExpansionRow(s, mc, expansion, abs(mc - expansion))
 
@@ -875,8 +875,9 @@ def verify_ratio_expansion(
     a non-finite residual fails its check. The same underlying normal draws
     serve every scale, which makes the ratios stable. The footprint is the
     draws W and V plus three arrays of n_mc floats: every mean is numpy's
-    pairwise sum and the covariance one BLAS dot, so chunking them would
-    change the bytes.
+    pairwise sum and the covariance one ``np.einsum`` sum of products, so
+    chunking them would change the bytes. The einsum runs numpy's own loop,
+    not a BLAS dot, whose last bits depend on the BLAS kernel.
     """
     scales = [float(s) for s in noise_scales]
     if any(b >= a for a, b in zip(scales, scales[1:])):

@@ -136,8 +136,8 @@ def _library_files() -> dict[str, str]:
     files = {"curve_blocks.csv": cli.curve_csv(curve)}
     logistic = cli.parse_config(_run_configs()["run_logistic"][1])
     problem, opt, schedule, x0 = cli._build(logistic)
-    curve = mean_trajectory(problem, opt, schedule, logistic.steps, logistic.n_seeds,
-                            logistic.base_seed, x0=x0)
+    curve = mean_trajectory(problem, opt, schedule, logistic["run.steps"],
+                            logistic["run.n_seeds"], logistic["run.base_seed"], x0=x0)
     files["logistic_loss.csv"] = "t,mean_loss\n" + "".join(
         f"{t},{loss!r}\n" for t, loss in zip(curve.t.tolist(), curve.mean_loss.tolist()))
     gradients = np.random.default_rng(7).standard_normal((12, 4))

@@ -320,24 +320,35 @@ class TestStartCheck:
     """Both engines check the start the same way before anything reads it."""
 
     ENGINES = {
-        "run_trajectory": lambda prob, cfg, **kw: run_trajectory(
-            prob, cfg, constant(0.05), 3, base_seed=0, **kw),
-        "mean_trajectory": lambda prob, cfg, **kw: mean_trajectory(
-            prob, cfg, constant(0.05), 3, n_seeds=2, **kw),
+        "run_trajectory": lambda prob, cfg, T=3, **kw: run_trajectory(
+            prob, cfg, constant(0.05), T, base_seed=0, **kw),
+        "mean_trajectory": lambda prob, cfg, T=3, **kw: mean_trajectory(
+            prob, cfg, constant(0.05), T, n_seeds=2, **kw),
     }
 
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
-    @pytest.mark.parametrize("alg", ["bcos_c", "conceptual_bcos"])
-    @pytest.mark.parametrize("kwargs, error, message", [
-        ({"x0": np.zeros(3)}, ShapeError, "start shape (3,) != (4,) of the problem"),
-        ({"x0": np.array([0.0, np.nan, 0.0, 0.0])}, NonFiniteError,
+    # (id, engine keyword arguments, error, message) of a case that every
+    # algorithm fails alike on the 4-dimensional quadratic
+    BAD_STARTS = [
+        ("short", {"x0": np.zeros(3)}, ShapeError, "start shape (3,) != (4,) of the problem"),
+        ("nan", {"x0": np.array([0.0, np.nan, 0.0, 0.0])}, NonFiniteError,
          "start contains NaN/Inf entries"),
-        ({"x0": np.zeros((1, 4))}, ShapeError, "start shape (1, 4) != (4,) of the problem"),
-        ({"partition": BlockPartition.singleton(3)}, ShapeError,
+        ("2d", {"x0": np.zeros((1, 4))}, ShapeError, "start shape (1, 4) != (4,) of the problem"),
+        ("partition", {"partition": BlockPartition.singleton(3)}, ShapeError,
          "partition dim 3 != problem dim 4"),
-    ], ids=["short", "nan", "2d", "partition"])
-    def test_bad_start_fails_alike(self, engine, alg, kwargs, error, message):
-        prob = centered_quadratic(n=4)
+        ("horizon", {"T": -1}, AnalysisError, "T must be >= 0"),
+    ]
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("alg, prob, kwargs, error, message", [
+        *[pytest.param(alg, centered_quadratic(n=4), kwargs, error, message, id=f"{name}-{alg}")
+          for name, kwargs, error, message in BAD_STARTS
+          for alg in ("bcos_c", "conceptual_bcos")],
+        # the conceptual step needs exact moments, which the logistic problem lacks
+        pytest.param("conceptual_bcos", LogisticSmokeProblem(n_features=4, n_samples=50, batch=8),
+                     {}, AnalysisError, "conceptual runs need a problem with exact moments",
+                     id="no_moments-conceptual_bcos"),
+    ])
+    def test_bad_start_fails_alike(self, engine, alg, prob, kwargs, error, message):
         with pytest.raises(error) as err:
             self.ENGINES[engine](prob, OptimizerConfig(alg), **kwargs)
         assert type(err.value) is error and str(err.value) == message
@@ -1170,22 +1181,31 @@ class TestEstimatorStats:
         stats = estimator_stats(prob, np.array([2.0]), state, cfg, 10**4, seed=5)
         assert stats.corr_dv[0] > 0.5
 
-    @pytest.mark.parametrize("n_mc, state, partition, error, message", [
-        (100, OptimizerState(), None, AnalysisError,
+    @pytest.mark.parametrize("alg, sigma, n_mc, state, partition, error, message", [
+        ("adam", 1.0, 100, OptimizerState(), None, AnalysisError,
          "n_mc must be >= 1e4 for stable estimates, got 100"),
-        (10**4, OptimizerState(t=1, m=np.zeros(2)), None, ShapeError,
+        ("adam", 1.0, 10**4, OptimizerState(t=1, m=np.zeros(2)), None, ShapeError,
          "state.m must have length 3"),
-        (10**4, OptimizerState(t=1, m=np.zeros(3), v=np.ones(3)),
+        ("adam", 1.0, 10**4, OptimizerState(t=1, m=np.zeros(3), v=np.ones(3)),
          BlockPartition.from_sizes([2, 1]), ShapeError, "state.v must have length 2"),
-        (10**4, OptimizerState(), BlockPartition.singleton(4), ShapeError,
+        ("adam", 1.0, 10**4, OptimizerState(), BlockPartition.singleton(4), ShapeError,
          "partition dim 4 != problem dim 3"),
-    ], ids=["draws", "m", "v", "partition"])
-    def test_rejects_bad_inputs(self, n_mc, state, partition, error, message):
+        ("conceptual_bcos", 1.0, 10**4, OptimizerState(), None, AnalysisError,
+         "conceptual_bcos uses exact moments; it has no estimator"),
+        ("bcos_c", 1.0, 10**4, OptimizerState(t=1), None, AnalysisError,
+         "bcos_c estimator stats need a primed state holding ('m',)"),
+        # no noise at the target: every draw of d is 0, so E[d^2] is too
+        ("sgd", 0.0, 10**4, OptimizerState(), None, AnalysisError,
+         "estimator stats need E[d^2] > 0 on every block"),
+    ], ids=["draws", "m", "v", "partition", "no_estimator", "unprimed", "zero_moment"])
+    def test_rejects_bad_inputs(self, alg, sigma, n_mc, state, partition, error, message):
         """The momentum has one entry per coordinate and the estimate one
-        per block of the partition, which covers the problem's coordinates."""
-        prob = centered_quadratic()
+        per block of the partition, which covers the problem's coordinates;
+        the algorithm has an estimator and a state to freeze, and the bias
+        reference E[d^2] is positive."""
+        prob = centered_quadratic(sigma=sigma)
         with pytest.raises(error) as err:
-            estimator_stats(prob, np.zeros(3), state, OptimizerConfig("adam"), n_mc,
+            estimator_stats(prob, np.zeros(3), state, OptimizerConfig(alg), n_mc,
                             partition=partition)
         assert type(err.value) is error and str(err.value) == message
 

@@ -55,9 +55,10 @@ def test_child_setup_and_curve_text(tmp_path):
     opt = cli.build_optimizer(cfg)
     schedule = cli.build_schedule(cfg)
     assert isinstance(opt, OptimizerConfig)
-    curve = analysis.mean_trajectory(problem, opt, schedule, cfg.steps, cfg.n_seeds)
+    curve = analysis.mean_trajectory(problem, opt, schedule, cfg["run.steps"],
+                                     cfg["run.n_seeds"])
     text = cli.curve_csv(curve)
-    assert isinstance(text, str) and len(text.splitlines()) == cfg.steps + 2
+    assert isinstance(text, str) and len(text.splitlines()) == cfg["run.steps"] + 2
 
 
 def count_calls(monkeypatch, module, name) -> list:
@@ -97,6 +98,6 @@ def test_default_verify_calls(monkeypatch, capsys):
     steps = count_calls(monkeypatch, analysis, "step")
     stats = count_calls(monkeypatch, analysis, "estimator_stats")
     draws = count_calls(monkeypatch, NoisyQuadratic, "sample_gradients")
-    assert cli.cmd_verify(cli.ExperimentConfig()) == 0
+    assert cli.cmd_verify(cli.default_config()) == 0
     assert (len(stats), len(steps)) == (5, 0)
     assert len(draws) == 5

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from test_golden import assert_golden, regenerate
 
 from bcoslab import analysis, cli, problems
-from bcoslab.cli import ConfigError, ExperimentConfig, config_text, parse_config
+from bcoslab.cli import ConfigError, config_text, default_config, parse_config
 from bcoslab.optim import ALGORITHMS, BIAS_CORRECTIONS, EPSILON_PLACEMENTS, OptimizerConfig
 from bcoslab.schedules import KINDS, StepSchedule
 
@@ -77,18 +77,18 @@ def schedule_values(draw):
 
 class TestConfigFormat:
     def test_default_roundtrip(self):
-        cfg = ExperimentConfig()
+        cfg = default_config()
         assert parse_config(config_text(cfg)) == cfg
 
     def test_nontrivial_roundtrip(self):
-        cfg = dataclasses.replace(
-            ExperimentConfig(),
-            h=(1.0, 2.5),
-            alpha=0.00125,
-            decoupled=True,
-            sweep_param="optimizer.beta2",
-            sweep_values=(0.8, 0.9),
-        )
+        cfg = {
+            **default_config(),
+            "problem.h": (1.0, 2.5),
+            "schedule.alpha": 0.00125,
+            "optimizer.decoupled": True,
+            "sweep.param": "optimizer.beta2",
+            "sweep.values": (0.8, 0.9),
+        }
         assert parse_config(config_text(cfg)) == cfg
 
     @pytest.mark.parametrize("group, cls", [("optimizer", OptimizerConfig),
@@ -97,14 +97,13 @@ class TestConfigFormat:
         """The optimizer and schedule settings are declared once, as fields of
         their dataclasses: the key group names exactly those fields, and the
         CLI default of each field that has one is the dataclass default."""
-        attrs = {key.partition(".")[2]: attr for key, (attr, _, _) in cli.KEY_TABLE.items()
-                 if key.startswith(group + ".")}
+        names = [key.partition(".")[2] for key in cli.KEY_TABLE if key.startswith(group + ".")]
         fields = dataclasses.fields(cls)
-        assert sorted(attrs) == sorted(field.name for field in fields)
-        defaults = ExperimentConfig()
+        assert sorted(names) == sorted(field.name for field in fields)
+        defaults = default_config()
         for field in fields:
             if field.default is not dataclasses.MISSING:
-                assert getattr(defaults, attrs[field.name]) == field.default, field.name
+                assert defaults[f"{group}.{field.name}"] == field.default, field.name
 
     @pytest.mark.parametrize("group, cls, build, strategy", [
         ("optimizer", OptimizerConfig, cli.build_optimizer, OPTIMIZER_VALUES),
@@ -116,13 +115,13 @@ class TestConfigFormat:
         """Valid values of a key group, written as config text and read back,
         build the dataclass that those values make."""
         values = data.draw(strategy)
-        cfg = dataclasses.replace(ExperimentConfig(), **{
-            cli.KEY_TABLE[f"{group}.{name}"][0]: value for name, value in values.items()})
+        cfg = {**default_config(),
+               **{f"{group}.{name}": value for name, value in values.items()}}
         assert build(parse_config(config_text(cfg))) == cls(**values)
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# a comment\n\nrun.steps = 5  # trailing\n")
-        assert cfg.steps == 5
+        assert cfg["run.steps"] == 5
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError) as err:
@@ -186,12 +185,19 @@ def readme_section(title):
     return lines[start:end]
 
 
+def with_first_row(report, **measured):
+    """The log report with the measurements of its first grid row replaced;
+    its flags stay as they were."""
+    rows = (dataclasses.replace(report.rows[0], **measured), *report.rows[1:])
+    return dataclasses.replace(report, rows=rows)
+
+
 # (check, report function, the report with that one check's input broken)
 COUNTEREXAMPLE_FAULTS = [
     ("log_aiming_min_inner", "counterexample_log_aiming",
-     lambda report: dataclasses.replace(report, aiming_all_pass=False)),
+     lambda report: with_first_row(report, inner_product=-0.1)),
     ("log_concavity_max_second_derivative", "counterexample_log_aiming",
-     lambda report: dataclasses.replace(report, convexity_all_fail=False)),
+     lambda report: with_first_row(report, curvature_witness=1.0)),
     ("quadratic_aiming_value", "counterexample_quadratic_not_aiming",
      lambda quad: {**quad, "aiming_value": -0.25}),
     # the matrix stays certified PSD, but not with the eigenvalues {0, 5}
@@ -314,6 +320,19 @@ class TestExitCodes:
                        "sweep.param2": "schedule.alpha", "sweep.values2": "0.2"}, 2,
              "config error: config field 'sweep.param2': must differ from sweep.param, "
              "both are 'schedule.alpha'"),
+            ("run", {"optimizer.decoupled": "maybe"}, 2,
+             "config error: config field 'optimizer.decoupled': expected a boolean, "
+             "got 'maybe'"),
+            ("run", {"problem.h": "1.0,2.0,3.0"}, 2,
+             "config error: config field 'problem.h': expected 1 or 2 values, got 3"),
+            ("run", {"problem.kind": "cubic"}, 2,
+             "config error: config field 'problem.kind': unknown problem kind 'cubic'"),
+            ("run", {"schedule.kind": "power", "schedule.p": 0.3}, 2,
+             "config error: config field 'schedule': power schedule needs 1/2 < p < 1, "
+             "got p=0.3"),
+            ("sweep", {"sweep.param": "optimizer.decoupled", "sweep.values": "0.0,1.0"}, 2,
+             "config error: config field 'sweep.param': 'optimizer.decoupled' is not a "
+             "numeric scalar key"),
         ],
     )
     def test_exit_code(self, tmp_path, capsys, command, overrides, code, message):
@@ -583,7 +602,7 @@ class TestCmdVerify:
 
         monkeypatch.setattr(analysis, "verify_chung_recursions", overflowing)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError) as raised:
-            cli.cmd_verify(ExperimentConfig())
+            cli.cmd_verify(default_config())
         assert raised.traceback[-1].name == "overflowing"
 
     def test_claim_table_cites_every_check(self):

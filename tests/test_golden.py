@@ -2,14 +2,16 @@
 sweep with their manifests, ``counterexamples`` output, a block-partition
 library curve, the loss curve of a logistic run and the ``trace_rows`` text
 of every practical algorithm. tests/golden/regenerate.py produces the
-files. No corpus byte goes through a BLAS or LAPACK call, so the bytes do
-not depend on the BLAS kernel. They still pin numpy: the streams come from
-its generators, and the last bits of exp and log can depend on its SIMD
-path. ``verify.txt`` also holds the ratio expansion's one BLAS dot, which
-gave the same bytes on every kernel tried. A mismatch names the first
-differing file, line and column, numpy's version and the CPU model. The
-standing mutations show that the corpus catches a reordered float
-operation, a permuted seed or a moved default."""
+files. No corpus byte depends on the BLAS kernel: sums of products,
+the ratio expansion's covariance in ``verify.txt`` among them, are
+``np.einsum`` without ``optimize``, which runs numpy's own loops. The one
+BLAS and LAPACK work is the quadratic counterexample's ``eigvalsh``, ``@``
+and ``np.dot`` on a 2 x 2 matrix, whose results are exact on every kernel
+tried. The bytes still pin numpy: the streams come from its generators,
+and the last bits of exp and log can depend on its SIMD path. A mismatch
+names the first differing file, line and column, numpy's version and the
+CPU model. The standing mutations show that the corpus catches a
+reordered float operation, a permuted seed or a moved default."""
 
 import importlib.util
 import json
@@ -111,13 +113,18 @@ pathlib.Path(sys.argv[2]).write_text(json.dumps(results), encoding="utf-8")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(bcoslab.__file__)))
 
 
+def subprocess_env(**env) -> dict:
+    """The environment of a fresh process that imports bcoslab from SRC,
+    with env added."""
+    return {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", **env,
+            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
 def regenerate_in_subprocess(out, srcs: list[str], **env) -> dict:
     """{src: corpus or traceback} of each src directory, regenerated in a
     fresh process with env added to the environment."""
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", **env,
-           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-c", _REGENERATE, os.path.join(GOLDEN, "regenerate.py"),
-                    str(out), *srcs], env=env, check=True, capture_output=True)
+                    str(out), *srcs], env=subprocess_env(**env), check=True, capture_output=True)
     return json.loads(out.read_text(encoding="utf-8"))
 
 
@@ -130,6 +137,16 @@ def test_corpus_does_not_depend_on_the_blas_kernel(tmp_path):
     corpus = regenerate_in_subprocess(tmp_path / "corpus.json", [SRC],
                                       OPENBLAS_CORETYPE="Haswell")[SRC]
     assert_corpus(corpus)
+
+
+def test_verify_does_not_depend_on_the_blas_kernel():
+    """``bcoslab verify`` under OpenBLAS's Nehalem kernels prints verify.txt
+    byte for byte. Those kernels sum a BLAS dot in another order than the
+    others, so a covariance taken with np.dot moves in its last bits there."""
+    done = subprocess.run([sys.executable, "-m", "bcoslab.cli", "verify"],
+                          env=subprocess_env(OPENBLAS_CORETYPE="Nehalem"),
+                          check=True, capture_output=True, text=True)
+    assert_golden(regenerate.VERIFY, done.stdout)
 
 
 def test_corpus_does_not_depend_on_numpy_simd(tmp_path):
