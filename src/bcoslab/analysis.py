@@ -310,20 +310,17 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
             x_new = conceptual_update(X, direction, second, alphas[s], lam, partition,
                                       out=direction)
             return x_new, states
-        # one call on every row equals the per-row calls bit for bit. Once
-        # all of it is checked finite its rows need no second scan; otherwise
-        # each row is checked before its step, so the first bad row fails as
-        # its replay does
+        # one call on every row equals the per-row calls bit for bit. step
+        # checks its gradient before it computes anything, so the first bad
+        # row fails as its replay does, named by what was non-finite
         G = problem.gradient(X, Z)
-        checked = np.isfinite(G).all()
         new_states = []
         for i in range(S):
-            if not checked and not np.isfinite(G[i]).all():
-                raise _nonfinite_gradient(config, seeds[i], s)
             try:
                 spare[i], state = step(config, states[i], X[i], G[i], alphas[s], partition)
             except NonFiniteError as exc:
-                raise _nonfinite(config, seeds[i], s) from exc
+                fault = _nonfinite if np.isfinite(G[i]).all() else _nonfinite_gradient
+                raise fault(config, seeds[i], s) from exc
             if momentum:
                 M[i] = state.m
             new_states.append(state)

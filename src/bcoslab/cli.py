@@ -517,17 +517,21 @@ def cmd_verify(cfg: dict) -> int:
 
 
 def cmd_counterexamples(cfg: dict, out_dir: str | None = None) -> int:
-    """Print both reports (and write the log grid's CSV when out_dir is set);
-    1 if any of the checks verify prints for them fails, each named on
-    stderr, else 0."""
+    """Print what both reports measured, each followed by the check lines
+    verify prints for it (and write the log grid's CSV when out_dir is set);
+    1 if any of those checks fails, each named on stderr, else 0."""
     log_report = problems.counterexample_log_aiming()
     quad = problems.counterexample_quadratic_not_aiming()
-    print(log_report.render_text())
-    print(problems.render_quadratic_report(quad))
+    log_checks, quad_checks = _counterexample_checks(log_report, quad)
+    print(f"# counterexample: {log_report.name}\n{log_report.notes}\n"
+          f"grid points: {len(log_report.rows)}")
+    print(*(check.format_line() for check in log_checks), sep="\n")
+    print(f"# counterexample: {quad['name']}\neigenvalues: {quad['eigenvalues'].tolist()}\n"
+          f"aiming value at {quad['x_eval'].tolist()}: {quad['aiming_value']!r}")
+    print(*(check.format_line() for check in quad_checks), sep="\n")
     if out_dir:
         write_outputs(out_dir, cfg, {"counterexample_log.csv": "\n".join(log_report.csv_rows()) + "\n"})
-    failed = [check.name for checks in _counterexample_checks(log_report, quad)
-              for check in checks if not check.passed]
+    failed = [check.name for check in log_checks + quad_checks if not check.passed]
     for name in failed:
         print(f"check failed: {name}", file=sys.stderr)
     return 1 if failed else 0

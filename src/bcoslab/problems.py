@@ -276,19 +276,16 @@ class GridCheckRow:
     x: tuple[float, ...]
     inner_product: float
     curvature_witness: float
-    aiming_ok: bool
-    convex_ok: bool
 
 
 @dataclass(frozen=True)
 class CounterexampleReport:
     """Grid evidence that the sign-direction aiming condition and convexity
-    are independent properties."""
+    are independent properties: the measured values only, judged by
+    ``cli._counterexample_checks``."""
 
     name: str
     rows: tuple[GridCheckRow, ...]
-    aiming_all_pass: bool
-    convexity_all_fail: bool
     notes: str = ""
 
     def csv_rows(self) -> list[str]:
@@ -297,19 +294,9 @@ class CounterexampleReport:
             xs = ";".join(repr(v) for v in r.x)
             out.append(
                 f"{xs},{repr(r.inner_product)},{repr(r.curvature_witness)},"
-                f"{int(r.aiming_ok)},{int(r.convex_ok)}"
+                f"{int(r.inner_product >= 0.0)},{int(r.curvature_witness >= 0.0)}"
             )
         return out
-
-    def render_text(self) -> str:
-        lines = [f"# counterexample: {self.name}"]
-        if self.notes:
-            lines.append(self.notes)
-        lines.append(
-            f"grid points: {len(self.rows)}, aiming_all_pass={self.aiming_all_pass}, "
-            f"convexity_all_fail={self.convexity_all_fail}"
-        )
-        return "\n".join(lines)
 
 
 def counterexample_log_aiming() -> CounterexampleReport:
@@ -321,12 +308,10 @@ def counterexample_log_aiming() -> CounterexampleReport:
     for xv in grid:
         inner = float(xv) * float(np.sign(1.0 / xv))
         curv = -1.0 / float(xv) ** 2
-        rows.append(GridCheckRow((float(xv),), inner, curv, inner >= 0.0, curv >= 0.0))
+        rows.append(GridCheckRow((float(xv),), inner, curv))
     return CounterexampleReport(
         name="log_aiming_not_convex",
         rows=tuple(rows),
-        aiming_all_pass=all(r.aiming_ok for r in rows),
-        convexity_all_fail=all(not r.convex_ok for r in rows),
         notes="grid x = 0.1..10 step 0.1; curvature witness is the second derivative",
     )
 
@@ -347,15 +332,4 @@ def counterexample_quadratic_not_aiming() -> dict:
         "psd_certified": bool(np.all(eigs >= -1e-12)),
         "x_eval": x_eval,
         "aiming_value": value,
-        "aiming_violated": value < 0.0,
     }
-
-
-def render_quadratic_report(report: dict) -> str:
-    lines = [f"# counterexample: {report['name']}"]
-    lines.append(f"eigenvalues: {report['eigenvalues'].tolist()} (psd={report['psd_certified']})")
-    lines.append(
-        f"aiming value at {report['x_eval'].tolist()}: {report['aiming_value']!r} "
-        f"(violated={report['aiming_violated']})"
-    )
-    return "\n".join(lines)

@@ -291,8 +291,8 @@ def test_criterion_08_counterexamples():
     {0, 5} to 1e-12."""
     log_report = counterexample_log_aiming()
     assert len(log_report.rows) == 100
-    assert log_report.aiming_all_pass
-    assert log_report.convexity_all_fail
+    assert min(r.inner_product for r in log_report.rows) >= 0.0
+    assert max(r.curvature_witness for r in log_report.rows) < 0.0
     quad = counterexample_quadratic_not_aiming()
     assert quad["aiming_value"] == -0.5
     np.testing.assert_allclose(quad["eigenvalues"], [0.0, 5.0], atol=1e-12)

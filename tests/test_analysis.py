@@ -163,6 +163,8 @@ class TestRateFit:
         t = np.arange(100)
         with pytest.raises(AnalysisError):
             fit_powerlaw(t, 1.0 / (t + 1.0), (1, 10))
+        with pytest.raises(AnalysisError, match=r"^window must start at t >= 1$"):
+            fit_powerlaw(t, 1.0 / (t + 1.0), (0, 50))
 
 
 class TestRatePreconditions:
@@ -1099,6 +1101,13 @@ class TestStepGapBound:
         with pytest.raises(AnalysisError):
             step_gap_bound(stats, 0.0)
 
+    def test_no_weighted_coordinate_leaves_the_bias_term(self):
+        stats = self.make_stats([0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [np.nan, 0.5])
+        gap = step_gap_bound(stats, 0.2)
+        assert gap.value == gap.bias_term == 0.1
+        assert gap.correlation_term == 0.0
+        assert gap.truncation == 0.2**2 / 2
+
     def test_truncation_reported(self):
         stats = self.make_stats([1.0], [4.0], [100.0], [0.0])
         gap = step_gap_bound(stats, 0.2)
@@ -1442,6 +1451,10 @@ class TestRatioExpansion:
     def test_scales_must_decrease(self):
         with pytest.raises(AnalysisError):
             verify_ratio_expansion(n_mc=10**4, noise_scales=(0.1, 0.2))
+
+    def test_nonpositive_z_rejected(self):
+        with pytest.raises(AnalysisError, match="^Z must stay strictly positive$"):
+            verify_ratio_expansion(RatioDistribution(z_mean=-1.0), n_mc=100)
 
     def test_nan_residual_fails(self):
         checks = verify_ratio_expansion(RatioDistribution(y_mean=np.nan), n_mc=10**4)

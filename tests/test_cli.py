@@ -186,8 +186,7 @@ def readme_section(title):
 
 
 def with_first_row(report, **measured):
-    """The log report with the measurements of its first grid row replaced;
-    its flags stay as they were."""
+    """The log report with the measurements of its first grid row replaced."""
     rows = (dataclasses.replace(report.rows[0], **measured), *report.rows[1:])
     return dataclasses.replace(report, rows=rows)
 
@@ -333,6 +332,24 @@ class TestExitCodes:
             ("sweep", {"sweep.param": "optimizer.decoupled", "sweep.values": "0.0,1.0"}, 2,
              "config error: config field 'sweep.param': 'optimizer.decoupled' is not a "
              "numeric scalar key"),
+            ("run", {"optimizer.algorithm": "foo"}, 2,
+             "config error: config field 'optimizer': unknown algorithm 'foo'"),
+            ("run", {"optimizer.beta2": 1.0}, 2,
+             "config error: config field 'optimizer': beta2 must lie in [0, 1), got 1.0"),
+            ("run", {"optimizer.epsilon_placement": "middle"}, 2,
+             "config error: config field 'optimizer': unknown epsilon_placement 'middle'"),
+            ("run", {"optimizer.bias_correction": "none"}, 2,
+             "config error: config field 'optimizer': unknown bias_correction 'none'"),
+            ("run", {"schedule.kind": "cubic"}, 2,
+             "config error: config field 'schedule': unknown schedule kind 'cubic'; "
+             "expected one of ("),
+            ("run", {"schedule.kind": "warmup_cosine"}, 2,
+             "config error: config field 'schedule': total_steps must exceed warmup_steps"),
+            ("run", {"schedule.kind": "warmup_linear", "schedule.total_steps": 10,
+                     "schedule.alpha_min_ratio": 1.5}, 2,
+             "config error: config field 'schedule': alpha_min_ratio must lie in [0, 1]"),
+            ("run", {"problem.kind": "logistic", "problem.batch": 2000}, 2,
+             "config error: config field 'problem': batch must lie in [1, n_samples]"),
         ],
     )
     def test_exit_code(self, tmp_path, capsys, command, overrides, code, message):
@@ -632,15 +649,40 @@ class TestCmdCounterexamples:
                                                   function, fault):
         """verify and counterexamples share one verdict: with one
         counterexample check's input broken, verify prints that check as its
-        only FAIL line and counterexamples names it on stderr; both exit 1."""
+        only FAIL line, and counterexamples prints the same FAIL line and
+        names it on stderr; both exit 1."""
         right = getattr(problems, function)
         monkeypatch.setattr(problems, function, lambda: fault(right()))
         assert cli.main(["verify"]) == 1
-        failed = [ln.split(",")[0] for ln in capsys.readouterr().out.splitlines()
-                  if ln.endswith(",FAIL")]
-        assert failed == [check]
+        failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.endswith(",FAIL")]
+        assert [ln.split(",")[0] for ln in failed] == [check]
         assert cli.main(["counterexamples"]) == 1
-        assert capsys.readouterr().err == f"check failed: {check}\n"
+        captured = capsys.readouterr()
+        assert [ln for ln in captured.out.splitlines() if ln.endswith(",FAIL")] == failed
+        assert captured.err == f"check failed: {check}\n"
+
+    def test_prints_the_check_lines_verify_prints(self, capsys):
+        """Every check line of counterexamples is, byte for byte and in order,
+        a line of verify.txt's two counterexample sections, and together they
+        are all of those lines."""
+        assert cli.main(["counterexamples"]) == 0
+        printed = [ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.endswith((",PASS", ",FAIL"))]
+        with open(os.path.join(regenerate.HERE, regenerate.VERIFY), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        end = lines.index("# chung_recursions")
+        assert printed == [ln for ln in lines[1:end] if not ln.startswith("# ")]
+
+    def test_csv_flags_follow_the_measurements(self, monkeypatch, tmp_path):
+        """The CSV's aiming_ok and convex_ok columns are read from the row's
+        measured values: a negative inner product writes aiming_ok = 0."""
+        right = problems.counterexample_log_aiming
+        monkeypatch.setattr(problems, "counterexample_log_aiming",
+                            lambda: with_first_row(right(), inner_product=-0.1))
+        assert cli.main(["counterexamples", "--out", str(tmp_path / "ce")]) == 1
+        with open(tmp_path / "ce" / "counterexample_log.csv", encoding="utf-8") as fh:
+            rows = fh.read().splitlines()
+        assert rows[1] == "0.1,-0.1,-99.99999999999999,0,0"
 
     def test_prints_both_reports(self, capsys):
         rc = cli.main(["counterexamples"])

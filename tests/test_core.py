@@ -33,6 +33,10 @@ class TestBlockPartition:
             BlockPartition((0, 2, 2), 5)  # empty block
         with pytest.raises(ShapeError):
             BlockPartition((0, 7), 5)  # start beyond the dimension
+        with pytest.raises(ShapeError, match="^total_dim must be >= 1, got 0$"):
+            BlockPartition((0,), 0)
+        with pytest.raises(ShapeError, match="^every block needs cardinality >= 1$"):
+            BlockPartition.from_sizes([2, 0])
 
     def test_block_sums_and_expand_roundtrip(self):
         p = BlockPartition.from_sizes([2, 1, 3])
@@ -41,6 +45,13 @@ class TestBlockPartition:
         assert sums.tolist() == [1.0, 2.0, 12.0]
         expanded = p.expand(np.array([10.0, 20.0, 30.0]))
         assert expanded.tolist() == [10, 10, 20, 30, 30, 30]
+
+    def test_block_sums_and_expand_reject_wrong_lengths(self):
+        p = BlockPartition.from_sizes([2, 2])
+        with pytest.raises(ShapeError, match="^expected length 4, got 3$"):
+            p.block_sums(np.ones(3))
+        with pytest.raises(ShapeError, match="^expected 2 blocks, got 3$"):
+            p.expand(np.ones(3))
 
 
 class TestParamVector:

@@ -420,10 +420,14 @@ class TestOptimalStepsizes:
                 assert abs(best - gamma_hat[k]) <= (grid[1] - grid[0]) + 1e-12
 
     def test_rejects_inconsistent_moments(self):
-        """A second moment below the squared block mean is not a moment pair."""
+        """A second moment below the squared block mean is not a moment pair,
+        and a zero one leaves the stepsize undefined."""
         part = BlockPartition.singleton(1)
         with pytest.raises(OptimizerError, match="below squared block mean"):
             optimal_stepsizes(np.ones(1), np.zeros(1), np.array([2.0]), np.array([1.0]), part)
+        with pytest.raises(OptimizerError, match="^optimal stepsizes need strictly positive "
+                                                 "second moments$"):
+            optimal_stepsizes(np.ones(1), np.zeros(1), np.zeros(1), np.zeros(1), part)
 
 
 class TestGoldenTrace:

@@ -268,8 +268,8 @@ class TestCounterexamples:
     def test_log_grid(self):
         report = counterexample_log_aiming()
         assert len(report.rows) == 100
-        assert report.aiming_all_pass
-        assert report.convexity_all_fail
+        assert min(r.inner_product for r in report.rows) >= 0.0
+        assert max(r.curvature_witness for r in report.rows) < 0.0
         by_x = {r.x[0]: r for r in report.rows}
         assert by_x[2.0].inner_product == pytest.approx(2.0, rel=1e-14)
         assert by_x[0.1].curvature_witness == pytest.approx(-100.0, rel=1e-10)
@@ -283,6 +283,5 @@ class TestCounterexamples:
     def test_quadratic_exact_value(self):
         report = counterexample_quadratic_not_aiming()
         assert report["aiming_value"] == -0.5
-        assert report["aiming_violated"]
         np.testing.assert_allclose(report["eigenvalues"], [0.0, 5.0], atol=1e-12)
         assert report["psd_certified"]

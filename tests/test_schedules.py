@@ -73,6 +73,11 @@ class TestValidation:
         with pytest.raises(ScheduleError, match="^alpha must be finite and > 0"):
             StepSchedule(kind, alpha, warmup_steps=2, total_steps=10)
 
+    def test_negative_warmup_rejected(self):
+        """The CLI parser rejects a negative warmup first; the library names it too."""
+        with pytest.raises(ScheduleError, match="^warmup_steps must be >= 0$"):
+            StepSchedule("warmup_cosine", 0.1, warmup_steps=-1, total_steps=10)
+
     def test_peak_violation(self):
         violations = rate_preconditions(inverse_time(3.0), 0.5)
         assert any("alpha*lambda" in v for v in violations)
