@@ -252,13 +252,13 @@ def _scratch(rows: int, S: int, n: int, m: int) -> tuple:
     return tuple(np.empty((rows,) + shape) for shape in shapes)
 
 
-# steps per pass of the ensemble recorder: its numpy calls cost the same for
-# one row as for a few hundred, so they run once per block. A block is also
-# the most noise the ensemble draws at once
+# the most steps per pass of the ensemble recorder: its numpy calls cost the
+# same for one row as for a few hundred, so they run once per block. It is
+# also the most noise the ensemble draws at once
 _BLOCK = 256
-# floats per (rows, seeds, n) array of one recorder slice (64 rows at 200
-# seeds x 4 coordinates): the recorder takes a block a slice at a time, with
-# scratch allocated once, so its temporaries stay few and small
+# the most floats per (rows, seeds, n) array of a block (64 rows at 200
+# seeds x 4 coordinates): the history, the recorder's scratch, allocated
+# once, and its temporaries stay few and small
 _SLICE = 51_200
 
 
@@ -268,16 +268,17 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
     whose TRAJECTORY_STREAM indices ``seeds`` lists, in lockstep on an (S, n)
     array. Returns (alphas, curves, sigma): the stepsize of each step, the
     (mean, SE, loss, aiming-min) curves, and the sigma_t of the first seed's
-    estimator diagnostics (NaN where there is none). Each block of steps
-    goes to _record_block a slice of at most cut steps at a time, which
-    raises DivergenceError at the first row past the threshold. Each
-    diagnostic goes into ``diags`` by step when given (a one-seed run must
-    give it); otherwise it is dropped once its block is recorded, unless
+    estimator diagnostics (NaN where there is none). Each block of at most
+    cut steps goes to _record_block in one call, which raises
+    DivergenceError at the first row past the threshold. Each diagnostic
+    goes into ``diags`` by step when given (a one-seed run must give it);
+    otherwise it is dropped once its block is recorded, unless
     the first seed diverges at its step and the error's record keeps it.
     With one seed the curves are that seed's rows, so its DivergenceError
     holds its records of steps 0 .. k, each with its diagnostic. A fault
-    names the seed's stream index. The footprint is three 256 x S x n
-    history arrays, one block of noise, one slice of recorder scratch and
+    names the seed's stream index. The footprint is three history arrays of
+    cut rows of S x n floats (64 rows at 200 seeds x 4 coordinates, at most
+    256), one chunk of noise, the recorder's scratch for as many rows and
     the curves."""
     partition, start = _start(problem, config, T, x0, partition)
     S = len(seeds)
@@ -328,12 +329,12 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
 
     # the iterates before each step of the current block and the exact
     # moments of the direction each seed takes there, NaN without an oracle
-    # (no problem oracle, or a momentum not yet primed)
-    rows = min(_BLOCK, T + 1)
-    history = np.empty((rows, S, problem.dim))
+    # (no problem oracle, or a momentum not yet primed); a block is one
+    # recorder slice
+    cut = max(1, min(_BLOCK, T + 1, _SLICE // (S * problem.dim)))
+    history = np.empty((cut, S, problem.dim))
     mean_history = np.full_like(history, np.nan)
-    second_history = np.full((rows, S, partition.num_blocks), np.nan)
-    cut = max(1, min(rows, _SLICE // (S * problem.dim)))
+    second_history = np.full((cut, S, partition.num_blocks), np.nan)
     curves = tuple(np.empty(T + 1) for _ in range(4))
     sigma = np.full(T + 1, np.nan)
     scratch = _scratch(cut, S, problem.dim, partition.num_blocks)
@@ -348,11 +349,9 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
         nonlocal t0
         try:
             with np.errstate(**caller_errors):
-                for a in range(0, t_end - t0, cut):
-                    b = min(a + cut, t_end - t0)
-                    _record_block(problem, config, partition, history[a:b], mean_history[a:b],
-                                  second_history[a:b], t0 + a, curves, scratch, seeds, alphas,
-                                  held)
+                k = t_end - t0
+                _record_block(problem, config, partition, history[:k], mean_history[:k],
+                              second_history[:k], t0, curves, scratch, seeds, alphas, held)
         except DivergenceError as exc:
             if S == 1:
                 # one seed: its records of steps 0 .. k-1 are the rows
@@ -393,7 +392,7 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
                 sigma[s] = diag.sigma_t
                 held[s] = diag
         # a diagnostic ends a block too, so at most one is made past a divergence
-        if s + 1 - t0 == rows or diag is not None:
+        if s + 1 - t0 == cut or diag is not None:
             flush(s + 1)
             if diags is None:
                 held.clear()
@@ -827,12 +826,15 @@ class RatioExpansionRow:
     residual: float
 
 
-def _ratio_row(dist: RatioDistribution, s: float, W: np.ndarray, V: np.ndarray,
-               Z: np.ndarray) -> RatioExpansionRow:
-    """One scale of the expansion check, with Z as the scale's work buffer.
-    Z's mean and variance come before Y exists, so numpy's temporary inside
-    ``var`` never stacks on Y; Y and the one work array die on return."""
-    np.multiply(W, s, out=Z)
+def _ratio_row(dist: RatioDistribution, s: float, rng: np.random.Generator, Z: np.ndarray,
+               work: np.ndarray) -> RatioExpansionRow:
+    """One scale of the expansion check. The draws W and V come from rng,
+    W into the work buffer Z and V into ``work``, once each is needed. Z's
+    mean and variance come before Y exists, so numpy's temporary inside
+    ``var`` never stacks on Y, and Y dies on return: three arrays of n_mc
+    floats at most."""
+    rng.standard_normal(out=Z)
+    np.multiply(Z, s, out=Z)
     np.subtract(Z, 0.5 * s * s, out=Z)
     np.exp(Z, out=Z)
     np.multiply(Z, dist.z_mean, out=Z)
@@ -844,7 +846,8 @@ def _ratio_row(dist: RatioDistribution, s: float, W: np.ndarray, V: np.ndarray,
     Y = np.subtract(Z, dist.z_mean)
     np.multiply(Y, dist.coupling, out=Y)
     np.add(Y, dist.y_mean, out=Y)
-    work = np.multiply(V, dist.y_noise * s)
+    rng.standard_normal(out=work)
+    np.multiply(work, dist.y_noise * s, out=work)
     np.add(Y, work, out=Y)
     np.sqrt(Z, out=work)
     np.divide(Y, work, out=work)
@@ -870,8 +873,10 @@ def verify_ratio_expansion(
     The residual must shrink at least quadratically as the noise scale drops
     (consecutive-scale ratio at least (s_i/s_{i+1})^2 up to a factor of 2);
     a non-finite residual fails its check. The same underlying normal draws
-    serve every scale, which makes the ratios stable. The footprint is the
-    draws W and V plus three arrays of n_mc floats: every mean is numpy's
+    serve every scale, which makes the ratios stable: each scale redraws
+    them from the fixed seed into its work buffers rather than keep them,
+    so the footprint is three arrays of n_mc floats (23 MiB traced at the
+    default 1e6), not the draws and three more. Every mean is numpy's
     pairwise sum and the covariance one ``np.einsum`` sum of products, so
     chunking them would change the bytes. The einsum runs numpy's own loop,
     not a BLAS dot, whose last bits depend on the BLAS kernel.
@@ -881,11 +886,8 @@ def verify_ratio_expansion(
         raise AnalysisError("noise_scales must be strictly decreasing")
     if n_mc < 2:
         raise AnalysisError(f"n_mc must be >= 2 for a sample variance, got {n_mc}")
-    rng = make_rng(seed, MC_STREAM)
-    W = rng.standard_normal(n_mc)
-    V = rng.standard_normal(n_mc)
-    Z = np.empty(n_mc)
-    rows = [_ratio_row(dist, s, W, V, Z) for s in scales]
+    Z, work = np.empty(n_mc), np.empty(n_mc)
+    rows = [_ratio_row(dist, s, make_rng(seed, MC_STREAM), Z, work) for s in scales]
     checks = []
     for a, b in zip(rows, rows[1:]):
         expected = (a.scale / b.scale) ** 2
@@ -909,6 +911,11 @@ def verify_ratio_expansion(
 # deterministic decay recursions
 
 
+# floats per piece of a decay scan: t, the coefficients and the drive are
+# made a piece at a time, so only the log-cumsum spans a whole chunk
+_PIECE = 2**15
+
+
 def _scan_decay(coeff, drive, t0: int, T: int, x0: float,
                 chunk: int = 10**6) -> tuple[float, float]:
     """Final values of X_{t+1} = coeff(t) X_t + drive(t), t = t0..T-1, and of
@@ -918,32 +925,43 @@ def _scan_decay(coeff, drive, t0: int, T: int, x0: float,
     its total decay, so one scan gives both.
 
     ``coeff(t, out)`` and ``drive(t, out)`` write into ``out`` and return
-    it; drive is handed t itself as out. The scan allocates three arrays of
-    at most ``chunk`` floats once: the offsets, t and the coefficients.
-    Each chunk's t is lo + offsets, equal to np.arange(lo, hi) bit for bit
-    since whole numbers are exact in float64."""
+    it; drive is handed t itself as out. The scan keeps one array of at most
+    ``chunk`` floats, the log-cumsum L, whose one pairwise ``np.sum`` of
+    drive-weighted terms fixes the bytes, plus two of _PIECE floats: the
+    offsets and t. A first pass writes each piece's coefficients into its
+    slice of L, takes their logs and carries the sequential cumsum over from
+    the piece before; a second pass remakes t and the drive and turns L into
+    the terms. Each piece's t is its start + offsets, equal to np.arange bit
+    for bit since whole numbers are exact in float64, so every float
+    operation and its order match a scan of whole-chunk arrays."""
     x = undriven = float(x0)
-    offsets = np.arange(max(0, min(chunk, T - t0)), dtype=np.float64)
+    L = np.empty(max(0, min(chunk, T - t0)))
+    offsets = np.arange(min(_PIECE, len(L)), dtype=np.float64)
     t_buf = np.empty_like(offsets)
-    c_buf = np.empty_like(offsets)
     lo = t0
     while lo < T:
         n = min(chunk, T - lo)
-        t = np.add(offsets[:n], lo, out=t_buf[:n])
-        c = coeff(t, c_buf[:n])
-        # min and max propagate NaN, which fails both comparisons
-        if not (c.min() > 0 and c.max() < 1):
-            raise AnalysisError("recursion coefficients must lie in (0, 1); raise t0")
-        d = drive(t, t)
-        S = np.log(c, out=c)
-        np.cumsum(S, out=S)
-        last = S[-1]
+        pieces = [(a, min(a + len(offsets), n)) for a in range(0, n, len(offsets))]
+        for a, b in pieces:
+            t = np.add(offsets[: b - a], lo + a, out=t_buf[: b - a])
+            c = coeff(t, L[a:b])
+            # min and max propagate NaN, which fails both comparisons
+            if not (c.min() > 0 and c.max() < 1):
+                raise AnalysisError("recursion coefficients must lie in (0, 1); raise t0")
+            np.log(c, out=L[a:b])
+            if a:
+                L[a] += L[a - 1]
+            np.cumsum(L[a:b], out=L[a:b])
+        last = L[n - 1]
         decay = np.exp(last)
-        # the weight exp(S[-1] - S) of each drive term, in place
-        np.subtract(last, S, out=S)
-        np.exp(S, out=S)
-        S *= d
-        x = float(decay * x + np.sum(S))
+        for a, b in pieces:
+            t = np.add(offsets[: b - a], lo + a, out=t_buf[: b - a])
+            d = drive(t, t)
+            # the weight exp(L[-1] - L) of each drive term, in place
+            w = np.subtract(last, L[a:b], out=L[a:b])
+            np.exp(w, out=w)
+            w *= d
+        x = float(decay * x + np.sum(L[:n]))
         undriven = float(decay * undriven)
         lo += n
     return x, undriven

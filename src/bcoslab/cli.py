@@ -264,32 +264,46 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# rows per piece of curve_csv, and characters per slice that write_outputs
+# encodes, hashes and writes: neither holds a string per row of the run nor
+# a second whole copy of a text
+_CSV_ROWS = 2048
+_WRITE_SLICE = 2**18
+
+
 def curve_csv(curve: MeanCurve) -> str:
     floats = (curve.mean_dist_sq, curve.se_dist_sq, curve.alpha, curve.aiming_min, curve.sigma)
-    columns = [map(str, curve.t.tolist())] + [map(repr, c.tolist()) for c in floats]
-    rows = map(",".join, zip(*columns))
-    return "\n".join(["t,mean_dist_sq,se_dist_sq,alpha_t,aiming_min,sigma_t", *rows]) + "\n"
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    pieces = ["t,mean_dist_sq,se_dist_sq,alpha_t,aiming_min,sigma_t"]
+    for a in range(0, len(curve.t), _CSV_ROWS):
+        b = a + _CSV_ROWS
+        columns = [map(str, curve.t[a:b].tolist())] + [map(repr, c[a:b].tolist()) for c in floats]
+        pieces.append("\n".join(map(",".join, zip(*columns))))
+    # the empty last piece ends the text with a newline
+    pieces.append("")
+    return "\n".join(pieces)
 
 
 def write_outputs(out_dir: str, cfg: dict, named_texts: dict[str, str]) -> None:
-    """Write each text and manifest.txt into out_dir as UTF-8, each encoded
-    once: the bytes written are the bytes the manifest hashes."""
+    """Write each text and manifest.txt into out_dir as UTF-8. A text is
+    encoded, hashed and written a slice at a time, so the bytes written are
+    the bytes the manifest hashes and no whole encoded copy is held."""
     os.makedirs(out_dir, exist_ok=True)
-    files = {name: named_texts[name].encode() for name in sorted(named_texts)}
     manifest = [
-        f"config_sha256 = {_sha256(config_text(cfg).encode())}",
+        f"config_sha256 = {hashlib.sha256(config_text(cfg).encode()).hexdigest()}",
         f"base_seed = {cfg['run.base_seed']}",
-        *(f"file {name} sha256={_sha256(data)} bytes={len(data)}"
-          for name, data in files.items()),
     ]
-    files["manifest.txt"] = ("\n".join(manifest) + "\n").encode()
-    for name, data in files.items():
+    for name in sorted(named_texts):
+        text = named_texts[name]
+        digest, size = hashlib.sha256(), 0
         with open(os.path.join(out_dir, name), "wb") as fh:
-            fh.write(data)
+            for a in range(0, len(text), _WRITE_SLICE):
+                data = text[a : a + _WRITE_SLICE].encode()
+                digest.update(data)
+                size += len(data)
+                fh.write(data)
+        manifest.append(f"file {name} sha256={digest.hexdigest()} bytes={size}")
+    with open(os.path.join(out_dir, "manifest.txt"), "wb") as fh:
+        fh.write(("\n".join(manifest) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +496,18 @@ def cmd_verify(cfg: dict) -> int:
     """Print the fixed check catalog; 1 if any check fails, else 0. cfg is not read.
 
     The decay recursions run on a worker thread while this thread runs the
-    counterexamples and the estimator catalog; the ratio expansion runs
-    alone after the join. Every large numpy call releases the GIL, so the
-    two overlap on two cores. The recursions and the catalog together
-    (about 23 + 14 MiB traced) stay under the ratio expansion's 38 MiB,
-    which still sets the peak. The worker runs in a copy of the caller's
-    context, so the caller's np.errstate holds there too, and its error is
-    raised here after the join. The output is printed in the catalog's order
-    once every section is done, the same bytes as one section after another."""
+    counterexamples and the estimator catalog, then the ratio expansion.
+    Every large numpy call releases the GIL, so the two threads overlap on
+    two cores, and the ratio expansion's extra draws hide behind the
+    recursions. Two pairs run at once: the recursions beside the catalog
+    (about 8 + 14 MiB traced) and beside the ratio expansion (8 + 23 MiB),
+    each under 5 x 1e6 floats (38 MiB), the budget a new section must fit
+    beside them. The worker
+    runs in a copy of the caller's context, so the caller's np.errstate
+    holds there too, and its error is raised here after the join; an error
+    on this thread waits for the worker to end before it propagates. The
+    output is printed in the catalog's order once every section is done,
+    the same bytes as one section after another."""
     # imported here: a module import would add to every command's start-up
     from concurrent.futures import ThreadPoolExecutor
 
@@ -498,12 +516,13 @@ def cmd_verify(cfg: dict) -> int:
         log_checks, quad_checks = _counterexample_checks(
             problems.counterexample_log_aiming(), problems.counterexample_quadratic_not_aiming())
         catalog = _estimator_fixture_checks()
+        ratio_checks = analysis.verify_ratio_expansion()
         chung_checks = chung.result()
     sections = [
         ("counterexample_log_aiming", log_checks),
         ("counterexample_quadratic_not_aiming", quad_checks),
         ("chung_recursions", chung_checks),
-        ("ratio_expansion", analysis.verify_ratio_expansion()),
+        ("ratio_expansion", ratio_checks),
         ("estimator_catalog", catalog),
     ]
     all_pass = True

@@ -884,9 +884,10 @@ class TestEnsembleBlockRecorder:
 
     def test_footprint_does_not_grow_with_the_run(self):
         """200 seeds x 2000 steps of the conceptual ensemble allocate at most
-        12 MiB at peak: the history of one block (3 x 256 x 200 x 4 floats,
-        4.7 MiB), one block of noise (1.6 MiB) and one slice of recorder
-        scratch, with no temporary the size of a block or of the run."""
+        6 MiB at peak (5.4 traced): a history of one recorder slice
+        (3 x 64 x 200 x 4 floats, 1.2 MiB), one chunk of noise (256 steps,
+        1.6 MiB) and that slice's scratch, with no temporary the size of a
+        chunk or of the run. A 256-row history reads 8.9 MiB."""
         prob = NoisyQuadratic(h=[1.0, 2.0, 0.5, 1.5], sigma=[0.5, 1.0, 1.5, 1.0],
                               x_star=[1.0, -1.0, 0.0, 0.5])
         cfg = OptimizerConfig("conceptual_bcos", weight_decay_lambda=1.5, decoupled=True)
@@ -896,12 +897,23 @@ class TestEnsembleBlockRecorder:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak <= 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("S, sizes", [(200, [64, 64, 64, 64, 45]), (2, [256, 45])])
+    def test_blocks_are_one_recorder_slice(self, S, sizes):
+        """Each block the engine records is at most one slice of _SLICE
+        floats per (rows, seeds, n) array, 64 rows at 200 seeds x 4
+        coordinates, and is handed to the recorder in one call; two seeds
+        take the longest block, 256 rows."""
+        prob = NoisyQuadratic(h=[1.0, 2.0, 0.5, 1.5], sigma=1.0, x_star=np.zeros(4))
+        cfg = OptimizerConfig("conceptual_bcos", weight_decay_lambda=1.5, decoupled=True)
+        _, blocks = lockstep_run(prob, cfg, inverse_time(0.5), 300, S, 0, per_block=True)
+        assert [len(block) for block in blocks] == sizes
 
 
-def lockstep_run(problem, config, schedule, T, S, seed, **kwargs):
+def lockstep_run(problem, config, schedule, T, S, seed, per_block=False, **kwargs):
     """mean_trajectory's curve and the (T+1, S, n) iterates of its seeds,
-    copied from the blocks it records."""
+    copied from the blocks it records (the list of blocks with per_block)."""
     blocks = []
     record = analysis._record_block
 
@@ -912,7 +924,7 @@ def lockstep_run(problem, config, schedule, T, S, seed, **kwargs):
     with mock.patch.object(analysis, "_record_block", capture):
         curve = mean_trajectory(problem, config, schedule, T, n_seeds=S, base_seed=seed,
                                 **kwargs)
-    return curve, np.concatenate(blocks)
+    return curve, blocks if per_block else np.concatenate(blocks)
 
 
 class TestLockstepEngine:
@@ -1432,9 +1444,8 @@ class TestMcHelpers:
 
 class TestRatioExpansion:
     def test_zero_noise_scale_exact(self):
-        rng = make_rng(11, MC_STREAM)
-        W, V = rng.standard_normal(10**4), rng.standard_normal(10**4)
-        row = analysis._ratio_row(RatioDistribution(), 0.0, W, V, np.empty(10**4))
+        Z, work = np.empty(10**4), np.empty(10**4)
+        row = analysis._ratio_row(RatioDistribution(), 0.0, make_rng(11, MC_STREAM), Z, work)
         assert row.residual == 0.0
 
     def test_second_order_decay(self):
@@ -1476,7 +1487,7 @@ class TestRatioExpansion:
         """An exactly zero residual at the finer scale reads as an infinite
         ratio and passes; a non-finite residual fails."""
         by_scale = dict(zip((0.5, 0.25), residuals))
-        monkeypatch.setattr(analysis, "_ratio_row", lambda dist, s, W, V, Z:
+        monkeypatch.setattr(analysis, "_ratio_row", lambda dist, s, rng, Z, work:
                             analysis.RatioExpansionRow(s, 0.0, 0.0, by_scale[s]))
         check, = verify_ratio_expansion(n_mc=2, noise_scales=(0.5, 0.25))
         assert check.observed == pytest.approx(observed, nan_ok=True)
@@ -1581,6 +1592,72 @@ class TestInPlaceScan:
         assert analysis._scan_decay(coeff_into, drive_into, t0, T, 1.0, chunk) == expected
 
 
+def three_array_scan(coeff, drive, t0, T, x0, chunk):
+    """_scan_decay as it was with three whole-chunk arrays (offsets, t and
+    the coefficients, which become the log-cumsum): the reference the
+    piecewise scan must equal bit for bit."""
+    x = undriven = float(x0)
+    offsets = np.arange(max(0, min(chunk, T - t0)), dtype=np.float64)
+    t_buf = np.empty_like(offsets)
+    c_buf = np.empty_like(offsets)
+    lo = t0
+    while lo < T:
+        n = min(chunk, T - lo)
+        t = np.add(offsets[:n], lo, out=t_buf[:n])
+        c = coeff(t, c_buf[:n])
+        if not (c.min() > 0 and c.max() < 1):
+            raise AnalysisError("recursion coefficients must lie in (0, 1); raise t0")
+        d = drive(t, t)
+        S = np.log(c, out=c)
+        np.cumsum(S, out=S)
+        last = S[-1]
+        decay = np.exp(last)
+        np.subtract(last, S, out=S)
+        np.exp(S, out=S)
+        S *= d
+        x = float(decay * x + np.sum(S))
+        undriven = float(decay * undriven)
+        lo += n
+    return x, undriven
+
+
+class TestPiecewiseScan:
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(0.1, 3.0), p=st.floats(0.3, 1.5), b=st.floats(-2.0, 2.0),
+           shift=st.integers(0, 50), steps=st.integers(1, 1500), chunk=st.integers(1, 600),
+           piece=st.integers(1, 300))
+    @example(a=2.0, p=1.0, b=1.0, shift=0, steps=40, chunk=100, piece=64)  # T - t0 < piece
+    @example(a=2.0, p=1.0, b=1.0, shift=0, steps=1000, chunk=250, piece=64)  # 64 ∤ 250
+    @example(a=2.0, p=1.0, b=1.0, shift=0, steps=1, chunk=1, piece=1)
+    def test_matches_three_array_scan_bitwise(self, a, p, b, shift, steps, chunk, piece):
+        """Any start, horizon, chunk and piece, the piece longer than the
+        horizon or not dividing the chunk included."""
+        t0 = int(math.floor(a)) + 1 + shift
+        coeff = lambda t, out: np.subtract(1.0, np.divide(a, t, out=out), out=out)  # noqa: E731
+        drive = lambda t, out: np.divide(b, np.power(t, p + 1.0, out=out), out=out)  # noqa: E731
+        expected = three_array_scan(coeff, drive, t0, t0 + steps, 1.0, chunk)
+        with mock.patch.object(analysis, "_PIECE", piece):
+            got = analysis._scan_decay(coeff, drive, t0, t0 + steps, 1.0, chunk)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, 1.0, -0.5])
+    def test_bad_coefficient_in_a_later_piece_raises_alike(self, bad):
+        """A coefficient out of (0, 1) at t = 250, in the fourth piece of 64
+        steps of the first chunk, fails both scans with the same error."""
+        def coeff(t, out):
+            out.fill(0.5)
+            out[t == 250.0] = bad
+            return out
+
+        drive = lambda t, out: np.multiply(0.0, t, out=out)  # noqa: E731
+        errors = []
+        for scan in (three_array_scan, analysis._scan_decay):
+            with mock.patch.object(analysis, "_PIECE", 64), pytest.raises(AnalysisError) as err:
+                scan(coeff, drive, 3, 1000, 1.0, 400)
+            errors.append(str(err.value))
+        assert errors == ["recursion coefficients must lie in (0, 1); raise t0"] * 2
+
+
 def traced_peak(fn) -> int:
     tracemalloc.start()
     try:
@@ -1591,26 +1668,30 @@ def traced_peak(fn) -> int:
 
 
 class TestVerifyFootprint:
-    """verify's two large sections work in buffers they allocate once."""
+    """verify's large sections keep only the arrays their bytes depend on."""
 
-    def test_decay_scans_hold_three_chunk_arrays(self):
+    def test_decay_scan_holds_one_chunk_array(self):
+        """The log-cumsum of one chunk (1e6 floats), plus pieces of t."""
         peak = traced_peak(lambda: analysis.verify_chung_recursions(T=2_500_000))
-        assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak <= 8 * (10**6 + 3 * analysis._PIECE), f"peak {peak / 2**20:.2f} MiB"
 
-    def test_ratio_expansion_holds_the_draws_and_three_arrays(self):
+    def test_ratio_expansion_holds_three_arrays(self):
+        """Z, Y and one work array; the draws are remade for each scale."""
         n_mc = 2 * 10**5
         verify_ratio_expansion(n_mc=2)  # the first draw imports numpy.random
         peak = traced_peak(lambda: verify_ratio_expansion(n_mc=n_mc))
-        assert peak <= 5.25 * n_mc * 8, f"peak {peak / (n_mc * 8):.2f} x n_mc floats"
+        assert peak <= 3.25 * n_mc * 8, f"peak {peak / (n_mc * 8):.2f} x n_mc floats"
 
-    def test_sections_run_together_stay_under_the_ratio_peak(self):
+    def test_sections_run_together_stay_under_the_old_ratio_peak(self):
         """cli.cmd_verify runs the decay recursions beside the estimator
-        catalog, and the ratio expansion alone. At default sizes the first
-        two peaks add up to no more than the ratio expansion's, so it still
-        sets verify's footprint."""
+        catalog and then beside the ratio expansion. At default sizes each
+        pair holds less than the 5 x 1e6 floats the ratio expansion held
+        alone when it kept its two draws."""
         verify_ratio_expansion(n_mc=2)  # the first draw imports numpy.random
         chung = traced_peak(analysis.verify_chung_recursions)
         catalog = traced_peak(cli._estimator_fixture_checks)
         ratio = traced_peak(verify_ratio_expansion)
-        assert chung + catalog <= ratio, (
-            f"{chung / 2**20:.1f} + {catalog / 2**20:.1f} > {ratio / 2**20:.1f} MiB")
+        old_ratio = 5 * 10**6 * 8
+        for name, other in (("catalog", catalog), ("ratio", ratio)):
+            assert chung + other < old_ratio, (
+                f"recursions + {name}: {chung / 2**20:.1f} + {other / 2**20:.1f} MiB")

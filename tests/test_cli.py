@@ -1,6 +1,7 @@
 """Config parsing, CSV determinism, sweep grids, and verifier wiring."""
 
 import dataclasses
+import hashlib
 import importlib
 import operator
 import os
@@ -460,6 +461,47 @@ class TestCmdRun:
         assert (tmp_path / "envout" / "trajectory.csv").exists()
 
 
+def one_shot_csv(curve):
+    """curve_csv as one join over every row: the reference for the join
+    over pieces of rows."""
+    floats = (curve.mean_dist_sq, curve.se_dist_sq, curve.alpha, curve.aiming_min, curve.sigma)
+    columns = [map(str, curve.t.tolist())] + [map(repr, c.tolist()) for c in floats]
+    rows = map(",".join, zip(*columns))
+    return "\n".join(["t,mean_dist_sq,se_dist_sq,alpha_t,aiming_min,sigma_t", *rows]) + "\n"
+
+
+class TestOutputPieces:
+    @pytest.mark.parametrize("pieces, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)])
+    def test_curve_csv_equals_the_one_shot_join(self, pieces, extra):
+        """0 rows, 1 row, and one piece of rows less one, exactly and plus
+        one, with NaN, inf and -0.0 among the values."""
+        T1 = pieces * cli._CSV_ROWS + extra
+        rng = np.random.default_rng(T1)
+        cols = [rng.standard_normal(T1) for _ in range(5)]
+        if T1:
+            # the mean, alpha and aiming-min columns
+            cols[0][0], cols[3][-1], cols[4][T1 // 2] = np.nan, np.inf, -0.0
+        curve = analysis.MeanCurve(np.arange(T1), *cols, n_seeds=2,
+                                   sigma=rng.standard_normal(T1))
+        assert cli.curve_csv(curve) == one_shot_csv(curve)
+
+    def test_manifest_hashes_the_file_written_in_slices(self, tmp_path):
+        """A text of three slices and more, with two-, three- and four-byte
+        characters across the slice boundaries: the manifest's sha256 and
+        bytes are those of the file, which is the text's UTF-8."""
+        n = cli._WRITE_SLICE
+        text = "a" * (n - 1) + "é€" + "b" * (n - 2) + "𝜎" + "\n" * (n + 3)
+        cli.write_outputs(str(tmp_path), default_config(), {"x.csv": text, "empty.csv": ""})
+        data = (tmp_path / "x.csv").read_bytes()
+        assert data == text.encode()
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert manifest[2:] == [
+            f"file empty.csv sha256={hashlib.sha256(b'').hexdigest()} bytes=0",
+            f"file x.csv sha256={hashlib.sha256(data).hexdigest()} bytes={len(data)}",
+        ]
+        assert len(data) == len(text) + 1 + 2 + 3
+
+
 class TestCmdSweep:
     def test_one_dimensional_grid(self, tmp_path):
         text = minimal_quadratic_config(**{
@@ -592,6 +634,49 @@ class TestCmdVerify:
         assert rc == 2
         assert captured.out == ""
         assert captured.err == "error: recursion scan failed\n"
+        assert threading.active_count() == threads
+
+    def test_failing_ratio_check_fails_verify(self, monkeypatch, capsys):
+        """The ratio expansion runs on the main thread while the worker
+        scans; residuals that do not shrink flip both its lines to FAIL and
+        exit 1."""
+        threads = []
+
+        def flat(dist, s, rng, Z, work):
+            threads.append(threading.current_thread())
+            return analysis.RatioExpansionRow(s, 0.0, 0.0, 1e-3)
+
+        monkeypatch.setattr(analysis, "_ratio_row", flat)
+        rc = cli.main(["verify"])
+        assert rc == 1
+        failed = [ln.split(",")[0] for ln in capsys.readouterr().out.splitlines()
+                  if ln.endswith(",FAIL")]
+        assert failed == ["residual_ratio_0.5_to_0.25", "residual_ratio_0.25_to_0.125"]
+        assert threads == [threading.main_thread()] * 3
+
+    def test_ratio_error_beside_the_worker_fails_verify(self, monkeypatch, capsys):
+        """An error in the ratio expansion, raised on the main thread while
+        the worker scans the recursions, exits 2: nothing on stdout, the
+        message on stderr, and the worker done before cmd_verify returns."""
+        scanning = threading.Event()
+        chung = analysis.verify_chung_recursions
+
+        def watched():
+            scanning.set()
+            return chung()
+
+        def failing():
+            assert scanning.wait(10)
+            raise analysis.AnalysisError("ratio expansion failed")
+
+        monkeypatch.setattr(analysis, "verify_chung_recursions", watched)
+        monkeypatch.setattr(analysis, "verify_ratio_expansion", failing)
+        threads = threading.active_count()
+        rc = cli.main(["verify"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: ratio expansion failed\n"
         assert threading.active_count() == threads
 
     def test_failing_recursion_check_fails_verify(self, monkeypatch, capsys):
