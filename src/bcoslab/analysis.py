@@ -10,6 +10,7 @@ scales with the sample count.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -648,10 +649,10 @@ def mc_variance_se(samples: np.ndarray) -> np.ndarray:
     central moment: Var(s^2) ~ (mu4 - sigma^4)/n."""
     samples = np.asarray(samples)
     n = samples.shape[0]
-    centered = samples - samples.mean(axis=0)
-    # the fourth power as two squares in place: no pow, no temporary
-    mu4 = np.mean(np.square(np.square(centered, out=centered), out=centered), axis=0)
-    s2 = samples.var(axis=0, ddof=1)
+    squares = np.square(samples - samples.mean(axis=0))
+    # samples.var(axis=0, ddof=1) bit for bit: numpy's _var does this very sum
+    s2 = np.sum(squares, axis=0) / (n - 1)
+    mu4 = np.mean(np.square(squares, out=squares), axis=0)  # no pow
     return np.sqrt(np.maximum(mu4 - s2**2, 0.0) / n)
 
 
@@ -914,60 +915,98 @@ def verify_ratio_expansion(
 # floats per piece of a decay scan: t, the coefficients and the drive are
 # made a piece at a time, so only the log-cumsum spans a whole chunk
 _PIECE = 2**15
+_CHUNK = 10**6  # steps per chunk of a decay scan, the unit a thread takes
 
 
-def _scan_decay(coeff, drive, t0: int, T: int, x0: float,
-                chunk: int = 10**6) -> tuple[float, float]:
-    """Final values of X_{t+1} = coeff(t) X_t + drive(t), t = t0..T-1, and of
-    the same recursion with no drive, via a chunked closed form (log-cumsum)
-    so 1e7+ horizons stay fast and exact to float64 even though the
-    recursion is sequential. Without a drive each chunk only multiplies by
-    its total decay, so one scan gives both.
+def _decay_chunk(chunk) -> tuple[float, float]:
+    """The total decay exp(L[-1]) and drive-weighted sum np.sum(L) of one
+    chunk (coeff, drive, lo, hi) of X_{t+1} = coeff(t) X_t + drive(t),
+    t = lo..hi-1, with L its log-cumsum. Neither depends on the iterate, so
+    chunks run on any thread in any order; only their fold is sequential.
 
     ``coeff(t, out)`` and ``drive(t, out)`` write into ``out`` and return
-    it; drive is handed t itself as out. The scan keeps one array of at most
-    ``chunk`` floats, the log-cumsum L, whose one pairwise ``np.sum`` of
-    drive-weighted terms fixes the bytes, plus two of _PIECE floats: the
-    offsets and t. A first pass writes each piece's coefficients into its
-    slice of L, takes their logs and carries the sequential cumsum over from
-    the piece before; a second pass remakes t and the drive and turns L into
-    the terms. Each piece's t is its start + offsets, equal to np.arange bit
-    for bit since whole numbers are exact in float64, so every float
-    operation and its order match a scan of whole-chunk arrays."""
-    x = undriven = float(x0)
-    L = np.empty(max(0, min(chunk, T - t0)))
-    offsets = np.arange(min(_PIECE, len(L)), dtype=np.float64)
+    it (drive is handed t itself). Only L spans the chunk; its one pairwise
+    ``np.sum`` fixes the bytes. t, the coefficients and the drive are made
+    in pieces of _PIECE steps, the cumsum carried from piece to piece, and
+    each piece's t is its start + offsets, equal to np.arange bit for bit,
+    so every float operation and its order match whole-chunk arrays."""
+    coeff, drive, lo, hi = chunk
+    n = hi - lo
+    L = np.empty(n)
+    offsets = np.arange(min(_PIECE, n), dtype=np.float64)
     t_buf = np.empty_like(offsets)
-    lo = t0
-    while lo < T:
-        n = min(chunk, T - lo)
-        pieces = [(a, min(a + len(offsets), n)) for a in range(0, n, len(offsets))]
-        for a, b in pieces:
-            t = np.add(offsets[: b - a], lo + a, out=t_buf[: b - a])
-            c = coeff(t, L[a:b])
-            # min and max propagate NaN, which fails both comparisons
-            if not (c.min() > 0 and c.max() < 1):
-                raise AnalysisError("recursion coefficients must lie in (0, 1); raise t0")
-            np.log(c, out=L[a:b])
-            if a:
-                L[a] += L[a - 1]
-            np.cumsum(L[a:b], out=L[a:b])
-        last = L[n - 1]
-        decay = np.exp(last)
-        for a, b in pieces:
-            t = np.add(offsets[: b - a], lo + a, out=t_buf[: b - a])
-            d = drive(t, t)
-            # the weight exp(L[-1] - L) of each drive term, in place
-            w = np.subtract(last, L[a:b], out=L[a:b])
-            np.exp(w, out=w)
-            w *= d
-        x = float(decay * x + np.sum(L[:n]))
+    pieces = [(a, min(a + len(offsets), n)) for a in range(0, n, len(offsets))]
+    for a, b in pieces:
+        t = np.add(offsets[: b - a], lo + a, out=t_buf[: b - a])
+        c = coeff(t, L[a:b])
+        # min and max propagate NaN, which fails both comparisons
+        if not (c.min() > 0 and c.max() < 1):
+            raise AnalysisError("recursion coefficients must lie in (0, 1); raise t0")
+        np.log(c, out=L[a:b])
+        if a:
+            L[a] += L[a - 1]
+        np.cumsum(L[a:b], out=L[a:b])
+    last = L[n - 1]
+    for a, b in pieces:
+        t = np.add(offsets[: b - a], lo + a, out=t_buf[: b - a])
+        d = drive(t, t)
+        # the weight exp(L[-1] - L) of each drive term, in place
+        w = np.subtract(last, L[a:b], out=L[a:b])
+        np.exp(w, out=w)
+        w *= d
+    return np.exp(last), np.sum(L)
+
+
+def _fold_decay(parts, x0: float) -> tuple[float, float]:
+    """The driven and undriven iterates from x0 after chunks' (decay, sum)."""
+    x = undriven = float(x0)
+    for decay, s in parts:
+        x = float(decay * x + s)
         undriven = float(decay * undriven)
-        lo += n
     return x, undriven
 
 
-def verify_chung_recursions(T: int = 10**7) -> tuple[CheckResult, ...]:
+def _scan_decay(coeff, drive, t0: int, T: int, x0: float,
+                chunk: int = _CHUNK) -> tuple[float, float]:
+    """Final values of X_{t+1} = coeff(t) X_t + drive(t), t = t0..T-1, and of
+    the same recursion with no drive, via a chunked closed form (log-cumsum)
+    exact to float64: ``_fold_decay`` of ``_decay_chunk`` over its chunks."""
+    return _fold_decay((_decay_chunk((coeff, drive, lo, min(lo + chunk, T)))
+                        for lo in range(t0, T, chunk)), x0)
+
+
+def _harmonic_form(a, p, b):
+    """Form 1 as (name, start, coeff, drive, scaling exponent, limit)."""
+    return (f"harmonic_decay_a{a:g}_p{p:g}_b{b:g}", int(math.floor(a)) + 1,
+            lambda t, out: np.subtract(1.0, np.divide(a, t, out=out), out=out),
+            lambda t, out: np.divide(b, np.power(t, p + 1.0, out=out), out=out),
+            p, b / (a - p))
+
+
+def _power_form(a, p, q, b):
+    """Form 2 as (name, start, coeff, drive, scaling exponent, limit)."""
+    return (f"power_decay_a{a:g}_p{p:g}_q{q:g}_b{b:g}", int(math.ceil(a ** (1.0 / p))) + 1,
+            lambda t, out: np.subtract(1.0, np.divide(a, np.power(t, p, out=out), out=out),
+                                       out=out),
+            lambda t, out: np.divide(b, np.power(t, q, out=out), out=out),
+            q - p, b / a)
+
+
+_DECAY_FORMS = (_harmonic_form(2.0, 1.0, 1.0), _power_form(1.0, 0.6, 1.35, 1.0),
+                _power_form(2.0, 0.75, 1.5, 1.0))
+
+
+def _decay_chunks(T: int) -> list[tuple]:
+    """verify_chung_recursions' chunks up to T in fold order (3 x 10 at 1e7)."""
+    latest = max(form[1] for form in _DECAY_FORMS)
+    if T <= latest:
+        raise AnalysisError(f"T must exceed every recursion's start, the latest being "
+                            f"{latest}; got T = {T}")
+    return [(coeff, drive, lo, min(lo + _CHUNK, T))
+            for _, t0, coeff, drive, _, _ in _DECAY_FORMS for lo in range(t0, T, _CHUNK)]
+
+
+def verify_chung_recursions(T: int = 10**7, map=map) -> tuple[CheckResult, ...]:
     """Iterate the two classical decay recursions to a long horizon and check
     the scaled iterates settle at their predicted limits, within 1%.
 
@@ -977,6 +1016,9 @@ def verify_chung_recursions(T: int = 10**7) -> tuple[CheckResult, ...]:
     finite-horizon value sits within the stated tolerance of the limit;
     shallow-decay parameter pairs approach their limit like t^(p-1) and can
     still be 1 or more percent out at t = 1e7.
+
+    The scan folds ``map(_decay_chunk, _decay_chunks(T))`` in order; a map
+    that runs the chunks on other threads, in any order, gives the same bytes.
     """
     rel_tol = 1e-2
 
@@ -984,29 +1026,10 @@ def verify_chung_recursions(T: int = 10**7) -> tuple[CheckResult, ...]:
         return CheckResult(name, scaled, bound, f"|observed-bound| <= {rel_tol:g}*bound",
                            abs(scaled - bound) <= rel_tol * bound)
 
-    def harmonic(a, p, b):
-        """Form 1 as (name, start, coeff, drive, scaling exponent, limit)."""
-        return (f"harmonic_decay_a{a:g}_p{p:g}_b{b:g}", int(math.floor(a)) + 1,
-                lambda t, out: np.subtract(1.0, np.divide(a, t, out=out), out=out),
-                lambda t, out: np.divide(b, np.power(t, p + 1.0, out=out), out=out),
-                p, b / (a - p))
-
-    def power(a, p, q, b):
-        """Form 2 as (name, start, coeff, drive, scaling exponent, limit)."""
-        return (f"power_decay_a{a:g}_p{p:g}_q{q:g}_b{b:g}", int(math.ceil(a ** (1.0 / p))) + 1,
-                lambda t, out: np.subtract(1.0, np.divide(a, np.power(t, p, out=out), out=out),
-                                           out=out),
-                lambda t, out: np.divide(b, np.power(t, q, out=out), out=out),
-                q - p, b / a)
-
-    forms = (harmonic(2.0, 1.0, 1.0), power(1.0, 0.6, 1.35, 1.0), power(2.0, 0.75, 1.5, 1.0))
-    latest = max(form[1] for form in forms)
-    if T <= latest:
-        raise AnalysisError(f"T must exceed every recursion's start, the latest being "
-                            f"{latest}; got T = {T}")
+    parts = iter(map(_decay_chunk, _decay_chunks(T)))
     scans = []
-    for name, t0, coeff, drive, exponent, limit in forms:
-        x, undriven = _scan_decay(coeff, drive, t0, T, 1.0)
+    for name, t0, _, _, exponent, limit in _DECAY_FORMS:
+        x, undriven = _fold_decay(itertools.islice(parts, len(range(t0, T, _CHUNK))), 1.0)
         scans.append((name, T**exponent * x, T**exponent * undriven, limit))
     (name, scaled, zero_drive, limit), *powers = scans
     return (

@@ -25,8 +25,7 @@ import sys
 import numpy as np
 
 from . import analysis, problems
-from .analysis import (CheckResult, DivergenceError, MeanCurve, mc_mean_se,
-                       mc_variance_se)
+from .analysis import CheckResult, DivergenceError, MeanCurve, mc_variance_se
 from .core import NonFiniteError
 from .optim import OptimizerConfig, OptimizerState
 from .problems import LogisticSmokeProblem, NoisyQuadratic, ProblemError
@@ -430,6 +429,9 @@ def _estimator_fixture_checks() -> tuple[CheckResult, ...]:
         dev = float(np.max(np.abs(observed - expected) / se))
         checks.append(CheckResult(name, dev, 3.0, "max dev <= 3 SE", dev <= 3.0))
 
+    def mean_se(stats):  # mc_mean_se(stats.v_draws) bit for bit: std is sqrt(var)
+        return np.sqrt(stats.variance) / math.sqrt(n_mc)
+
     # EMA of the squared momentum
     opt = OptimizerConfig("bcos_m", beta1=beta1, beta2=beta2, epsilon=1e-6)
     stats = analysis.estimator_stats(problem, x, state_mv, opt, n_mc, seed=101)
@@ -452,13 +454,12 @@ def _estimator_fixture_checks() -> tuple[CheckResult, ...]:
                mc_variance_se(stats.v_draws))
     bias_expected = 2 * beta1 * (1 - beta1) * m_prev * (m_prev - mu_g)
     signed = stats.mean_v - stats.exact_second_moment
-    within_3se("conditional_bias_dev_se", signed, bias_expected, mc_mean_se(stats.v_draws))
+    within_3se("conditional_bias_dev_se", signed, bias_expected, mean_se(stats))
 
     # sign mode: v = d^2 is unbiased
     opt = OptimizerConfig("sign_sgd", beta1=0.0, epsilon=0.0)
     stats = analysis.estimator_stats(problem, x, OptimizerState(), opt, n_mc, seed=104)
-    within_3se("sign_bias_dev_se", stats.mean_v, stats.exact_second_moment,
-               mc_mean_se(stats.v_draws))
+    within_3se("sign_bias_dev_se", stats.mean_v, stats.exact_second_moment, mean_se(stats))
 
     # constant estimator: exactly zero variance
     opt = OptimizerConfig("sgd", beta1=0.0, epsilon=0.0)
@@ -495,29 +496,35 @@ def _counterexample_checks(log_report: problems.CounterexampleReport,
 def cmd_verify(cfg: dict) -> int:
     """Print the fixed check catalog; 1 if any check fails, else 0. cfg is not read.
 
-    The decay recursions run on a worker thread while this thread runs the
-    counterexamples and the estimator catalog, then the ratio expansion.
-    Every large numpy call releases the GIL, so the two threads overlap on
-    two cores, and the ratio expansion's extra draws hide behind the
-    recursions. Two pairs run at once: the recursions beside the catalog
-    (about 8 + 14 MiB traced) and beside the ratio expansion (8 + 23 MiB),
-    each under 5 x 1e6 floats (38 MiB), the budget a new section must fit
-    beside them. The worker
-    runs in a copy of the caller's context, so the caller's np.errstate
-    holds there too, and its error is raised here after the join; an error
-    on this thread waits for the worker to end before it propagates. The
-    output is printed in the catalog's order once every section is done,
-    the same bytes as one section after another."""
+    The ratio expansion (23 MiB traced) runs first, alone. Then a one-worker
+    pool takes the decay recursions' 30 chunks from the front while this
+    thread runs the counterexamples and the estimator catalog (14 MiB beside
+    one 8 MiB chunk), and ``verify_chung_recursions`` runs here, from the
+    back, each chunk the worker has not started, then folds them in order.
+    Numpy releases the GIL, so the threads overlap. Each chunk runs in a
+    copy of the caller's context (its np.errstate included). A chunk's error
+    is raised in the fold, after this thread's sections; an error here
+    cancels the chunks not yet started and waits for the running one. The
+    output is the same bytes as one section after another."""
     # imported here: a module import would add to every command's start-up
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        chung = pool.submit(contextvars.copy_context().run, analysis.verify_chung_recursions)
+    ratio_checks = analysis.verify_ratio_expansion()
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        started = {chunk: pool.submit(contextvars.copy_context().run, analysis._decay_chunk, chunk)
+                   for chunk in analysis._decay_chunks(10**7)}
         log_checks, quad_checks = _counterexample_checks(
             problems.counterexample_log_aiming(), problems.counterexample_quadratic_not_aiming())
         catalog = _estimator_fixture_checks()
-        ratio_checks = analysis.verify_ratio_expansion()
-        chung_checks = chung.result()
+
+        def from_the_back(fn, chunks):
+            ran = {chunk: fn(chunk) for chunk in reversed(chunks) if started[chunk].cancel()}
+            return [ran[chunk] if chunk in ran else started[chunk].result() for chunk in chunks]
+
+        chung_checks = analysis.verify_chung_recursions(10**7, map=from_the_back)
+    finally:
+        pool.shutdown(cancel_futures=True)
     sections = [
         ("counterexample_log_aiming", log_checks),
         ("counterexample_quadratic_not_aiming", quad_checks),

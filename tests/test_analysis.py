@@ -3,8 +3,10 @@ deterministic verifiers."""
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -1441,6 +1443,24 @@ class TestMcHelpers:
         x = np.ones((100, 3))
         assert np.all(mc_mean_se(x) == 0.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 400), m=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-3, 1e3), shift=st.floats(-1e3, 1e3))
+    def test_standard_errors_match_the_two_pass_formulas_bitwise(self, n, m, seed, scale,
+                                                                 shift):
+        """mc_variance_se takes s^2 from its own centered squares, and the
+        estimator catalog takes the mean's SE from the variance
+        estimator_stats holds; both equal the formulas that reduce the
+        samples again, bit for bit."""
+        x = np.random.default_rng(seed).standard_normal((n, m)) * scale + shift
+        centered = x - x.mean(axis=0)
+        mu4 = np.mean(np.square(np.square(centered)), axis=0)
+        s2 = x.var(axis=0, ddof=1)
+        two_pass = np.sqrt(np.maximum(mu4 - s2**2, 0.0) / n)
+        assert mc_variance_se(x).tobytes() == two_pass.tobytes()
+        from_variance = np.sqrt(x.var(axis=0, ddof=1)) / math.sqrt(n)
+        assert from_variance.tobytes() == mc_mean_se(x).tobytes()
+
 
 class TestRatioExpansion:
     def test_zero_noise_scale_exact(self):
@@ -1682,16 +1702,52 @@ class TestVerifyFootprint:
         peak = traced_peak(lambda: verify_ratio_expansion(n_mc=n_mc))
         assert peak <= 3.25 * n_mc * 8, f"peak {peak / (n_mc * 8):.2f} x n_mc floats"
 
-    def test_sections_run_together_stay_under_the_old_ratio_peak(self):
-        """cli.cmd_verify runs the decay recursions beside the estimator
-        catalog and then beside the ratio expansion. At default sizes each
-        pair holds less than the 5 x 1e6 floats the ratio expansion held
-        alone when it kept its two draws."""
+    def test_ratio_expansion_alone_sets_the_peak(self):
+        """cli.cmd_verify runs the ratio expansion alone, then the estimator
+        catalog beside one decay chunk on the worker, then two chunks at
+        once. At default sizes each pair holds no more than the ratio
+        expansion alone, so that section sets the peak."""
         verify_ratio_expansion(n_mc=2)  # the first draw imports numpy.random
-        chung = traced_peak(analysis.verify_chung_recursions)
+        chunk = traced_peak(lambda: analysis._decay_chunk(analysis._decay_chunks(10**7)[0]))
         catalog = traced_peak(cli._estimator_fixture_checks)
         ratio = traced_peak(verify_ratio_expansion)
-        old_ratio = 5 * 10**6 * 8
-        for name, other in (("catalog", catalog), ("ratio", ratio)):
-            assert chung + other < old_ratio, (
-                f"recursions + {name}: {chung / 2**20:.1f} + {other / 2**20:.1f} MiB")
+        for name, pair in (("catalog + chunk", catalog + chunk), ("two chunks", 2 * chunk)):
+            assert pair <= ratio, (
+                f"{name}: {pair / 2**20:.1f} MiB against the ratio's {ratio / 2**20:.1f} MiB")
+
+
+class TestSharedScan:
+    """verify_chung_recursions folds the same bytes whichever thread runs
+    each chunk and in whatever order the chunks finish."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_thread_and_order_folds_the_serial_checks(self, data):
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two threads finely
+        try:
+            self.check_shared_scan(data)
+        finally:
+            sys.setswitchinterval(switch)
+
+    def check_shared_scan(self, data):
+        with mock.patch.object(analysis, "_CHUNK", 10**4):
+            serial = analysis.verify_chung_recursions(T=10**5)
+            chunks = analysis._decay_chunks(10**5)
+            order = data.draw(st.permutations(range(len(chunks))), label="order")
+            on_worker = data.draw(st.lists(st.booleans(), min_size=len(chunks),
+                                           max_size=len(chunks)), label="on_worker")
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                def shared(fn, items):
+                    # each thread takes its chunks in the drawn order, and
+                    # the two run at once
+                    assert items == chunks
+                    done = {i: pool.submit(fn, items[i]) for i in order if on_worker[i]}
+                    done.update((i, fn(items[i])) for i in order if not on_worker[i])
+                    return [done[i].result() if on_worker[i] else done[i]
+                            for i in range(len(items))]
+
+                shared_checks = analysis.verify_chung_recursions(T=10**5, map=shared)
+        assert len(chunks) == 30
+        assert shared_checks == serial
+        assert all(a.observed.hex() == b.observed.hex() for a, b in zip(shared_checks, serial))

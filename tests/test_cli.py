@@ -1,5 +1,6 @@
 """Config parsing, CSV determinism, sweep grids, and verifier wiring."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import importlib
@@ -621,13 +622,19 @@ class TestCmdVerify:
 
 
     def test_failure_on_the_worker_fails_verify(self, monkeypatch, capsys):
-        """An error in the decay recursions, which run on a worker thread,
-        exits 2 as it would on the main thread: nothing on stdout, the
-        message on stderr and no thread left running."""
-        def failing():
+        """A decay chunk that raises on the worker thread exits 2 as it would
+        on the main thread: nothing on stdout, the message on stderr and no
+        thread left running."""
+        chunk_of = analysis._decay_chunk
+        raised = []
+
+        def failing(chunk):
+            if threading.current_thread() is threading.main_thread():
+                return chunk_of(chunk)
+            raised.append(chunk)
             raise analysis.AnalysisError("recursion scan failed")
 
-        monkeypatch.setattr(analysis, "verify_chung_recursions", failing)
+        monkeypatch.setattr(analysis, "_decay_chunk", failing)
         threads = threading.active_count()
         rc = cli.main(["verify"])
         captured = capsys.readouterr()
@@ -635,11 +642,11 @@ class TestCmdVerify:
         assert captured.out == ""
         assert captured.err == "error: recursion scan failed\n"
         assert threading.active_count() == threads
+        assert raised
 
     def test_failing_ratio_check_fails_verify(self, monkeypatch, capsys):
-        """The ratio expansion runs on the main thread while the worker
-        scans; residuals that do not shrink flip both its lines to FAIL and
-        exit 1."""
+        """The ratio expansion runs on the main thread; residuals that do not
+        shrink flip both its lines to FAIL and exit 1."""
         threads = []
 
         def flat(dist, s, rng, Z, work):
@@ -655,21 +662,15 @@ class TestCmdVerify:
         assert threads == [threading.main_thread()] * 3
 
     def test_ratio_error_beside_the_worker_fails_verify(self, monkeypatch, capsys):
-        """An error in the ratio expansion, raised on the main thread while
-        the worker scans the recursions, exits 2: nothing on stdout, the
-        message on stderr, and the worker done before cmd_verify returns."""
-        scanning = threading.Event()
-        chung = analysis.verify_chung_recursions
-
-        def watched():
-            scanning.set()
-            return chung()
+        """The ratio expansion runs alone, before any decay chunk: its error
+        exits 2 with nothing on stdout, the message on stderr, no chunk
+        started and no thread left running."""
+        ran = []
 
         def failing():
-            assert scanning.wait(10)
             raise analysis.AnalysisError("ratio expansion failed")
 
-        monkeypatch.setattr(analysis, "verify_chung_recursions", watched)
+        monkeypatch.setattr(analysis, "_decay_chunk", ran.append)
         monkeypatch.setattr(analysis, "verify_ratio_expansion", failing)
         threads = threading.active_count()
         rc = cli.main(["verify"])
@@ -678,17 +679,90 @@ class TestCmdVerify:
         assert captured.out == ""
         assert captured.err == "error: ratio expansion failed\n"
         assert threading.active_count() == threads
+        assert ran == []
+
+    def test_catalog_error_cancels_the_chunks_not_started(self, monkeypatch, capsys):
+        """An error in the estimator catalog, raised on the main thread once
+        the worker has started a decay chunk, exits 2: the chunks not yet
+        started are cancelled, so fewer than all 30 run, each on the worker,
+        and no thread is left running."""
+        chunk_of = analysis._decay_chunk
+        started = threading.Event()
+        ran = []
+
+        def counted(chunk):
+            ran.append(threading.current_thread())
+            started.set()
+            return chunk_of(chunk)
+
+        def failing():
+            assert started.wait(10)
+            raise analysis.AnalysisError("estimator catalog failed")
+
+        monkeypatch.setattr(analysis, "_decay_chunk", counted)
+        monkeypatch.setattr(cli, "_estimator_fixture_checks", failing)
+        threads = threading.active_count()
+        rc = cli.main(["verify"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: estimator catalog failed\n"
+        assert threading.active_count() == threads
+        assert 1 <= len(ran) < 30
+        assert threading.main_thread() not in ran
+
+    @pytest.mark.parametrize("stolen", [0, 30])
+    def test_output_does_not_depend_on_which_thread_runs_a_chunk(self, monkeypatch, capsys,
+                                                                 stolen):
+        """verify prints verify.txt byte for byte when the main thread runs
+        none of the 30 decay chunks (the catalog waits until the worker has
+        run them all) and when it runs every one (the worker waits until the
+        main thread has)."""
+        chunk_of = analysis._decay_chunk
+        ran = []
+        all_ran = threading.Event()
+
+        def counted(chunk):
+            result = chunk_of(chunk)
+            ran.append(threading.current_thread())
+            if len(ran) == 30:
+                all_ran.set()
+            return result
+
+        monkeypatch.setattr(analysis, "_decay_chunk", counted)
+        if stolen == 0:
+            catalog = cli._estimator_fixture_checks
+
+            def after_the_worker():
+                assert all_ran.wait(30)
+                return catalog()
+
+            monkeypatch.setattr(cli, "_estimator_fixture_checks", after_the_worker)
+        else:
+            class HeldPool(concurrent.futures.ThreadPoolExecutor):
+                """A pool whose worker waits until every chunk has run."""
+
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    self.submit(all_ran.wait, 30)
+
+            monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", HeldPool)
+        assert cli.main(["verify"]) == 0
+        assert_golden(regenerate.VERIFY, capsys.readouterr().out)
+        assert len(ran) == 30
+        assert ran.count(threading.main_thread()) == stolen
 
     def test_failing_recursion_check_fails_verify(self, monkeypatch, capsys):
-        """A wrong scan of the recursion that starts at t = 4 flips its one
-        line to FAIL and exits 1."""
-        scan = analysis._scan_decay
+        """Wrong chunks of the recursion that starts at t = 4, whichever
+        thread runs them, flip its one line to FAIL and exit 1."""
+        chunk_of = analysis._decay_chunk
 
-        def wrong(coeff, drive, t0, T, x0):
-            x, undriven = scan(coeff, drive, t0, T, x0)
-            return (2.0 * x if t0 == 4 else x), undriven
+        def wrong(chunk):
+            decay, s = chunk_of(chunk)
+            # that recursion's chunks start at t = 4 + k * 1e6
+            return decay, (2.0 * s if chunk[2] % 10**6 == 4 else s)
 
-        monkeypatch.setattr(analysis, "_scan_decay", wrong)
+        monkeypatch.setattr(analysis, "_decay_chunk", wrong)
         rc = cli.main(["verify"])
         assert rc == 1
         failed = [ln.split(",")[0] for ln in capsys.readouterr().out.splitlines()
@@ -697,12 +771,15 @@ class TestCmdVerify:
 
     def test_caller_errstate_reaches_the_worker(self, monkeypatch):
         """The caller's np.errstate holds on the worker thread: an overflow
-        in the decay recursions raises out of cmd_verify."""
-        def overflowing():
-            np.exp(np.array([1000.0]))
-            return ()
+        in a decay chunk there raises out of cmd_verify."""
+        chunk_of = analysis._decay_chunk
 
-        monkeypatch.setattr(analysis, "verify_chung_recursions", overflowing)
+        def overflowing(chunk):
+            if threading.current_thread() is not threading.main_thread():
+                np.exp(np.array([1000.0]))
+            return chunk_of(chunk)
+
+        monkeypatch.setattr(analysis, "_decay_chunk", overflowing)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError) as raised:
             cli.cmd_verify(default_config())
         assert raised.traceback[-1].name == "overflowing"
