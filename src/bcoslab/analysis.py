@@ -38,6 +38,10 @@ from .schedules import ScheduleError, StepSchedule, value_at
 DIVERGENCE_THRESHOLD = 1e12
 # Monte Carlo draws per sampled estimator diagnostic along a trajectory
 SIGMA_N_MC = 10**4
+# floats per piece of verify's large sections: their long arrays are made or
+# reduced a piece at a time. At least 128, the block numpy's pairwise sum
+# never splits, so _tree_sum's leaves are whole numpy blocks.
+_PIECE = 2**15
 
 
 class AnalysisError(ValueError):
@@ -662,8 +666,8 @@ class EstimatorStats:
     of n coordinates into m blocks: mean_d, snr_d, snr_v and corr_dv are per
     coordinate (snr_v and corr_dv pair each with its block's estimate), and
     bias, variance, mean_v and exact_second_moment per block. ``v_draws``
-    holds the (n_mc, m) sampled estimates they reduce, so a record that
-    carries it holds n_mc x m floats (320 KB for SIGMA_N_MC draws at m = 4)."""
+    holds the (n_mc, m) sampled estimates they reduce, so a record holds
+    n_mc x m floats until dropped (320 KB for SIGMA_N_MC draws at m = 4)."""
 
     mean_d: np.ndarray
     snr_d: np.ndarray
@@ -693,10 +697,12 @@ def estimator_stats(
     make_rng(seed, MC_STREAM, *key), and measure the bias, variance, SNRs and
     direction correlation of the estimate the next step on ``partition``
     (singleton by default) would divide by, one per block. Directions and
-    estimates come from ``optim.propose``, which ``step`` runs, with the
-    draws as a batch axis; ``v_draws`` holds the estimates, one row per draw.
-    The bias reference, the block sums of E[d^2], is exact, from the oracle
-    of the direction the step uses."""
+    estimates come from ``optim.propose``, which ``step`` runs, on slices of
+    _PIECE // n draws, into one (n_mc, n) direction array (the draws, when
+    the step follows the gradient) and one (n_mc, m) estimate array, which
+    ``v_draws`` holds; the statistics reduce them whole. On singleton blocks
+    a call holds three (n_mc, n) arrays plus slices. The bias reference, the
+    block sums of E[d^2], is exact, from the oracle of the step's direction."""
     if n_mc < 10**4:
         raise AnalysisError(f"n_mc must be >= 1e4 for stable estimates, got {n_mc}")
     if partition is None:
@@ -724,9 +730,15 @@ def estimator_stats(
         exact_d2 = exact_d2 / (1.0 - config.beta1 ** (state.t + 1)) ** 2
     if np.any(exact_d2 <= 0):
         raise AnalysisError("estimator stats need E[d^2] > 0 on every block")
-    fold = config.fold_lambda
     G = problem.sample_gradients(x, make_rng(seed, MC_STREAM, *key), n_mc)
-    d, v, _, _ = propose(config, state, G + fold * x if fold else G, partition)
+    if config.fold_lambda:
+        G += config.fold_lambda * x
+    d = G if spec.direction == "gradient" else np.empty_like(G)
+    v = np.empty((n_mc, partition.num_blocks))
+    rows = max(1, _PIECE // problem.dim)
+    for a in range(0, n_mc, rows):
+        d[a:a + rows], v[a:a + rows] = propose(config, state, G[a:a + rows], partition)[:2]
+    del G
 
     mean_d = d.mean(axis=0)
     var_d = d.var(axis=0, ddof=1)
@@ -737,7 +749,8 @@ def estimator_stats(
         snr_d = np.where(var_d > 0, mean_d**2 / np.where(var_d > 0, var_d, 1.0), np.inf)
         snr_v = partition.expand(
             np.where(var_v > 0, (mean_v + eps) ** 2 / np.where(var_v > 0, var_v, 1.0), np.inf))
-    cov = np.einsum("ij,ij->j", d - mean_d, partition.expand(v - mean_v)) / (n_mc - 1)
+    d -= mean_d
+    cov = np.einsum("ij,ij->j", d, partition.expand(v - mean_v)) / (n_mc - 1)
     denom = np.sqrt(var_d * partition.expand(var_v))
     corr = np.where(denom > 0, cov / np.where(denom > 0, denom, 1.0), 0.0)
     tau_hat = float(np.max(np.maximum(bias - eps, 0.0) / exact_d2))
@@ -827,13 +840,25 @@ class RatioExpansionRow:
     residual: float
 
 
+def _tree_sum(piece, lo: int, n: int):
+    """np.sum of the n floats piece(lo, lo + n) would return, bit for bit,
+    from leaves piece(a, b) of at most _PIECE floats: numpy's pairwise sum
+    splits n > 128 floats at n // 2 rounded down to a multiple of 8."""
+    if n <= _PIECE:
+        return np.sum(piece(lo, lo + n))
+    half = n // 2 - n // 2 % 8
+    return _tree_sum(piece, lo, half) + _tree_sum(piece, lo + half, n - half)
+
+
 def _ratio_row(dist: RatioDistribution, s: float, rng: np.random.Generator, Z: np.ndarray,
                work: np.ndarray) -> RatioExpansionRow:
-    """One scale of the expansion check. The draws W and V come from rng,
-    W into the work buffer Z and V into ``work``, once each is needed. Z's
-    mean and variance come before Y exists, so numpy's temporary inside
-    ``var`` never stacks on Y, and Y dies on return: three arrays of n_mc
-    floats at most."""
+    """One scale of the expansion check in Z, ``work`` and a piece. The draws
+    W from rng become Z; Y is built in ``work``, its noise V drawn a piece at
+    a time, which continues the stream as one draw would. Var(Z) (numpy's
+    _var: centre, square, sum, divide) and the mean of Y/sqrt(Z) are
+    _tree_sum's of pieces, so only the covariance reads whole arrays."""
+    n = len(Z)
+    buf = np.empty(min(_PIECE, n))
     rng.standard_normal(out=Z)
     np.multiply(Z, s, out=Z)
     np.subtract(Z, 0.5 * s * s, out=Z)
@@ -843,20 +868,20 @@ def _ratio_row(dist: RatioDistribution, s: float, rng: np.random.Generator, Z: n
     if Z.min() <= 0:
         raise AnalysisError("Z must stay strictly positive")
     mz = float(Z.mean())
-    vz = float(Z.var(ddof=1))
-    Y = np.subtract(Z, dist.z_mean)
+    vz = float(_tree_sum(lambda a, b: np.square(np.subtract(Z[a:b], mz, out=buf[: b - a]),
+                                                out=buf[: b - a]), 0, n) / (n - 1))
+    Y = np.subtract(Z, dist.z_mean, out=work)
     np.multiply(Y, dist.coupling, out=Y)
     np.add(Y, dist.y_mean, out=Y)
-    rng.standard_normal(out=work)
-    np.multiply(work, dist.y_noise * s, out=work)
-    np.add(Y, work, out=Y)
-    np.sqrt(Z, out=work)
-    np.divide(Y, work, out=work)
-    mc = float(work.mean())
+    for a in range(0, n, len(buf)):
+        noise = rng.standard_normal(out=buf[: min(len(buf), n - a)])
+        Y[a:a + len(noise)] += np.multiply(noise, dist.y_noise * s, out=noise)
+    mc = float(_tree_sum(lambda a, b: np.divide(Y[a:b], np.sqrt(Z[a:b], out=buf[: b - a]),
+                                                out=buf[: b - a]), 0, n) / n)
     my = float(Y.mean())
     Y -= my
     Z -= mz
-    cov = float(np.einsum("i,i->", Y, Z) / (len(Z) - 1))
+    cov = float(np.einsum("i,i->", Y, Z) / (n - 1))
     expansion = my / math.sqrt(mz) * (1.0 - cov / (2 * my * mz) + 3.0 * vz / (8 * mz * mz))
     return RatioExpansionRow(s, mc, expansion, abs(mc - expansion))
 
@@ -873,16 +898,19 @@ def verify_ratio_expansion(
 
     The residual must shrink at least quadratically as the noise scale drops
     (consecutive-scale ratio at least (s_i/s_{i+1})^2 up to a factor of 2);
-    a non-finite residual fails its check. The same underlying normal draws
-    serve every scale, which makes the ratios stable: each scale redraws
-    them from the fixed seed into its work buffers rather than keep them,
-    so the footprint is three arrays of n_mc floats (23 MiB traced at the
-    default 1e6), not the draws and three more. Every mean is numpy's
-    pairwise sum and the covariance one ``np.einsum`` sum of products, so
-    chunking them would change the bytes. The einsum runs numpy's own loop,
-    not a BLAS dot, whose last bits depend on the BLAS kernel.
+    a non-finite residual fails its check, and each scale must be finite and
+    > 0. The same underlying normal draws serve every scale, which makes the
+    ratios stable: each scale redraws them from the fixed seed into its work
+    buffers rather than keep them, so the footprint is two arrays of n_mc
+    floats and a piece (15.5 MiB traced at the default 1e6). The means and
+    the variance are pairwise sums taken a piece at a time by _tree_sum; the
+    covariance is one ``np.einsum`` sum of products over whole arrays, which
+    runs numpy's own loop, not a BLAS dot, whose last bits depend on the
+    BLAS kernel.
     """
     scales = [float(s) for s in noise_scales]
+    if not all(math.isfinite(s) and s > 0 for s in scales):
+        raise AnalysisError(f"noise_scales must be finite and > 0, got {tuple(scales)}")
     if any(b >= a for a, b in zip(scales, scales[1:])):
         raise AnalysisError("noise_scales must be strictly decreasing")
     if n_mc < 2:
@@ -912,9 +940,6 @@ def verify_ratio_expansion(
 # deterministic decay recursions
 
 
-# floats per piece of a decay scan: t, the coefficients and the drive are
-# made a piece at a time, so only the log-cumsum spans a whole chunk
-_PIECE = 2**15
 _CHUNK = 10**6  # steps per chunk of a decay scan, the unit a thread takes
 
 

@@ -439,12 +439,14 @@ def _estimator_fixture_checks() -> tuple[CheckResult, ...]:
     sd_m = (1 - beta1) * sd_g
     expected = (1 - beta2) ** 2 * _gaussian_square_variance(mu_m, sd_m)
     within_3se("ema_variance_dev_se", stats.variance, expected, mc_variance_se(stats.v_draws))
+    del stats  # its v_draws, 2.3 MiB, would stay alive while the next check draws
 
     # the squared-gradient EMA paired with a momentum direction
     opt = OptimizerConfig("adam", beta1=beta1, beta2=beta2, epsilon=1e-6)
     stats = analysis.estimator_stats(problem, x, state_mv, opt, n_mc, seed=102)
     expected = (1 - beta2) ** 2 * _gaussian_square_variance(mu_g, sd_g)
     within_3se("adam_variance_dev_se", stats.variance, expected, mc_variance_se(stats.v_draws))
+    del stats
 
     # conditional estimator: variance and signed bias
     opt = OptimizerConfig("bcos_c", beta1=beta1, epsilon=1e-6)
@@ -455,11 +457,13 @@ def _estimator_fixture_checks() -> tuple[CheckResult, ...]:
     bias_expected = 2 * beta1 * (1 - beta1) * m_prev * (m_prev - mu_g)
     signed = stats.mean_v - stats.exact_second_moment
     within_3se("conditional_bias_dev_se", signed, bias_expected, mean_se(stats))
+    del stats
 
     # sign mode: v = d^2 is unbiased
     opt = OptimizerConfig("sign_sgd", beta1=0.0, epsilon=0.0)
     stats = analysis.estimator_stats(problem, x, OptimizerState(), opt, n_mc, seed=104)
     within_3se("sign_bias_dev_se", stats.mean_v, stats.exact_second_moment, mean_se(stats))
+    del stats
 
     # constant estimator: exactly zero variance
     opt = OptimizerConfig("sgd", beta1=0.0, epsilon=0.0)
@@ -496,16 +500,16 @@ def _counterexample_checks(log_report: problems.CounterexampleReport,
 def cmd_verify(cfg: dict) -> int:
     """Print the fixed check catalog; 1 if any check fails, else 0. cfg is not read.
 
-    The ratio expansion (23 MiB traced) runs first, alone. Then a one-worker
-    pool takes the decay recursions' 30 chunks from the front while this
-    thread runs the counterexamples and the estimator catalog (14 MiB beside
-    one 8 MiB chunk), and ``verify_chung_recursions`` runs here, from the
-    back, each chunk the worker has not started, then folds them in order.
-    Numpy releases the GIL, so the threads overlap. Each chunk runs in a
-    copy of the caller's context (its np.errstate included). A chunk's error
-    is raised in the fold, after this thread's sections; an error here
-    cancels the chunks not yet started and waits for the running one. The
-    output is the same bytes as one section after another."""
+    The ratio expansion (15.5 MiB traced) runs first. Then a one-worker pool
+    takes the decay recursions' 30 chunks from the front while this thread
+    runs the counterexamples and the estimator catalog (7.7 MiB beside one
+    8.1 MiB chunk), and ``verify_chung_recursions`` runs here, from the back,
+    each chunk the worker has not started (two chunks, the peak), then folds
+    them in order. Numpy releases the GIL, so the threads overlap. Each chunk
+    runs in a copy of the caller's context (its np.errstate included). A
+    chunk's error is raised in the fold, after this thread's sections; an
+    error here cancels the chunks not yet started and waits for the running
+    one. The output is the same bytes as one section after another."""
     # imported here: a module import would add to every command's start-up
     from concurrent.futures import ThreadPoolExecutor
 

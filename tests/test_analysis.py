@@ -1350,6 +1350,73 @@ class TestEstimatorMatchesStep:
         np.testing.assert_allclose(stats.exact_second_moment, stats.mean_d**2, rtol=1e-12)
 
 
+def whole_batch_stats(prob, x, state, cfg, n_mc, seed, part) -> EstimatorStats:
+    """estimator_stats as it was, with one propose call on every draw and the
+    centred directions and estimates as fresh arrays: the reference the
+    sliced estimator must equal bit for bit."""
+    G = prob.sample_gradients(x, make_rng(seed, MC_STREAM), n_mc)
+    fold, eps = cfg.fold_lambda, cfg.epsilon
+    d, v, _, _ = propose(cfg, state, G + fold * x if fold else G, part)
+    exact_d2 = analysis._direction_moments(prob, cfg, x, state.m, part)[1]
+    if ALGORITHMS[cfg.algorithm].direction == "momentum" and \
+            cfg.bias_correction == "zero_init_rescale":
+        exact_d2 = exact_d2 / (1.0 - cfg.beta1 ** (state.t + 1)) ** 2
+    mean_d, var_d = d.mean(axis=0), d.var(axis=0, ddof=1)
+    mean_v, var_v = v.mean(axis=0), v.var(axis=0, ddof=1)
+    bias = np.abs(mean_v - exact_d2)
+    with np.errstate(divide="ignore"):
+        snr_d = np.where(var_d > 0, mean_d**2 / np.where(var_d > 0, var_d, 1.0), np.inf)
+        snr_v = part.expand(
+            np.where(var_v > 0, (mean_v + eps) ** 2 / np.where(var_v > 0, var_v, 1.0), np.inf))
+    cov = np.einsum("ij,ij->j", d - mean_d, part.expand(v - mean_v)) / (n_mc - 1)
+    denom = np.sqrt(var_d * part.expand(var_v))
+    corr = np.where(denom > 0, cov / np.where(denom > 0, denom, 1.0), 0.0)
+    tau_hat = float(np.max(np.maximum(bias - eps, 0.0) / exact_d2))
+    stats = EstimatorStats(mean_d, snr_d, snr_v, corr, bias, var_v, mean_v, exact_d2,
+                           tau_hat, n_mc=n_mc, v_draws=v)
+    sigma = step_gap_bound(stats, tau_hat).value if tau_hat < 1.0 else math.inf
+    return dataclasses.replace(stats, sigma_t=sigma)
+
+
+class TestSlicedEstimator:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        alg=st.sampled_from(PRACTICAL),
+        bias_correction=st.sampled_from(["init_first_sample", "zero_init_rescale"]),
+        sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        coupled=st.booleans(),
+        full=st.booleans(),
+        priming=st.integers(0, 2),
+        boundary=st.sampled_from([-1, 0, 1]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_one_batch_bitwise(self, alg, bias_correction, sizes, coupled, full,
+                                      priming, boundary, seed):
+        """Every field, the draws included, whatever the partition and decay,
+        with n_mc one short of, on and one past a slice boundary."""
+        part = BlockPartition.from_sizes(sizes)
+        n = part.total_dim
+        prob = NoisyQuadratic(h=np.linspace(1.0, 2.0, n), sigma=np.linspace(0.5, 1.5, n),
+                              x_star=np.zeros(n))
+        cfg = OptimizerConfig(alg, beta1=0.9, beta2=0.95, epsilon=1e-6,
+                              weight_decay_lambda=0.1, decoupled=not coupled,
+                              bias_correction=bias_correction,
+                              conditional_full=full and alg == "bcos_c")
+        if ALGORITHMS[alg].direction == "momentum":
+            priming = max(priming, 1)  # a momentum direction needs a primed state
+        x, state = np.linspace(-0.7, 2.0, n), OptimizerState()
+        rng = make_rng(seed, TRAJECTORY_STREAM, 0)
+        for _ in range(priming):
+            x, state = step(cfg, state, x, prob.sample_gradient(x, rng), 0.05, part)
+        rows = analysis._PIECE // n
+        n_mc = (10**4 // rows + 1) * rows + boundary
+        got = estimator_stats(prob, x, state, cfg, n_mc, seed=seed, partition=part)
+        expected = whole_batch_stats(prob, x, state, cfg, n_mc, seed, part)
+        for field in dataclasses.fields(EstimatorStats):
+            a, b = getattr(got, field.name), getattr(expected, field.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+
+
 class TestEstimatorSeeds:
     def test_default_stream_has_no_key(self):
         prob = centered_quadratic()
@@ -1462,6 +1529,86 @@ class TestMcHelpers:
         assert from_variance.tobytes() == mc_mean_se(x).tobytes()
 
 
+def three_array_ratio_row(dist, s, rng, n_mc):
+    """_ratio_row as it was, with Z, Y and one work array of n_mc floats and
+    numpy's whole-array mean and var: the reference the piecewise row must
+    equal bit for bit."""
+    Z, work = np.empty(n_mc), np.empty(n_mc)
+    rng.standard_normal(out=Z)
+    np.multiply(Z, s, out=Z)
+    np.subtract(Z, 0.5 * s * s, out=Z)
+    np.exp(Z, out=Z)
+    np.multiply(Z, dist.z_mean, out=Z)
+    mz = float(Z.mean())
+    vz = float(Z.var(ddof=1))
+    Y = np.subtract(Z, dist.z_mean)
+    np.multiply(Y, dist.coupling, out=Y)
+    np.add(Y, dist.y_mean, out=Y)
+    rng.standard_normal(out=work)
+    np.multiply(work, dist.y_noise * s, out=work)
+    np.add(Y, work, out=Y)
+    np.sqrt(Z, out=work)
+    np.divide(Y, work, out=work)
+    mc = float(work.mean())
+    my = float(Y.mean())
+    Y -= my
+    Z -= mz
+    cov = float(np.einsum("i,i->", Y, Z) / (len(Z) - 1))
+    expansion = my / math.sqrt(mz) * (1.0 - cov / (2 * my * mz) + 3.0 * vz / (8 * mz * mz))
+    return analysis.RatioExpansionRow(s, mc, expansion, abs(mc - expansion))
+
+
+def spread_floats(n, seed, specials):
+    """n floats whose magnitudes span 1e-150 .. 1e150, both signs, with
+    the (index, value) specials written over them."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-150, 150, n)
+    for i, value in specials:
+        x[i % n] = value
+    return x
+
+
+class TestTreeSum:
+    """_tree_sum asks for pieces no longer than _PIECE and returns np.sum of
+    their concatenation bit for bit; _PIECE is patched down to numpy's
+    pairwise block and a little above it to make many leaves."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 5000), piece=st.sampled_from([128, 136, 256, 1000]),
+           seed=st.integers(0, 2**32 - 1),
+           specials=st.lists(st.tuples(st.integers(0, 5000), st.sampled_from(
+               [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300])), max_size=3))
+    @example(n=1, piece=128, seed=0, specials=[])
+    @example(n=127, piece=128, seed=1, specials=[])  # below numpy's block
+    @example(n=129, piece=128, seed=2, specials=[])  # one split, 64 + 65
+    @example(n=1001, piece=128, seed=3, specials=[(7, math.inf), (900, -math.inf)])
+    def test_equals_np_sum(self, n, piece, seed, specials):
+        x = spread_floats(n, seed, specials)
+        asked = []
+
+        def slices(a, b):
+            asked.append((a, b))
+            return x[a:b].copy()
+
+        with mock.patch.object(analysis, "_PIECE", piece), np.errstate(all="ignore"):
+            got, expected = analysis._tree_sum(slices, 0, n), np.sum(x)
+        assert float(got).hex() == float(expected).hex()
+        assert max(b - a for a, b in asked) <= piece
+        assert [a for a, _ in asked] + [n] == [0] + [b for _, b in asked]
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 5000), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-150, 1e150), shift=st.floats(-1e150, 1e150))
+    def test_piecewise_variance_is_np_var(self, n, seed, scale, shift):
+        """numpy's var(ddof=1): subtract the mean, square, sum pairwise,
+        divide by n - 1, which _ratio_row does a piece at a time."""
+        x = np.random.default_rng(seed).standard_normal(n) * scale + shift
+        mean = float(x.mean())
+        with mock.patch.object(analysis, "_PIECE", 128):
+            var = analysis._tree_sum(lambda a, b: np.square(x[a:b] - mean), 0, n) / (n - 1)
+        assert float(var).hex() == float(x.var(ddof=1)).hex()
+
+
 class TestRatioExpansion:
     def test_zero_noise_scale_exact(self):
         Z, work = np.empty(10**4), np.empty(10**4)
@@ -1482,6 +1629,33 @@ class TestRatioExpansion:
     def test_scales_must_decrease(self):
         with pytest.raises(AnalysisError):
             verify_ratio_expansion(n_mc=10**4, noise_scales=(0.1, 0.2))
+
+    @pytest.mark.parametrize("scales", [
+        (0.5, 0.25, 0.0),  # a division by zero in the last ratio
+        (0.0, -0.5),  # a vacuous pass at scale 0
+        (0.5, math.nan),  # warnings, then a NaN residual
+    ])
+    def test_scales_must_be_finite_and_positive(self, scales):
+        with pytest.raises(AnalysisError, match="^noise_scales must be finite and > 0"):
+            verify_ratio_expansion(n_mc=100, noise_scales=scales)
+
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.sampled_from([0.0, 1e-3, 0.125, 0.5, 1.0]), seed=st.integers(0, 2**16),
+           n_mc=st.sampled_from([2, 3, 127, 129, 1001, 4096, 5003]),
+           piece=st.sampled_from([128, 256, 2**15]),
+           coupling=st.sampled_from([0.0, 0.5]))
+    @example(s=0.5, seed=11, n_mc=10**6, piece=2**15, coupling=0.5)  # verify's first row
+    def test_row_equals_three_array_row_bitwise(self, s, seed, n_mc, piece, coupling):
+        """Every field, at any scale, seed and length: an odd one, one below
+        a piece and one of several pieces, not a multiple of the piece."""
+        dist = RatioDistribution(coupling=coupling)
+        Z, work = np.empty(n_mc), np.empty(n_mc)
+        with mock.patch.object(analysis, "_PIECE", piece):
+            got = analysis._ratio_row(dist, s, make_rng(seed, MC_STREAM), Z, work)
+        expected = three_array_ratio_row(dist, s, make_rng(seed, MC_STREAM), n_mc)
+        for field in dataclasses.fields(analysis.RatioExpansionRow):
+            a, b = getattr(got, field.name), getattr(expected, field.name)
+            assert float(a).hex() == float(b).hex(), field.name
 
     def test_nonpositive_z_rejected(self):
         with pytest.raises(AnalysisError, match="^Z must stay strictly positive$"):
@@ -1695,25 +1869,61 @@ class TestVerifyFootprint:
         peak = traced_peak(lambda: analysis.verify_chung_recursions(T=2_500_000))
         assert peak <= 8 * (10**6 + 3 * analysis._PIECE), f"peak {peak / 2**20:.2f} MiB"
 
-    def test_ratio_expansion_holds_three_arrays(self):
-        """Z, Y and one work array; the draws are remade for each scale."""
+    def test_ratio_expansion_holds_two_arrays(self):
+        """Z and one work array, in which Y is built, plus a piece; the
+        draws are remade for each scale."""
         n_mc = 2 * 10**5
         verify_ratio_expansion(n_mc=2)  # the first draw imports numpy.random
         peak = traced_peak(lambda: verify_ratio_expansion(n_mc=n_mc))
-        assert peak <= 3.25 * n_mc * 8, f"peak {peak / (n_mc * 8):.2f} x n_mc floats"
+        assert peak <= 2.25 * n_mc * 8, f"peak {peak / (n_mc * 8):.2f} x n_mc floats"
 
-    def test_ratio_expansion_alone_sets_the_peak(self):
+    @pytest.mark.parametrize("alg, held, options", [
+        ("bcos_m", "mv", {}),
+        ("adam", "mv", {}),
+        ("bcos_c", "m", {}),
+        ("sign_sgd", "", {}),
+        ("sgd", "", {}),
+        ("bcos_c", "m", dict(conditional_full=True, bias_correction="zero_init_rescale",
+                             weight_decay_lambda=0.1)),
+    ])
+    def test_estimator_holds_three_arrays(self, alg, held, options):
+        """The draws, the directions and the estimates, or the centred
+        copy that replaces the draws, plus a few slices of _PIECE floats, at
+        verify's 1e5 draws on 3 coordinates: the catalog's five cases and a
+        coupled, rescaled full conditional one."""
+        prob = NoisyQuadratic(h=[1.0, 2.0, 0.5], sigma=[0.5, 1.0, 1.5], x_star=np.zeros(3))
+        state = OptimizerState(t=1 if held else 0,
+                               m=np.array([0.5, -1.0, 0.25]) if "m" in held else None,
+                               v=np.array([1.0, 1.5, 2.0]) if "v" in held else None)
+        cfg = OptimizerConfig(alg, beta1=0.9, beta2=0.95, epsilon=1e-6, **options)
+        x, n_mc = np.array([1.2, -0.7, 2.0]), 10**5
+        peak = traced_peak(lambda: estimator_stats(prob, x, state, cfg, n_mc, seed=101))
+        assert peak <= 8 * (3 * n_mc * 3 + 6 * analysis._PIECE), (
+            f"peak {peak / (n_mc * 3 * 8):.2f} x (n_mc, n) floats")
+
+    def test_two_chunks_set_the_peak(self):
         """cli.cmd_verify runs the ratio expansion alone, then the estimator
         catalog beside one decay chunk on the worker, then two chunks at
-        once. At default sizes each pair holds no more than the ratio
-        expansion alone, so that section sets the peak."""
+        once. At default sizes neither of the first two holds more than two
+        chunks, so the two chunks set the peak."""
         verify_ratio_expansion(n_mc=2)  # the first draw imports numpy.random
         chunk = traced_peak(lambda: analysis._decay_chunk(analysis._decay_chunks(10**7)[0]))
         catalog = traced_peak(cli._estimator_fixture_checks)
         ratio = traced_peak(verify_ratio_expansion)
-        for name, pair in (("catalog + chunk", catalog + chunk), ("two chunks", 2 * chunk)):
-            assert pair <= ratio, (
-                f"{name}: {pair / 2**20:.1f} MiB against the ratio's {ratio / 2**20:.1f} MiB")
+        for name, held in (("ratio expansion", ratio), ("catalog + chunk", catalog + chunk)):
+            assert held <= 2 * chunk, (
+                f"{name}: {held / 2**20:.1f} MiB against two chunks' {2 * chunk / 2**20:.1f} MiB")
+
+    def test_verify_holds_two_chunks(self, capsys):
+        """The whole command, every section and the pool, within two decay
+        chunks and 1 MiB of slack for the interpreter's own objects (0.65 MiB
+        measured), so a new section or a change to the schedule that raises
+        the peak fails here."""
+        verify_ratio_expansion(n_mc=2)  # the first draw imports numpy.random
+        chunk = traced_peak(lambda: analysis._decay_chunk(analysis._decay_chunks(10**7)[0]))
+        peak = traced_peak(lambda: cli.cmd_verify(cli.default_config()))
+        assert peak <= 2 * chunk + 2**20, (
+            f"verify {peak / 2**20:.2f} MiB against two chunks' {2 * chunk / 2**20:.2f} MiB")
 
 
 class TestSharedScan:
