@@ -141,10 +141,10 @@ def _direction_moments(problem, config, x, m, partition, out=(None, None)):
 
 
 def _estimator_diag(problem, config, state, x, t, sigma_every, base_seed, partition):
-    """The estimator diagnostics due at step t, or None: they measure the
-    estimate the step divides by, one per block of the run's partition."""
-    if (sigma_every <= 0 or t == 0 or t % sigma_every != 0
-            or config.algorithm == "conceptual_bcos"):
+    """The estimator diagnostics due at step t of a practical method, or
+    None: they measure the estimate the step divides by, one per block of
+    the run's partition."""
+    if sigma_every <= 0 or t == 0 or t % sigma_every != 0:
         return None
     try:
         return estimator_stats(problem, x, state, config, SIGMA_N_MC, seed=base_seed, key=(t,),
@@ -275,16 +275,22 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
     (mean, SE, loss, aiming-min) curves, and the sigma_t of the first seed's
     estimator diagnostics (NaN where there is none). Each block of at most
     cut steps goes to _record_block in one call, which raises
-    DivergenceError at the first row past the threshold. Each diagnostic
-    goes into ``diags`` by step when given (a one-seed run must give it);
-    otherwise it is dropped once its block is recorded, unless
-    the first seed diverges at its step and the error's record keeps it.
-    With one seed the curves are that seed's rows, so its DivergenceError
-    holds its records of steps 0 .. k, each with its diagnostic. A fault
-    names the seed's stream index. The footprint is three history arrays of
-    cut rows of S x n floats (64 rows at 200 seeds x 4 coordinates, at most
-    256), one chunk of noise, the recorder's scratch for as many rows and
-    the curves."""
+    DivergenceError at the first row past the threshold. A block also ends
+    at each row with an entry outside the box |x_j| <= reach, which holds
+    only rows within the threshold, so a divergence raises before the next
+    step: every step and every moment computation runs once, under the
+    caller's np.errstate, and none runs past a divergence. Rows that sit
+    outside the box without diverging (a target farther out than
+    sqrt(1e12 / n)) end a block at every step, at the same bytes. Each
+    diagnostic goes into ``diags`` by step when given (a one-seed run must
+    give it); otherwise it is dropped once its block is recorded, unless the
+    first seed diverges at its step and the error's record keeps it. With
+    one seed the curves are that seed's rows, so its DivergenceError holds
+    its records of steps 0 .. k, each with its diagnostic. A fault names the
+    seed's stream index. The footprint is three history arrays of cut rows
+    of S x n floats (64 rows at 200 seeds x 4 coordinates, at most 256), one
+    chunk of noise, the recorder's scratch for as many rows and the
+    curves."""
     partition, start = _start(problem, config, T, x0, partition)
     S = len(seeds)
     conceptual = config.algorithm == "conceptual_bcos"
@@ -299,11 +305,16 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
     # with X; the conceptual step writes the direction E[d] - Z there first
     spare = np.empty_like(X)
     lam = config.decay_lambda
+    # a row with every entry within reach has a squared distance of at most
+    # n (reach + max|x*|)^2, below the threshold
+    x_star = problem.x_star
+    reach = 0.999 * math.sqrt(DIVERGENCE_THRESHOLD / problem.dim) - (
+        0.0 if x_star is None else float(np.abs(x_star).max()))
+    box = np.empty_like(X)
 
     def advance(Z, s, moments):
-        """The iterates and states after step s for the draws Z, from
-        the direction's moments at X; the current ones stay as they are, so a
-        failed step can be repeated."""
+        """Write the iterates after step s for the draws Z, from the
+        direction's moments at X, into spare, and update the states."""
         if conceptual:
             # a non-finite draw fails as its replay does; only a chunk
             # holding one is checked step by step
@@ -313,14 +324,12 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
                     raise _nonfinite_gradient(config, seeds[bad[0]], s)
             mean, second = moments
             direction = np.subtract(mean, Z, out=spare)
-            x_new = conceptual_update(X, direction, second, alphas[s], lam, partition,
-                                      out=direction)
-            return x_new, states
+            conceptual_update(X, direction, second, alphas[s], lam, partition, out=direction)
+            return
         # one call on every row equals the per-row calls bit for bit. step
         # checks its gradient before it computes anything, so the first bad
         # row fails as its replay does, named by what was non-finite
         G = problem.gradient(X, Z)
-        new_states = []
         for i in range(S):
             try:
                 spare[i], state = step(config, states[i], X[i], G[i], alphas[s], partition)
@@ -329,8 +338,7 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
                 raise fault(config, seeds[i], s) from exc
             if momentum:
                 M[i] = state.m
-            new_states.append(state)
-        return spare, new_states
+            states[i] = state
 
     # the iterates before each step of the current block and the exact
     # moments of the direction each seed takes there, NaN without an oracle
@@ -348,15 +356,13 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
     # its block is recorded
     held = {} if diags is None else diags
     t0 = 0  # first step whose iterate is not yet recorded
-    caller_errors = np.geterr()
 
     def flush(t_end: int) -> None:
         nonlocal t0
         try:
-            with np.errstate(**caller_errors):
-                k = t_end - t0
-                _record_block(problem, config, partition, history[:k], mean_history[:k],
-                              second_history[:k], t0, curves, scratch, seeds, alphas, held)
+            k = t_end - t0
+            _record_block(problem, config, partition, history[:k], mean_history[:k],
+                          second_history[:k], t0, curves, scratch, seeds, alphas, held)
         except DivergenceError as exc:
             if S == 1:
                 # one seed: its records of steps 0 .. k-1 are the rows
@@ -366,48 +372,46 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
             raise
         t0 = t_end
 
-    def keep(s: int):
+    def keep(s: int, inside: bool):
         """Keep the iterates before step s and their direction moments for
-        the recorder; returns the moments (None without an oracle)."""
-        primed = not momentum or s > 0
-        m = M if momentum and primed else None
-
-        def exact_moments():
+        the recorder and make the diagnostic due at s; returns the moments
+        (None without an oracle). The block ends here when it is full, when
+        a diagnostic was made, or when the iterates are not ``inside`` the
+        box, so a divergence at s raises before step s runs."""
+        k = s - t0
+        kept = None
+        if not momentum or s > 0:
             # the conceptual moments go straight into the history rows
-            k = s - t0
             out = (mean_history[k], second_history[k]) if conceptual else (None, None)
-            return _direction_moments(problem, config, X, m, partition, out) if primed else None
-
-        try:
-            kept = exact_moments()
-        except FloatingPointError:
-            # as for a step: a kept row past the threshold ends the run first
-            flush(s)
-            with np.errstate(**caller_errors):
-                kept = exact_moments()
-        history[s - t0] = X
-        if kept is not None and not conceptual:
-            mean_history[s - t0], second_history[s - t0] = kept
+            kept = _direction_moments(problem, config, X, M, partition, out)
+        history[k] = X
         diag = None
         if not conceptual:
-            with np.errstate(**caller_errors):
-                diag = _estimator_diag(problem, config, states[0], X[0], s, sigma_every,
-                                       base_seed, partition)
+            if kept is not None:
+                mean_history[k], second_history[k] = kept
+            diag = _estimator_diag(problem, config, states[0], X[0], s, sigma_every,
+                                   base_seed, partition)
             if diag is not None:
                 sigma[s] = diag.sigma_t
                 held[s] = diag
-        # a diagnostic ends a block too, so at most one is made past a divergence
-        if s + 1 - t0 == cut or diag is not None:
+        # a diagnostic ends a block too, so at most one is held at a time
+        if k + 1 == cut or diag is not None or not inside:
             flush(s + 1)
             if diags is None:
                 held.clear()
         return kept
+
+    def within() -> bool:
+        # a NaN entry fails the comparison; the method form skips np.max's
+        # dispatch, about 1 us a step
+        return np.abs(X, out=box).max() <= reach
 
     # a zero-width draw gives the shape and type of one draw and takes none
     probe = problem.draw(rngs[0], (0,))
     chunk = min(_BLOCK, max(1, int(1_000_000 / max(1, S * probe.shape[-1]))))
     # time-major, so each step reads one contiguous (S, k) slice
     noise_buffer = np.empty((min(chunk, T), S) + probe.shape[1:], probe.dtype)
+    inside = within()
     t = 0
     while t < T:
         width = min(chunk, T - t)
@@ -415,28 +419,18 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
         for i, rng in enumerate(rngs):
             noise[:, i] = problem.draw(rng, (width,))
         finite_chunk = not conceptual or np.isfinite(noise).all()
-        # steps run on past a divergence until the block is recorded; raising
-        # here keeps their floating-point warnings from surfacing
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            for j in range(width):
-                s = t + j
-                moments = keep(s)
-                try:
-                    new = advance(noise[j], s, moments)
-                except (FloatingPointError, ValueError):
-                    # a recorded row past the threshold ends the run before
-                    # this step; otherwise the step is repeated so the
-                    # caller sees its warnings and errors
-                    flush(s + 1)
-                    with np.errstate(**caller_errors):
-                        new = advance(noise[j], s, moments)
-                    bad = np.flatnonzero(~np.all(np.isfinite(new[0]), axis=1))
-                    if bad.size:
-                        raise _nonfinite(config, seeds[bad[0]], s)
-                spare = X
-                X, states = new
+        for j in range(width):
+            s = t + j
+            advance(noise[j], s, keep(s, inside))
+            X, spare = spare, X
+            inside = within()
+            # a practical step raises on a non-finite row itself
+            if conceptual and not inside:
+                bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+                if bad.size:
+                    raise _nonfinite(config, seeds[bad[0]], s)
         t += width
-    keep(T)
+    keep(T, inside)
     flush(T + 1)
     return alphas, curves, sigma
 

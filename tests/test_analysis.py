@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import k_p_tail
+from test_benchmark_surface import count_calls
 
 from bcoslab import analysis, cli
 from bcoslab.analysis import (
@@ -250,16 +251,23 @@ class TestRunTrajectory:
         T=st.integers(0, 600),
         sigma_every=st.sampled_from([0, 50]),
         seed=st.integers(0, 2**16),
+        far=st.booleans(),
     )
     # crosses two 256-step blocks with diagnostics along a momentum oracle
     @example(alg="bcos_c", kind="gaussian", sizes=[1, 1, 1, 1], coupled=False, seed_index=5,
-             T=600, sigma_every=50, seed=0)
+             T=600, sigma_every=50, seed=0, far=False)
     @example(alg="conceptual_bcos", kind="student_t", sizes=[2, 1], coupled=True,
-             seed_index=3, T=513, sigma_every=50, seed=1)
+             seed_index=3, T=513, sigma_every=50, seed=1, far=False)
     @example(alg="adam", kind="logistic", sizes=[3, 1], coupled=True, seed_index=1, T=300,
-             sigma_every=50, seed=2)
+             sigma_every=50, seed=2, far=False)
+    # a target at 6e5 puts every iterate outside the engine's box, so every
+    # step ends a recorder block, though no distance nears the threshold
+    @example(alg="bcos_c", kind="gaussian", sizes=[2, 2], coupled=False, seed_index=1,
+             T=300, sigma_every=50, seed=7, far=True)
+    @example(alg="conceptual_bcos", kind="gaussian", sizes=[1, 1, 1, 1], coupled=False,
+             seed_index=1, T=300, sigma_every=0, seed=7, far=True)
     def test_matches_replay_seed(self, alg, kind, sizes, coupled, seed_index, T, sigma_every,
-                                 seed):
+                                 seed, far):
         """run_trajectory(seed_index=i) is the one-step-at-a-time replay of
         seed i bit for bit in every record field, sigma_t and the rest of
         the estimator diagnostics included."""
@@ -269,7 +277,8 @@ class TestRunTrajectory:
             prob = LogisticSmokeProblem(n_features=n, n_samples=50, batch=8)
         else:
             prob = NoisyQuadratic(h=np.linspace(1.0, 2.0, n), sigma=np.linspace(0.5, 1.5, n),
-                                  x_star=np.linspace(-1.0, 1.0, n), noise=kind)
+                                  x_star=np.linspace(-1.0, 1.0, n) + (6e5 if far else 0.0),
+                                  noise=kind)
         part = BlockPartition.from_sizes(sizes)
         cfg = OptimizerConfig(alg, weight_decay_lambda=0.1, decoupled=not coupled)
         sch = inverse_time(0.3)
@@ -445,6 +454,26 @@ class TestDivergenceReport:
                     run()
             k = err.value.records[-1].t
             assert 0 < k < analysis._BLOCK and stats.call_count == k
+
+    @pytest.mark.parametrize("alg, lam, alpha, k, counts", [
+        ("sgd", 0.0, 2.03, 12, [36, 0, 0]),
+        # decay past 1 grows the iterates 999-fold per step
+        ("conceptual_bcos", 1.0, 1e3, 2, [0, 2, 0]),
+    ])
+    def test_no_step_runs_past_a_divergence(self, monkeypatch, alg, lam, alpha, k, counts):
+        """A row that leaves the engine's box ends its block, so an ensemble
+        of 3 seeds that diverges at step k stops there: it makes the 3k
+        steps before it (a practical method calls optim.step once per seed
+        and step, the conceptual one conceptual_update once per step) and
+        not the diagnostic due at step 50."""
+        calls = [count_calls(monkeypatch, analysis, name)
+                 for name in ("step", "conceptual_update", "estimator_stats")]
+        prob = NoisyQuadratic(h=[1.0, 2.0], sigma=0.5, x_star=[0.0, 1.0])
+        cfg = OptimizerConfig(alg, weight_decay_lambda=lam, decoupled=True)
+        with pytest.raises(DivergenceError) as err:
+            mean_trajectory(prob, cfg, constant(alpha), 1000, 3, 0, sigma_every=50)
+        assert err.value.records[-1].t == k
+        assert [len(c) for c in calls] == counts
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -683,6 +712,41 @@ class TestFaultModel:
                 last = dataclasses.replace(last, estimator_diag=None)
             assert [record_bytes(r) for r in err.records] == [record_bytes(last)]
 
+    @pytest.mark.parametrize("mode", ["ignore", "warn", "raise"])
+    @pytest.mark.parametrize("fault", ["zero_second_moment", "overflow", "divergence"])
+    def test_runs_end_as_their_replays_under_the_caller_errstate(self, mode, fault):
+        """Every step and every moment computation runs once, under the
+        caller's np.errstate, so under any of them a run ends as its replay
+        does: the same exception type and message and the same warnings. The
+        runs: a noiseless conceptual iterate that lands on the target (0/0
+        at t=3), sgd iterates that overflow past the threshold, and
+        conceptual iterates that grow 999-fold per step past it at t=2.
+        Every seed fails at the same step, so the ensemble ends as the
+        replay of seed 0 does."""
+        one = NoisyQuadratic(h=[1.0], sigma=0.0, x_star=[0.0])
+        prob, cfg, sch, x0 = {
+            "zero_second_moment": (one, OptimizerConfig("conceptual_bcos"), constant(1.0), [3.0]),
+            "overflow": (one, OptimizerConfig("sgd"), constant(1e200), [1.0]),
+            "divergence": (NoisyQuadratic(h=[1.0, 2.0], sigma=0.5, x_star=[0.0, 1.0]),
+                           OptimizerConfig("conceptual_bcos", weight_decay_lambda=1.0,
+                                           decoupled=True), constant(1e3), None),
+        }[fault]
+
+        def ending(run):
+            with warnings.catch_warnings(record=True) as warned, np.errstate(all=mode):
+                warnings.simplefilter("always")
+                try:
+                    run(prob, cfg, sch, 10, base_seed=0, x0=x0)
+                    error = None
+                except (ArithmeticError, ValueError, RuntimeError) as exc:
+                    error = (type(exc), str(exc))
+            return error, [(w.category, str(w.message)) for w in warned]
+
+        replay = ending(replay_seed)
+        assert replay[0] is not None
+        assert ending(run_trajectory) == replay
+        assert ending(lambda *a, **kw: mean_trajectory(*a, n_seeds=3, **kw)) == replay
+
     @pytest.mark.parametrize("seed", [0, 2])
     def test_ensemble_divergence_carries_seed_zero_diagnostic(self, seed):
         """A huge draw of one seed at step 3 makes it diverge at step 4, a
@@ -824,20 +888,26 @@ class TestEnsembleBlockRecorder:
         T=st.integers(0, 3 * analysis._BLOCK).filter(lambda T: T % analysis._BLOCK != 0 or T == 0),
         lam=st.sampled_from([0.0, 0.7, 1.5]),
         seed=st.integers(0, 2**16),
+        far=st.booleans(),
     )
     # T = 1200 also crosses 5 noise chunks (one 256-step block each at
     # S*n = 3600), and takes the pairwise np.sum path of n >= 8
-    @example(S=300, n=12, T=1200, lam=1.5, seed=0)
+    @example(S=300, n=12, T=1200, lam=1.5, seed=0, far=False)
     # the column-add path of n < 8 across recorder blocks and noise chunks
     # (256 steps at S*n = 1200)
-    @example(S=300, n=4, T=1000, lam=1.5, seed=0)
+    @example(S=300, n=4, T=1000, lam=1.5, seed=0, far=False)
     # noise chunks shorter than a block (238 steps at S*n = 4200), so chunk
     # and block edges differ across three blocks
-    @example(S=300, n=14, T=600, lam=1.5, seed=0)
-    @example(S=2, n=1, T=0, lam=0.0, seed=0)
-    def test_matches_per_step_reference(self, S, n, T, lam, seed):
+    @example(S=300, n=14, T=600, lam=1.5, seed=0, far=False)
+    @example(S=2, n=1, T=0, lam=0.0, seed=0, far=False)
+    # a target at 6e5 puts every row outside the engine's box, so every
+    # step ends a block, though no distance nears the threshold
+    @example(S=50, n=4, T=600, lam=0.0, seed=0, far=True)
+    def test_matches_per_step_reference(self, S, n, T, lam, seed, far):
+        # decay would pull the iterates from a far target past the threshold
+        assume(not (far and lam))
         prob = NoisyQuadratic(h=np.linspace(1.0, 2.0, n), sigma=np.linspace(0.5, 1.5, n),
-                              x_star=np.linspace(-1.0, 1.0, n))
+                              x_star=np.linspace(-1.0, 1.0, n) + (6e5 if far else 0.0))
         cfg = OptimizerConfig("conceptual_bcos", weight_decay_lambda=lam, decoupled=True)
         sch = inverse_time(0.5)
         ref = per_step_ensemble(prob, cfg, sch, T, S, seed)
@@ -848,9 +918,9 @@ class TestEnsembleBlockRecorder:
     @pytest.mark.parametrize("alpha", [1e3, 2.03])
     def test_divergence_mid_block_matches_per_step_reference(self, alpha):
         """Decay past 1 makes the iterates grow geometrically. At alpha=1e3
-        the steps run after the crossing, before the block is recorded,
-        overflow; none of their warnings may reach the caller. At 2.03 the
-        crossing falls in the second block."""
+        the steps after the crossing would overflow; the engine stops at the
+        crossing, so none of them runs and no warning reaches the caller. At
+        2.03 the crossing falls in the second block."""
         prob = NoisyQuadratic(h=[1.0, 2.0], sigma=0.5, x_star=[0.0, 1.0])
         cfg = OptimizerConfig("conceptual_bcos", weight_decay_lambda=1.0, decoupled=True)
         sch = constant(alpha)

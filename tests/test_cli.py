@@ -856,3 +856,16 @@ class TestCmdCounterexamples:
         rc = cli.main(["counterexamples", "--out", str(tmp_path / "ce")])
         assert rc == 0
         assert (tmp_path / "ce" / "counterexample_log.csv").exists()
+
+    def test_output_dir_env_writes_what_out_writes(self, tmp_path, monkeypatch):
+        """--out wins over OUTPUT_DIR; with OUTPUT_DIR alone set,
+        counterexamples writes there the CSV and the manifest that --out
+        writes, byte for byte."""
+        flag, env = tmp_path / "flag", tmp_path / "env"
+        monkeypatch.setenv("OUTPUT_DIR", str(env))
+        assert cli.main(["counterexamples", "--out", str(flag)]) == 0
+        assert not env.exists()
+        assert cli.main(["counterexamples"]) == 0
+        names = ["counterexample_log.csv", "manifest.txt"]
+        assert sorted(os.listdir(flag)) == sorted(os.listdir(env)) == names
+        assert all((env / name).read_bytes() == (flag / name).read_bytes() for name in names)
