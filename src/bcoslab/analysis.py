@@ -273,24 +273,21 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
     whose TRAJECTORY_STREAM indices ``seeds`` lists, in lockstep on an (S, n)
     array. Returns (alphas, curves, sigma): the stepsize of each step, the
     (mean, SE, loss, aiming-min) curves, and the sigma_t of the first seed's
-    estimator diagnostics (NaN where there is none). Each block of at most
-    cut steps goes to _record_block in one call, which raises
-    DivergenceError at the first row past the threshold. A block also ends
-    at each row with an entry outside the box |x_j| <= reach, which holds
-    only rows within the threshold, so a divergence raises before the next
-    step: every step and every moment computation runs once, under the
-    caller's np.errstate, and none runs past a divergence. Rows that sit
-    outside the box without diverging (a target farther out than
-    sqrt(1e12 / n)) end a block at every step, at the same bytes. Each
+    estimator diagnostics (NaN where there is none). Each full block of cut
+    steps, and the last, goes to _record_block in one call, as do the rows
+    before a divergence. Iterates with an entry outside the box |x_j| <=
+    reach, which holds only rows within the threshold, go to _divergence as
+    they are kept, so a divergence raises before the next step: every step
+    and every moment computation runs once, under the caller's np.errstate,
+    and none runs past it. Each
     diagnostic goes into ``diags`` by step when given (a one-seed run must
-    give it); otherwise it is dropped once its block is recorded, unless the
-    first seed diverges at its step and the error's record keeps it. With
-    one seed the curves are that seed's rows, so its DivergenceError holds
-    its records of steps 0 .. k, each with its diagnostic. A fault names the
-    seed's stream index. The footprint is three history arrays of cut rows
-    of S x n floats (64 rows at 200 seeds x 4 coordinates, at most 256), one
-    chunk of noise, the recorder's scratch for as many rows and the
-    curves."""
+    give it), else only a seed-0 divergence record at its step keeps it.
+    With one seed the curves are that seed's rows, so its DivergenceError
+    holds its records of steps 0 .. k. A fault names the lowest failing
+    seed by its stream index. The footprint is three history arrays of cut
+    rows of S x n floats (64 rows at 200 seeds x 4 coordinates, at most
+    256), one chunk of noise, the recorder's scratch for as many rows and
+    the curves."""
     partition, start = _start(problem, config, T, x0, partition)
     S = len(seeds)
     conceptual = config.algorithm == "conceptual_bcos"
@@ -316,13 +313,20 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
         """Write the iterates after step s for the draws Z, from the
         direction's moments at X, into spare, and update the states."""
         if conceptual:
-            # a non-finite draw fails as its replay does; only a chunk
-            # holding one is checked step by step
+            mean, second = moments
+            # a non-finite draw fails as its replay does, after the rows
+            # before it step, so the lowest failing seed is named; only a
+            # chunk holding one is checked step by step
             if not finite_chunk:
                 bad = np.flatnonzero(~np.isfinite(Z).all(axis=1))
                 if bad.size:
-                    raise _nonfinite_gradient(config, seeds[bad[0]], s)
-            mean, second = moments
+                    b = bad[0]
+                    direction = np.subtract(mean[:b], Z[:b], out=spare[:b])
+                    conceptual_update(X[:b], direction, second[:b], alphas[s], lam, partition,
+                                      out=direction)
+                    failed = np.flatnonzero(~np.isfinite(direction).all(axis=1))
+                    fault, i = (_nonfinite, failed[0]) if failed.size else (_nonfinite_gradient, b)
+                    raise fault(config, seeds[i], s)
             direction = np.subtract(mean, Z, out=spare)
             conceptual_update(X, direction, second, alphas[s], lam, partition, out=direction)
             return
@@ -351,33 +355,22 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
     curves = tuple(np.empty(T + 1) for _ in range(4))
     sigma = np.full(T + 1, np.nan)
     scratch = _scratch(cut, S, problem.dim, partition.num_blocks)
-    # the first seed's diagnostics by step, which its divergence record
-    # carries: the caller's dict keeps them all, else each is dropped once
-    # its block is recorded
-    held = {} if diags is None else diags
     t0 = 0  # first step whose iterate is not yet recorded
 
     def flush(t_end: int) -> None:
         nonlocal t0
-        try:
-            k = t_end - t0
-            _record_block(problem, config, partition, history[:k], mean_history[:k],
-                          second_history[:k], t0, curves, scratch, seeds, alphas, held)
-        except DivergenceError as exc:
-            if S == 1:
-                # one seed: its records of steps 0 .. k-1 are the rows
-                # recorded so far, and the error holds that of step k
-                exc.records[:0] = [_record(curves, t, t, alphas[t], held.get(t))
-                                   for t in range(exc.records[0].t)]
-            raise
+        k = t_end - t0
+        _record_block(problem, config, partition, history[:k], mean_history[:k],
+                      second_history[:k], t0, curves, scratch)
         t0 = t_end
 
     def keep(s: int, inside: bool):
         """Keep the iterates before step s and their direction moments for
         the recorder and make the diagnostic due at s; returns the moments
-        (None without an oracle). The block ends here when it is full, when
-        a diagnostic was made, or when the iterates are not ``inside`` the
-        box, so a divergence at s raises before step s runs."""
+        (None without an oracle). Iterates not ``inside`` the box are
+        checked against the threshold here, so a divergence at s raises
+        before step s runs, once the rows before s are recorded. The block
+        ends here when it is full or s is the last step."""
         k = s - t0
         kept = None
         if not momentum or s > 0:
@@ -393,12 +386,20 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
                                    base_seed, partition)
             if diag is not None:
                 sigma[s] = diag.sigma_t
-                held[s] = diag
-        # a diagnostic ends a block too, so at most one is held at a time
-        if k + 1 == cut or diag is not None or not inside:
+                if diags is not None:
+                    diags[s] = diag
+        if not inside and (error := _divergence(problem, config, partition, s, X,
+                                                 mean_history[k], second_history[k], seeds,
+                                                 alphas[s], diag)):
+            flush(s)
+            if S == 1:
+                # one seed: its records of steps 0 .. s-1 are the rows
+                # recorded so far, and the error holds that of step s
+                error.records[:0] = [_record(curves, t, t, alphas[t], diags.get(t))
+                                     for t in range(s)]
+            raise error
+        if k + 1 == cut or s == T:
             flush(s + 1)
-            if diags is None:
-                held.clear()
         return kept
 
     def within() -> bool:
@@ -431,24 +432,18 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
                     raise _nonfinite(config, seeds[bad[0]], s)
         t += width
     keep(T, inside)
-    flush(T + 1)
     return alphas, curves, sigma
 
 
-def _record_block(problem, config, partition, X, mean, second, t0, curves, scratch, seeds,
-                  alphas, diags) -> None:
+def _record_block(problem, config, partition, X, mean, second, t0, curves, scratch) -> None:
     """Seed statistics of the lockstep iterates X (W, S, n) of steps t0 ..
     t0+W-1, written into rows t0.. of the (mean, SE, loss, aiming-min)
     curves: the one reduction of recorded rows, whose one-seed rows are
     run_trajectory's records. mean (W, S, n) and second (W, S, m) are the
     exact moments of the direction each seed takes there, NaN without an
-    oracle, and are only read. At the first step where a squared distance
-    (squared norm, with no target) passes the threshold, it records the rows
-    before that step and raises _divergence's error; ``seeds`` holds the
-    stream indices of the S seeds, ``alphas`` the stepsizes by step and
-    ``diags`` the first seed's estimator diagnostics by step. With seeds
-    None the rows are recorded unchecked. ``scratch`` holds the
-    arrays the slice works in (see _scratch), each of at least W rows.
+    oracle, and are only read. ``scratch`` holds the arrays the slice works
+    in (see _scratch), each of at least W rows. It checks nothing: the
+    engine stops a run before a diverged row reaches it.
 
     Each row is reduced in the same order as a single (S, n) step would be,
     by einsum for the distances and the SE's sum of squares and by sums along
@@ -461,15 +456,6 @@ def _record_block(problem, config, partition, X, mean, second, t0, curves, scrat
     # x* tiled to (S, n): numpy applies a broadcast (n,) operand one row at a time
     diff = X if x_star is None else np.subtract(X, np.tile(x_star, (S, 1)), out=diffs)
     dist = np.einsum("wij,wij->wi", diff, diff, out=dist)
-    crossed = np.flatnonzero(np.max(dist, axis=1) > DIVERGENCE_THRESHOLD)
-    if crossed.size and seeds is not None:
-        k = int(crossed[0])
-        error = _divergence(problem, config, partition, t0 + k, X[k], dist[k], mean[k],
-                            second[k], seeds, alphas, diags)
-        if k:
-            _record_block(problem, config, partition, X[:k], mean[:k], second[:k], t0, curves,
-                          scratch, seeds, alphas, diags)
-        raise error
     mean_curve, se_curve, loss_curve, aim_curve = (c[t0 : t0 + W] for c in curves)
     if x_star is None:
         for curve in (mean_curve, se_curve, aim_curve):
@@ -495,22 +481,27 @@ def _record_block(problem, config, partition, X, mean, second, t0, curves, scrat
     loss_curve[:] = np.mean(problem.loss(X, (diffs, products, values)), axis=1)
 
 
-def _divergence(problem, config, partition, t, X, dist, mean, second, seeds,
-                alphas, diags) -> DivergenceError:
-    """The error for the first seed of the lockstep iterates X (S, n) past
-    the threshold at step t, named by its stream index in seeds; dist (S,)
-    holds their squared distances (squared norms, with no target), and mean
-    and second are the direction's moments there, as in _record_block. Its
-    one record is _record_block's reduction of that seed's one row, with
-    the diagnostic of step t in diags when that seed is the first one,
-    along which the diagnostics are made."""
-    i = int(np.flatnonzero(dist > DIVERGENCE_THRESHOLD)[0])
-    row = tuple(np.empty(1) for _ in range(4))
-    scratch = _scratch(1, 1, problem.dim, partition.num_blocks)
+def _divergence(problem, config, partition, t, X, mean, second, seeds, alpha,
+                diag) -> DivergenceError | None:
+    """The error for the first of the lockstep iterates X (S, n) of step t
+    whose squared distance (squared norm, with no target), the recorder's
+    einsum on the (1, S, n) row, passes the threshold, named by its stream
+    index in seeds; None when none does. mean and second are the moments
+    there, as in _record_block. Its one record is _record_block's reduction
+    of that seed's one row, with diag, step t's diagnostic, when that seed
+    is seed 0, along which the diagnostics are made."""
+    diff = X[None] if problem.x_star is None else X[None] - np.tile(problem.x_star, (len(X), 1))
+    dist = np.einsum("wij,wij->wi", diff, diff)[0]
+    crossed = np.flatnonzero(dist > DIVERGENCE_THRESHOLD)
+    if not crossed.size:
+        return None
+    i = int(crossed[0])
+    curves = tuple(np.empty(1) for _ in range(4))
     _record_block(problem, config, partition, X[None, i : i + 1], mean[None, i : i + 1],
-                  second[None, i : i + 1], 0, row, scratch, None, None, None)
+                  second[None, i : i + 1], 0, curves,
+                  _scratch(1, 1, problem.dim, partition.num_blocks))
     return DivergenceError(f"seed {seeds[i]} diverged at t={t}: squared distance {dist[i]:.3e}",
-                           [_record(row, 0, t, alphas[t], diags.get(t) if i == 0 else None)])
+                           [_record(curves, 0, t, alpha, diag if i == 0 else None)])
 
 
 # ---------------------------------------------------------------------------

@@ -583,7 +583,8 @@ def main(argv=None) -> int:
         if ensemble:
             p.add_argument("--seeds", help="override run.n_seeds")
         if name != "verify":
-            p.add_argument("--out", help="override run.output_dir")
+            p.add_argument("--out", help="write counterexample_log.csv and its manifest here"
+                           if name == "counterexamples" else "override run.output_dir")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else default_config()

@@ -95,13 +95,20 @@ class NoisyQuadratic(StochasticProblem):
 
     def __init__(self, h, sigma, x_star, noise: str = "gaussian"):
         h = np.asarray(h, dtype=np.float64)
-        if np.any(h <= 0):
+        if h.ndim != 1 or not h.size:
+            raise ProblemError(f"curvatures h must be a nonempty vector, got shape {h.shape}")
+        if not np.all(h > 0):  # NaN fails it too
             raise ProblemError("curvatures h must be positive")
         n = h.shape[0]
-        sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (n,)).copy()
-        if np.any(sigma < 0):
+        try:
+            sigma, x_star = (np.broadcast_to(np.asarray(a, dtype=np.float64), (n,)).copy()
+                             for a in (sigma, x_star))
+        except ValueError:
+            raise ProblemError(f"sigma and x_star must be scalars or of length {n}") from None
+        if not np.all(sigma >= 0):
             raise ProblemError("noise levels must be nonnegative")
-        x_star = np.broadcast_to(np.asarray(x_star, dtype=np.float64), (n,)).copy()
+        if not all(np.isfinite(a).all() for a in (h, sigma, x_star)):
+            raise ProblemError("h, noise levels and x_star must be finite")
         if noise not in ("gaussian", "student_t"):
             raise ProblemError(f"unknown noise kind {noise!r}")
         self.h = h

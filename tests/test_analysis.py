@@ -261,7 +261,7 @@ class TestRunTrajectory:
     @example(alg="adam", kind="logistic", sizes=[3, 1], coupled=True, seed_index=1, T=300,
              sigma_every=50, seed=2, far=False)
     # a target at 6e5 puts every iterate outside the engine's box, so every
-    # step ends a recorder block, though no distance nears the threshold
+    # iterate is checked against the threshold, which no distance nears
     @example(alg="bcos_c", kind="gaussian", sizes=[2, 2], coupled=False, seed_index=1,
              T=300, sigma_every=50, seed=7, far=True)
     @example(alg="conceptual_bcos", kind="gaussian", sizes=[1, 1, 1, 1], coupled=False,
@@ -441,9 +441,10 @@ class TestDivergenceReport:
         assert records == replay.value.records
 
     def test_no_diagnostic_is_made_past_a_divergence(self):
-        """An estimator diagnostic ends a recorder block, so a run with one
-        due at every step samples none past the step where it diverges (not
-        up to the end of its 256-step block)."""
+        """The engine checks a row outside its box for a divergence as it
+        keeps it, so a run with a diagnostic due at every step samples none
+        past the step where it diverges (not up to the end of its 256-step
+        block)."""
         prob = NoisyQuadratic(h=[1.0, 2.0], sigma=0.5, x_star=[0.0, 1.0])
         cfg, sch = OptimizerConfig("sgd"), constant(2.03)
         for run in (lambda: run_trajectory(prob, cfg, sch, 1000, 0, sigma_every=1),
@@ -461,11 +462,12 @@ class TestDivergenceReport:
         ("conceptual_bcos", 1.0, 1e3, 2, [0, 2, 0]),
     ])
     def test_no_step_runs_past_a_divergence(self, monkeypatch, alg, lam, alpha, k, counts):
-        """A row that leaves the engine's box ends its block, so an ensemble
-        of 3 seeds that diverges at step k stops there: it makes the 3k
-        steps before it (a practical method calls optim.step once per seed
-        and step, the conceptual one conceptual_update once per step) and
-        not the diagnostic due at step 50."""
+        """A row that leaves the engine's box is checked for a divergence as
+        it is kept, so an ensemble of 3 seeds that diverges at step k stops
+        there: it makes the 3k steps before it (a practical method calls
+        optim.step once per seed and step, the conceptual one
+        conceptual_update once per step) and not the diagnostic due at step
+        50."""
         calls = [count_calls(monkeypatch, analysis, name)
                  for name in ("step", "conceptual_update", "estimator_stats")]
         prob = NoisyQuadratic(h=[1.0, 2.0], sigma=0.5, x_star=[0.0, 1.0])
@@ -498,6 +500,25 @@ class TestDivergenceReport:
         with pytest.raises(NonFiniteError) as run:
             run_trajectory(prob, cfg, constant(alpha), 10, base_seed=0, seed_index=2, x0=x0)
         assert str(run.value) == f"{alg} step produced non-finite parameters at seed 2, t={t}"
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_step_fault_of_a_lower_seed_wins_over_a_bad_draw(self):
+        """Seed 0's noiseless conceptual iterate lands on the target at t=3,
+        where its direction is 0/0, and seed 1's draw for t=3 is +inf. The
+        replays order the faults by step, then by seed, so the ensemble
+        names seed 0's step, not seed 1's draw."""
+        prob, cfg, x0 = NoisyQuadratic(h=[1.0], sigma=0.0, x_star=[0.0]), \
+            OptimizerConfig("conceptual_bcos"), np.array([3.0])
+        replays = [outcome(lambda: replay_seed(with_fault(prob, 0, 1, 3, np.inf), cfg,
+                                               constant(1.0), 10, 0, seed_index=i, x0=x0))[1]
+                   for i in range(2)]
+        first = min((failure_key(e, i), e) for i, e in enumerate(replays))[1]
+        with pytest.raises(NonFiniteError) as err:
+            mean_trajectory(with_fault(prob, 0, 1, 3, np.inf), cfg, constant(1.0), 10,
+                            n_seeds=2, base_seed=0, x0=x0)
+        assert str(err.value) == str(first) == (
+            "conceptual_bcos step produced non-finite parameters at seed 0, t=3")
+        assert str(replays[1]) == "conceptual_bcos gradient is non-finite at seed 1, t=3"
 
     def test_nonfinite_gradient_row_fails_as_each_row_would(self):
         """One seed's infinite draw makes a row of the ensemble's batched
@@ -901,7 +922,7 @@ class TestEnsembleBlockRecorder:
     @example(S=300, n=14, T=600, lam=1.5, seed=0, far=False)
     @example(S=2, n=1, T=0, lam=0.0, seed=0, far=False)
     # a target at 6e5 puts every row outside the engine's box, so every
-    # step ends a block, though no distance nears the threshold
+    # row is checked against the threshold, which no distance nears
     @example(S=50, n=4, T=600, lam=0.0, seed=0, far=True)
     def test_matches_per_step_reference(self, S, n, T, lam, seed, far):
         # decay would pull the iterates from a far target past the threshold
@@ -971,15 +992,29 @@ class TestEnsembleBlockRecorder:
             tracemalloc.stop()
         assert peak <= 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
-    @pytest.mark.parametrize("S, sizes", [(200, [64, 64, 64, 64, 45]), (2, [256, 45])])
-    def test_blocks_are_one_recorder_slice(self, S, sizes):
+    @pytest.mark.parametrize("S, sizes, alg, far, sigma_every", [
+        pytest.param(200, [64, 64, 64, 64, 45], "conceptual_bcos", False, 0, id="200-sizes0"),
+        pytest.param(2, [256, 45], "conceptual_bcos", False, 0, id="2-sizes1"),
+        # neither a diagnostic nor a row outside the box ends a block
+        pytest.param(2, [256, 45], "bcos_c", False, 100, id="2-diagnostics"),
+        pytest.param(2, [256, 45], "conceptual_bcos", True, 0, id="2-far-target"),
+        # a run of one full block records no empty block after it
+        pytest.param(2, [256], "conceptual_bcos", False, 0, id="2-one-full-block"),
+    ])
+    def test_blocks_are_one_recorder_slice(self, S, sizes, alg, far, sigma_every):
         """Each block the engine records is at most one slice of _SLICE
         floats per (rows, seeds, n) array, 64 rows at 200 seeds x 4
         coordinates, and is handed to the recorder in one call; two seeds
-        take the longest block, 256 rows."""
-        prob = NoisyQuadratic(h=[1.0, 2.0, 0.5, 1.5], sigma=1.0, x_star=np.zeros(4))
-        cfg = OptimizerConfig("conceptual_bcos", weight_decay_lambda=1.5, decoupled=True)
-        _, blocks = lockstep_run(prob, cfg, inverse_time(0.5), 300, S, 0, per_block=True)
+        take the longest block, 256 rows. Only a full block, the last one
+        or a divergence ends a block: not a diagnostic (sigma_every = 100),
+        nor a row outside the engine's box (a target at 6e5, where decay
+        would pull the iterates past the threshold). The run takes T =
+        sum(sizes) - 1 steps."""
+        prob = NoisyQuadratic(h=[1.0, 2.0, 0.5, 1.5], sigma=1.0,
+                              x_star=np.full(4, 6e5 if far else 0.0))
+        cfg = OptimizerConfig(alg, weight_decay_lambda=0.0 if far else 1.5, decoupled=True)
+        _, blocks = lockstep_run(prob, cfg, inverse_time(0.5), sum(sizes) - 1, S, 0,
+                                 per_block=True, sigma_every=sigma_every)
         assert [len(block) for block in blocks] == sizes
 
 

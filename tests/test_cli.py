@@ -379,6 +379,19 @@ class TestExitCodes:
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, text", [
+        ("run", "override run.output_dir"),
+        ("sweep", "override run.output_dir"),
+        # counterexamples never reads run.output_dir
+        ("counterexamples", "write counterexample_log.csv and its manifest here"),
+    ])
+    def test_out_help_says_what_the_flag_does(self, capsys, command, text):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"--out OUT {text}" in help_text
+
 
 class TestCmdRun:
     def test_row_count(self, tmp_path, capsys):

@@ -119,6 +119,20 @@ class TestNoisyQuadratic:
             NoisyQuadratic(h=[1.0], sigma=[-1.0], x_star=[0.0])
         with pytest.raises(ProblemError):
             NoisyQuadratic(h=[1.0], sigma=[1.0], x_star=[0.0], noise="cauchy")
+        for h, sigma, x_star in [
+            ([np.nan], [1.0], [0.0]),
+            ([1.0], [np.nan], [0.0]),
+            ([1.0], [np.inf], [0.0]),
+            ([np.inf], [1.0], [0.0]),
+            ([1.0], [1.0], [np.inf]),
+            ([], 1.0, 0.0),
+            ([[1.0, 2.0]], 1.0, 0.0),
+            (1.0, 1.0, 0.0),
+            ([1.0, 2.0], [1.0, 2.0, 3.0], 0.0),
+            ([1.0, 2.0], 1.0, [0.0, 1.0, 2.0]),
+        ]:
+            with pytest.raises(ProblemError):
+                NoisyQuadratic(h=h, sigma=sigma, x_star=x_star)
 
 
 class TestMakeRng:
