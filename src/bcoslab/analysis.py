@@ -1,6 +1,6 @@
 """Numerical verification machinery: trajectory statistics, convergence-rate
 fitting, Monte Carlo estimator diagnostics, the leading-order bound on the
-practical-vs-exact step gap, and deterministic recursion checks.
+practical-vs-exact step gap, recursion checks and the verify catalog.
 
 Every operation is a pure function of its inputs and an owned seed, so
 aggregate outputs are reproducible regardless of scheduling. Monte Carlo
@@ -10,12 +10,14 @@ scales with the sample count.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import problems
 from .core import BlockPartition, NonFiniteError, ShapeError
 from .optim import (
     ALGORITHMS,
@@ -29,6 +31,7 @@ from .optim import (
 from .problems import (
     MC_STREAM,
     TRAJECTORY_STREAM,
+    NoisyQuadratic,
     StochasticProblem,
     aiming_values,
     make_rng,
@@ -599,6 +602,8 @@ def one_step_contraction_check(
     """Monte Carlo check of the one-step contraction of the exact-moment
     update: over fresh draws, mean ||x+ - x*||^2 must stay below
     (1 - alpha*lam)^2 ||x - x*||^2 + alpha^2 * noise bound, up to 3 SE."""
+    if n_mc < 2:
+        raise AnalysisError(f"n_mc must be >= 2 for a standard error, got {n_mc}")
     x = np.asarray(x, dtype=np.float64)
     moments = problem.moments(x)
     if moments is None or problem.x_star is None:
@@ -1049,3 +1054,149 @@ def verify_chung_recursions(T: int = 10**7, map=map) -> tuple[CheckResult, ...]:
                     "observed <= 10/T", zero_drive <= 10.0 / T),
         *(near(name, scaled, limit) for name, scaled, _, limit in powers),
     )
+
+
+# ---------------------------------------------------------------------------
+# the verify catalog
+
+
+def _gaussian_square_variance(mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """Var(X^2) for X ~ N(mu, sd^2): 4 mu^2 sd^2 + 2 sd^4."""
+    return 4.0 * mu**2 * sd**2 + 2.0 * sd**4
+
+
+def _estimator_catalog() -> tuple[CheckResult, ...]:
+    """Monte Carlo estimator statistics against the closed-form Gaussian
+    references, on a frozen quadratic state. Each line reports the largest
+    per-coordinate deviation in standard errors (bound: 3 SE), taken from
+    the sampled estimates the statistic itself reduces."""
+    h = np.array([1.0, 2.0, 0.5])
+    sigma = np.array([0.5, 1.0, 1.5])
+    problem = NoisyQuadratic(h=h, sigma=sigma, x_star=np.zeros(3))
+    x = np.array([1.2, -0.7, 2.0])
+    m_prev = np.array([0.5, -1.0, 0.25])
+    v_prev = np.array([1.0, 1.5, 2.0])
+    mu_g = h * x
+    sd_g = h * sigma
+    n_mc = 10**5
+    beta1, beta2 = 0.9, 0.95
+    state_mv = OptimizerState(t=1, m=m_prev, v=v_prev)
+    state_m = OptimizerState(t=1, m=m_prev, v=None)
+    checks = []
+
+    def within_3se(name, observed, expected, se):
+        se = np.where(se > 0, se, 1e-300)
+        dev = float(np.max(np.abs(observed - expected) / se))
+        checks.append(CheckResult(name, dev, 3.0, "max dev <= 3 SE", dev <= 3.0))
+
+    def mean_se(stats):  # mc_mean_se(stats.v_draws) bit for bit: std is sqrt(var)
+        return np.sqrt(stats.variance) / math.sqrt(n_mc)
+
+    # EMA of the squared momentum
+    opt = OptimizerConfig("bcos_m", beta1=beta1, beta2=beta2, epsilon=1e-6)
+    stats = estimator_stats(problem, x, state_mv, opt, n_mc, seed=101)
+    mu_m = beta1 * m_prev + (1 - beta1) * mu_g
+    sd_m = (1 - beta1) * sd_g
+    expected = (1 - beta2) ** 2 * _gaussian_square_variance(mu_m, sd_m)
+    within_3se("ema_variance_dev_se", stats.variance, expected, mc_variance_se(stats.v_draws))
+    del stats  # its v_draws, 2.3 MiB, would stay alive while the next check draws
+
+    # the squared-gradient EMA paired with a momentum direction
+    opt = OptimizerConfig("adam", beta1=beta1, beta2=beta2, epsilon=1e-6)
+    stats = estimator_stats(problem, x, state_mv, opt, n_mc, seed=102)
+    expected = (1 - beta2) ** 2 * _gaussian_square_variance(mu_g, sd_g)
+    within_3se("adam_variance_dev_se", stats.variance, expected, mc_variance_se(stats.v_draws))
+    del stats
+
+    # conditional estimator: variance and signed bias
+    opt = OptimizerConfig("bcos_c", beta1=beta1, epsilon=1e-6)
+    stats = estimator_stats(problem, x, state_m, opt, n_mc, seed=103)
+    expected = (1 - beta1) ** 4 * _gaussian_square_variance(mu_g, sd_g)
+    within_3se("conditional_variance_dev_se", stats.variance, expected,
+               mc_variance_se(stats.v_draws))
+    bias_expected = 2 * beta1 * (1 - beta1) * m_prev * (m_prev - mu_g)
+    signed = stats.mean_v - stats.exact_second_moment
+    within_3se("conditional_bias_dev_se", signed, bias_expected, mean_se(stats))
+    del stats
+
+    # sign mode: v = d^2 is unbiased
+    opt = OptimizerConfig("sign_sgd", beta1=0.0, epsilon=0.0)
+    stats = estimator_stats(problem, x, OptimizerState(), opt, n_mc, seed=104)
+    within_3se("sign_bias_dev_se", stats.mean_v, stats.exact_second_moment, mean_se(stats))
+    del stats
+
+    # constant estimator: exactly zero variance
+    opt = OptimizerConfig("sgd", beta1=0.0, epsilon=0.0)
+    stats = estimator_stats(problem, x, OptimizerState(), opt, n_mc, seed=105)
+    obs = float(np.max(stats.variance))
+    checks.append(CheckResult("constant_variance_zero", obs, 0.0, "exact", obs == 0.0))
+    return tuple(checks)
+
+
+def counterexample_log_checks(report: problems.CounterexampleReport) -> tuple[CheckResult, ...]:
+    """The log example's checks, the one verdict of verify and counterexamples
+    alike; each check is judged from the value it prints."""
+    min_inner = min(r.inner_product for r in report.rows)
+    max_curv = max(r.curvature_witness for r in report.rows)
+    return (
+        CheckResult("log_aiming_min_inner", min_inner, 0.0, "observed >= 0", min_inner >= 0.0),
+        CheckResult("log_concavity_max_second_derivative", max_curv, 0.0,
+                    "observed < 0", max_curv < 0.0),
+    )
+
+
+def counterexample_quadratic_checks(quad: dict) -> tuple[CheckResult, ...]:
+    """The quadratic's checks, as counterexample_log_checks."""
+    eig_err = float(np.max(np.abs(quad["eigenvalues"] - np.array([0.0, 5.0]))))
+    return (
+        CheckResult("quadratic_aiming_value", quad["aiming_value"], -0.5,
+                    "exact equality", quad["aiming_value"] == -0.5),
+        CheckResult("quadratic_eigenvalues_dev", eig_err, 1e-12,
+                    "abs dev <= 1e-12", eig_err <= 1e-12),
+        CheckResult("quadratic_psd", float(quad["psd_certified"]), 1.0, "certified",
+                    quad["psd_certified"]),
+    )
+
+
+# verify's sections in print order: (name, placement, run). A run looks its
+# function up when called, so a patched or traced one is what runs.
+VERIFY_SECTIONS = (
+    ("counterexample_log_aiming", "beside",
+     lambda: counterexample_log_checks(problems.counterexample_log_aiming())),
+    ("counterexample_quadratic_not_aiming", "beside",
+     lambda: counterexample_quadratic_checks(problems.counterexample_quadratic_not_aiming())),
+    ("chung_recursions", "chunks", lambda map: verify_chung_recursions(10**7, map=map)),
+    ("ratio_expansion", "alone", lambda: verify_ratio_expansion()),
+    ("estimator_catalog", "beside", lambda: _estimator_catalog()),
+)
+
+
+def verify_sections() -> list[tuple[str, tuple[CheckResult, ...]]]:
+    """(name, checks) of each row of VERIFY_SECTIONS, in table order. The
+    "alone" rows run first, then the "beside" rows while a one-worker pool
+    takes the 30 decay chunks from the front, then the "chunks" row, whose
+    map runs here, from the back, each chunk not yet started (numpy releases
+    the GIL). Each chunk runs in a copy of the caller's context (its
+    np.errstate included) and its error is raised in the fold; an error here
+    cancels the chunks not yet started. The checks are the bytes of one
+    section after another."""
+    # imported here: a module import would add to every command's start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    done = {name: run() for name, placement, run in VERIFY_SECTIONS if placement == "alone"}
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        started = {chunk: pool.submit(contextvars.copy_context().run, _decay_chunk, chunk)
+                   for chunk in _decay_chunks(10**7)}
+        done.update((name, run()) for name, placement, run in VERIFY_SECTIONS
+                    if placement == "beside")
+
+        def from_the_back(fn, chunks):
+            ran = {chunk: fn(chunk) for chunk in reversed(chunks) if started[chunk].cancel()}
+            return [ran[chunk] if chunk in ran else started[chunk].result() for chunk in chunks]
+
+        done.update((name, run(from_the_back)) for name, placement, run in VERIFY_SECTIONS
+                    if placement == "chunks")
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return [(name, done[name]) for name, _, _ in VERIFY_SECTIONS]

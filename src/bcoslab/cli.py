@@ -15,7 +15,6 @@ non-finite parameters in run or sweep).
 from __future__ import annotations
 
 import argparse
-import contextvars
 import hashlib
 import itertools
 import math
@@ -25,9 +24,9 @@ import sys
 import numpy as np
 
 from . import analysis, problems
-from .analysis import CheckResult, DivergenceError, MeanCurve, mc_variance_se
+from .analysis import DivergenceError, MeanCurve
 from .core import NonFiniteError
-from .optim import OptimizerConfig, OptimizerState
+from .optim import OptimizerConfig
 from .problems import LogisticSmokeProblem, NoisyQuadratic, ProblemError
 from .schedules import StepSchedule
 
@@ -400,150 +399,14 @@ def cmd_sweep(cfg: dict, out_dir: str | None = None) -> int:
 # verify
 
 
-def _gaussian_square_variance(mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
-    """Var(X^2) for X ~ N(mu, sd^2): 4 mu^2 sd^2 + 2 sd^4."""
-    return 4.0 * mu**2 * sd**2 + 2.0 * sd**4
-
-
-def _estimator_fixture_checks() -> tuple[CheckResult, ...]:
-    """Monte Carlo estimator statistics against the closed-form Gaussian
-    references, on a frozen quadratic state. Each line reports the largest
-    per-coordinate deviation in standard errors (bound: 3 SE), taken from
-    the sampled estimates the statistic itself reduces."""
-    h = np.array([1.0, 2.0, 0.5])
-    sigma = np.array([0.5, 1.0, 1.5])
-    problem = NoisyQuadratic(h=h, sigma=sigma, x_star=np.zeros(3))
-    x = np.array([1.2, -0.7, 2.0])
-    m_prev = np.array([0.5, -1.0, 0.25])
-    v_prev = np.array([1.0, 1.5, 2.0])
-    mu_g = h * x
-    sd_g = h * sigma
-    n_mc = 10**5
-    beta1, beta2 = 0.9, 0.95
-    state_mv = OptimizerState(t=1, m=m_prev, v=v_prev)
-    state_m = OptimizerState(t=1, m=m_prev, v=None)
-    checks = []
-
-    def within_3se(name, observed, expected, se):
-        se = np.where(se > 0, se, 1e-300)
-        dev = float(np.max(np.abs(observed - expected) / se))
-        checks.append(CheckResult(name, dev, 3.0, "max dev <= 3 SE", dev <= 3.0))
-
-    def mean_se(stats):  # mc_mean_se(stats.v_draws) bit for bit: std is sqrt(var)
-        return np.sqrt(stats.variance) / math.sqrt(n_mc)
-
-    # EMA of the squared momentum
-    opt = OptimizerConfig("bcos_m", beta1=beta1, beta2=beta2, epsilon=1e-6)
-    stats = analysis.estimator_stats(problem, x, state_mv, opt, n_mc, seed=101)
-    mu_m = beta1 * m_prev + (1 - beta1) * mu_g
-    sd_m = (1 - beta1) * sd_g
-    expected = (1 - beta2) ** 2 * _gaussian_square_variance(mu_m, sd_m)
-    within_3se("ema_variance_dev_se", stats.variance, expected, mc_variance_se(stats.v_draws))
-    del stats  # its v_draws, 2.3 MiB, would stay alive while the next check draws
-
-    # the squared-gradient EMA paired with a momentum direction
-    opt = OptimizerConfig("adam", beta1=beta1, beta2=beta2, epsilon=1e-6)
-    stats = analysis.estimator_stats(problem, x, state_mv, opt, n_mc, seed=102)
-    expected = (1 - beta2) ** 2 * _gaussian_square_variance(mu_g, sd_g)
-    within_3se("adam_variance_dev_se", stats.variance, expected, mc_variance_se(stats.v_draws))
-    del stats
-
-    # conditional estimator: variance and signed bias
-    opt = OptimizerConfig("bcos_c", beta1=beta1, epsilon=1e-6)
-    stats = analysis.estimator_stats(problem, x, state_m, opt, n_mc, seed=103)
-    expected = (1 - beta1) ** 4 * _gaussian_square_variance(mu_g, sd_g)
-    within_3se("conditional_variance_dev_se", stats.variance, expected,
-               mc_variance_se(stats.v_draws))
-    bias_expected = 2 * beta1 * (1 - beta1) * m_prev * (m_prev - mu_g)
-    signed = stats.mean_v - stats.exact_second_moment
-    within_3se("conditional_bias_dev_se", signed, bias_expected, mean_se(stats))
-    del stats
-
-    # sign mode: v = d^2 is unbiased
-    opt = OptimizerConfig("sign_sgd", beta1=0.0, epsilon=0.0)
-    stats = analysis.estimator_stats(problem, x, OptimizerState(), opt, n_mc, seed=104)
-    within_3se("sign_bias_dev_se", stats.mean_v, stats.exact_second_moment, mean_se(stats))
-    del stats
-
-    # constant estimator: exactly zero variance
-    opt = OptimizerConfig("sgd", beta1=0.0, epsilon=0.0)
-    stats = analysis.estimator_stats(problem, x, OptimizerState(), opt, n_mc, seed=105)
-    obs = float(np.max(stats.variance))
-    checks.append(CheckResult("constant_variance_zero", obs, 0.0, "exact", obs == 0.0))
-    return tuple(checks)
-
-
-def _counterexample_checks(log_report: problems.CounterexampleReport,
-                           quad: dict) -> tuple[tuple[CheckResult, ...], tuple[CheckResult, ...]]:
-    """The checks of the two counterexample reports, the log example's and
-    the quadratic's: the one verdict of verify and counterexamples alike.
-    Each check is judged from the value it prints."""
-    min_inner = min(r.inner_product for r in log_report.rows)
-    max_curv = max(r.curvature_witness for r in log_report.rows)
-    log_checks = (
-        CheckResult("log_aiming_min_inner", min_inner, 0.0, "observed >= 0", min_inner >= 0.0),
-        CheckResult("log_concavity_max_second_derivative", max_curv, 0.0,
-                    "observed < 0", max_curv < 0.0),
-    )
-    eig_err = float(np.max(np.abs(quad["eigenvalues"] - np.array([0.0, 5.0]))))
-    quad_checks = (
-        CheckResult("quadratic_aiming_value", quad["aiming_value"], -0.5,
-                    "exact equality", quad["aiming_value"] == -0.5),
-        CheckResult("quadratic_eigenvalues_dev", eig_err, 1e-12,
-                    "abs dev <= 1e-12", eig_err <= 1e-12),
-        CheckResult("quadratic_psd", float(quad["psd_certified"]), 1.0, "certified",
-                    quad["psd_certified"]),
-    )
-    return log_checks, quad_checks
-
-
 def cmd_verify(cfg: dict) -> int:
-    """Print the fixed check catalog; 1 if any check fails, else 0. cfg is not read.
-
-    The ratio expansion (15.5 MiB traced) runs first. Then a one-worker pool
-    takes the decay recursions' 30 chunks from the front while this thread
-    runs the counterexamples and the estimator catalog (7.7 MiB beside one
-    8.1 MiB chunk), and ``verify_chung_recursions`` runs here, from the back,
-    each chunk the worker has not started (two chunks, the peak), then folds
-    them in order. Numpy releases the GIL, so the threads overlap. Each chunk
-    runs in a copy of the caller's context (its np.errstate included). A
-    chunk's error is raised in the fold, after this thread's sections; an
-    error here cancels the chunks not yet started and waits for the running
-    one. The output is the same bytes as one section after another."""
-    # imported here: a module import would add to every command's start-up
-    from concurrent.futures import ThreadPoolExecutor
-
-    ratio_checks = analysis.verify_ratio_expansion()
-    pool = ThreadPoolExecutor(max_workers=1)
-    try:
-        started = {chunk: pool.submit(contextvars.copy_context().run, analysis._decay_chunk, chunk)
-                   for chunk in analysis._decay_chunks(10**7)}
-        log_checks, quad_checks = _counterexample_checks(
-            problems.counterexample_log_aiming(), problems.counterexample_quadratic_not_aiming())
-        catalog = _estimator_fixture_checks()
-
-        def from_the_back(fn, chunks):
-            ran = {chunk: fn(chunk) for chunk in reversed(chunks) if started[chunk].cancel()}
-            return [ran[chunk] if chunk in ran else started[chunk].result() for chunk in chunks]
-
-        chung_checks = analysis.verify_chung_recursions(10**7, map=from_the_back)
-    finally:
-        pool.shutdown(cancel_futures=True)
-    sections = [
-        ("counterexample_log_aiming", log_checks),
-        ("counterexample_quadratic_not_aiming", quad_checks),
-        ("chung_recursions", chung_checks),
-        ("ratio_expansion", ratio_checks),
-        ("estimator_catalog", catalog),
-    ]
-    all_pass = True
+    """Print the checks of analysis.verify_sections, each section under its
+    name, once all have run; 1 if any check fails, else 0. cfg is not read."""
+    sections = analysis.verify_sections()
     print("name,observed,bound,tolerance,status")
     for name, checks in sections:
-        print(f"# {name}")
-        for check in checks:
-            print(check.format_line())
-            all_pass &= check.passed
-    return 0 if all_pass else 1
+        print(f"# {name}", *(check.format_line() for check in checks), sep="\n")
+    return 0 if all(check.passed for _, checks in sections for check in checks) else 1
 
 
 def cmd_counterexamples(cfg: dict, out_dir: str | None = None) -> int:
@@ -552,7 +415,8 @@ def cmd_counterexamples(cfg: dict, out_dir: str | None = None) -> int:
     1 if any of those checks fails, each named on stderr, else 0."""
     log_report = problems.counterexample_log_aiming()
     quad = problems.counterexample_quadratic_not_aiming()
-    log_checks, quad_checks = _counterexample_checks(log_report, quad)
+    log_checks = analysis.counterexample_log_checks(log_report)
+    quad_checks = analysis.counterexample_quadratic_checks(quad)
     print(f"# counterexample: {log_report.name}\n{log_report.notes}\n"
           f"grid points: {len(log_report.rows)}")
     print(*(check.format_line() for check in log_checks), sep="\n")

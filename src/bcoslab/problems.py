@@ -289,7 +289,7 @@ class GridCheckRow:
 class CounterexampleReport:
     """Grid evidence that the sign-direction aiming condition and convexity
     are independent properties: the measured values only, judged by
-    ``cli._counterexample_checks``."""
+    ``analysis.counterexample_log_checks``."""
 
     name: str
     rows: tuple[GridCheckRow, ...]

@@ -1182,6 +1182,13 @@ class TestContraction:
         with pytest.raises(AnalysisError, match="strictly positive second moments"):
             one_step_contraction_check(noiseless, noiseless.x_star.copy(), 0.1, 0.0)
 
+    @pytest.mark.parametrize("n_mc", [0, 1])
+    def test_refuses_fewer_than_two_draws(self, n_mc):
+        """No draw has no mean and one draw no standard error: either is an
+        error, not a NaN that fails the check."""
+        with pytest.raises(AnalysisError, match="n_mc must be >= 2"):
+            one_step_contraction_check(centered_quadratic(), np.ones(3), 0.3, 0.4, n_mc=n_mc)
+
 
 class TestStepGapBound:
     def make_stats(self, mean_d, snr_d, snr_v, corr):
@@ -2007,17 +2014,21 @@ class TestVerifyFootprint:
             f"peak {peak / (n_mc * 3 * 8):.2f} x (n_mc, n) floats")
 
     def test_two_chunks_set_the_peak(self):
-        """cli.cmd_verify runs the ratio expansion alone, then the estimator
-        catalog beside one decay chunk on the worker, then two chunks at
-        once. At default sizes neither of the first two holds more than two
-        chunks, so the two chunks set the peak."""
+        """analysis.verify_sections runs each "alone" row of VERIFY_SECTIONS
+        by itself, then each "beside" row beside one decay chunk on the
+        worker, then two chunks at once. At default sizes no alone row and no
+        beside row plus a chunk holds more than two chunks, so the two chunks
+        set the peak; a row added to the table is measured here."""
         verify_ratio_expansion(n_mc=2)  # the first draw imports numpy.random
         chunk = traced_peak(lambda: analysis._decay_chunk(analysis._decay_chunks(10**7)[0]))
-        catalog = traced_peak(cli._estimator_fixture_checks)
-        ratio = traced_peak(verify_ratio_expansion)
-        for name, held in (("ratio expansion", ratio), ("catalog + chunk", catalog + chunk)):
+        alongside = {"alone": 0, "beside": chunk}
+        rows = [row for row in analysis.VERIFY_SECTIONS if row[1] in alongside]
+        assert {placement for _, placement, _ in rows} == set(alongside)
+        for name, placement, run in rows:
+            held = traced_peak(run) + alongside[placement]
             assert held <= 2 * chunk, (
-                f"{name}: {held / 2**20:.1f} MiB against two chunks' {2 * chunk / 2**20:.1f} MiB")
+                f"{name} ({placement}): {held / 2**20:.1f} MiB against two chunks' "
+                f"{2 * chunk / 2**20:.1f} MiB")
 
     def test_verify_holds_two_chunks(self, capsys):
         """The whole command, every section and the pool, within two decay

@@ -623,8 +623,8 @@ class TestCmdVerify:
     def test_negative_control_fails(self, monkeypatch, capsys):
         """A wrong closed form for the expected variances must flip the
         estimator catalog to FAIL and exit 1."""
-        right = cli._gaussian_square_variance
-        monkeypatch.setattr(cli, "_gaussian_square_variance",
+        right = analysis._gaussian_square_variance
+        monkeypatch.setattr(analysis, "_gaussian_square_variance",
                             lambda mu, sd: 2.0 * right(mu, sd))
         rc = cli.main(["verify"])
         assert rc == 1
@@ -713,7 +713,7 @@ class TestCmdVerify:
             raise analysis.AnalysisError("estimator catalog failed")
 
         monkeypatch.setattr(analysis, "_decay_chunk", counted)
-        monkeypatch.setattr(cli, "_estimator_fixture_checks", failing)
+        monkeypatch.setattr(analysis, "_estimator_catalog", failing)
         threads = threading.active_count()
         rc = cli.main(["verify"])
         captured = capsys.readouterr()
@@ -744,13 +744,13 @@ class TestCmdVerify:
 
         monkeypatch.setattr(analysis, "_decay_chunk", counted)
         if stolen == 0:
-            catalog = cli._estimator_fixture_checks
+            catalog = analysis._estimator_catalog
 
             def after_the_worker():
                 assert all_ran.wait(30)
                 return catalog()
 
-            monkeypatch.setattr(cli, "_estimator_fixture_checks", after_the_worker)
+            monkeypatch.setattr(analysis, "_estimator_catalog", after_the_worker)
         else:
             class HeldPool(concurrent.futures.ThreadPoolExecutor):
                 """A pool whose worker waits until every chunk has run."""
@@ -764,6 +764,49 @@ class TestCmdVerify:
         assert_golden(regenerate.VERIFY, capsys.readouterr().out)
         assert len(ran) == 30
         assert ran.count(threading.main_thread()) == stolen
+
+    @pytest.mark.parametrize("placement", ["alone", "beside"])
+    def test_a_row_added_to_the_table_is_printed_placed_and_counted(self, monkeypatch, capsys,
+                                                                    placement):
+        """A row added to analysis.VERIFY_SECTIONS, and nothing else, is
+        printed in its place among verify.txt's lines. It runs on the main
+        thread: alone, before any decay chunk is submitted; beside, while
+        all 30 are pending (the worker waits until the row has run). Its
+        FAIL line exits 1."""
+        release = threading.Event()
+        pools, seen = [], []
+
+        class HeldPool(concurrent.futures.ThreadPoolExecutor):
+            """A pool that keeps its futures and whose worker waits for the
+            release."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                super().submit(release.wait, 30)
+                self.futures = []
+                pools.append(self)
+
+            def submit(self, *args, **kwargs):
+                self.futures.append(super().submit(*args, **kwargs))
+                return self.futures[-1]
+
+        def dummy():
+            pending = [sum(not future.done() for future in pool.futures) for pool in pools]
+            seen.append((threading.current_thread(), pending))
+            release.set()
+            return (analysis.CheckResult("dummy_check", 1.0, 0.0, "observed <= 0", False),)
+
+        first, *rest = analysis.VERIFY_SECTIONS
+        monkeypatch.setattr(analysis, "VERIFY_SECTIONS", (first, ("dummy", placement, dummy),
+                                                          *rest))
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", HeldPool)
+        assert cli.main(["verify"]) == 1
+        with open(os.path.join(regenerate.HERE, regenerate.VERIFY), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        at = lines.index("# counterexample_quadratic_not_aiming")
+        lines[at:at] = ["# dummy", "dummy_check,1.0,0.0,observed <= 0,FAIL"]
+        assert capsys.readouterr().out.splitlines() == lines
+        assert seen == [(threading.main_thread(), [] if placement == "alone" else [30])]
 
     def test_failing_recursion_check_fails_verify(self, monkeypatch, capsys):
         """Wrong chunks of the recursion that starts at t = 4, whichever
@@ -799,9 +842,15 @@ class TestCmdVerify:
 
     def test_claim_table_cites_every_check(self):
         """README's claim table cites every check line of verify exactly once
-        and no other name in its checks column, and every library entry
-        point it lists resolves."""
+        and no other name in its checks column, names only sections of
+        analysis.VERIFY_SECTIONS in its section column and each of them at
+        least once, and every library entry point it lists resolves."""
         rows = [ln for ln in readme_section("Claims and their checks") if ln.startswith("| ")]
+        sections = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[2])
+                    if name != "verify"]
+        table = [name for name, _, _ in analysis.VERIFY_SECTIONS]
+        assert [name for name in sections if name not in table] == []
+        assert [name for name in table if name not in sections] == []
         cited = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[3])]
         with open(os.path.join(regenerate.HERE, regenerate.VERIFY), encoding="utf-8") as fh:
             printed = [ln.split(",")[0] for ln in fh.read().splitlines()[1:]
