@@ -7,7 +7,10 @@ relative to this directory:
   ``bcoslab run`` (4 seeds x 40 steps, sigma_every = 10) for each practical
   algorithm, for three conceptual configs (decoupled and coupled decay with
   Gaussian noise, decoupled decay with Student-t noise) and for a logistic
-  problem;
+  problem; ``run_edges_conceptual`` (200 seeds x 300 steps) and
+  ``run_edges_bcos_c`` (4 seeds x 512 steps, sigma_every = 100) cross the
+  engine's noise-chunk and recorder-block edges, which 40 steps never
+  reach;
 - ``logistic_loss.csv`` is the mean loss curve of the logistic run, which
   its trajectory.csv does not hold (the problem has no target, so every
   distance column there reads nan);
@@ -86,6 +89,20 @@ def _run_configs() -> dict[str, tuple[str, str]]:
         "problem.noise = student_t\noptimizer.algorithm = conceptual_bcos\n"
         "optimizer.weight_decay_lambda = 1.5\noptimizer.decoupled = true\n"
         "schedule.kind = inverse_time\nschedule.alpha = 0.5\n"))
+    # larger runs whose rows cross the engine's edges (a later line
+    # overrides BASE's): 64-row recorder blocks inside 256-step noise
+    # chunks, and a chunk edge at 256 with T a chunk multiple (blocks of
+    # 256, 256 and 1 rows)
+    configs["run_edges_conceptual"] = ("run", BASE + (
+        "run.steps = 300\nrun.n_seeds = 200\n"
+        "optimizer.algorithm = conceptual_bcos\n"
+        "optimizer.weight_decay_lambda = 1.5\noptimizer.decoupled = true\n"
+        "schedule.kind = inverse_time\nschedule.alpha = 0.5\n"))
+    configs["run_edges_bcos_c"] = ("run", BASE + (
+        "run.steps = 512\nrun.sigma_every = 100\n"
+        "optimizer.algorithm = bcos_c\n"
+        "optimizer.weight_decay_lambda = 0.1\noptimizer.decoupled = true\n"
+        "schedule.alpha = 0.01\n"))
     configs["run_logistic"] = ("run", BASE + (
         "problem.kind = logistic\nproblem.n_samples = 200\nproblem.batch = 16\n"
         "optimizer.algorithm = bcos_c\nschedule.alpha = 0.05\n"))
