@@ -206,12 +206,11 @@ def run_trajectory(
     squared norm, when no target is known) exceeds 1e12, the last one
     included. With sigma_every > 0, Monte Carlo estimator diagnostics are
     attached to every sigma_every-th record (needs a moment oracle and a
-    practical algorithm; skipped otherwise). A non-finite gradient, or a
-    step that makes the iterate non-finite, raises NonFiniteError naming
-    seed_index and the step."""
-    diags = {}
-    alphas, curves, _ = _lockstep(problem, config, schedule, T, base_seed, [seed_index], x0,
-                                  partition, sigma_every, diags)
+    practical algorithm; skipped otherwise), as a one-seed engine run keeps
+    them whole. A non-finite gradient, or a step that makes the iterate
+    non-finite, raises NonFiniteError naming seed_index and the step."""
+    alphas, curves, _, diags = _lockstep(problem, config, schedule, T, base_seed, [seed_index],
+                                         x0, partition, sigma_every)
     return [_record(curves, t, t, alphas[t], diags.get(t)) for t in range(T + 1)]
 
 
@@ -234,7 +233,7 @@ def mean_trajectory(
     footprint does not grow with T."""
     if n_seeds < 2:
         raise AnalysisError("n_seeds must be >= 2")
-    alphas, (mean, se, loss, aim), sigma = _lockstep(
+    alphas, (mean, se, loss, aim), sigma, _ = _lockstep(
         problem, config, schedule, T, base_seed, range(n_seeds), x0, partition, sigma_every)
     # t last: made before the run, it would add to the recorder's peak
     return MeanCurve(np.arange(T + 1), mean, se, loss, alphas, aim, n_seeds, sigma)
@@ -270,27 +269,27 @@ _BLOCK = 256
 _SLICE = 51_200
 
 
-def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sigma_every,
-              diags=None):
+def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sigma_every):
     """The one loop that advances iterates: T steps from x0 of the seeds
     whose TRAJECTORY_STREAM indices ``seeds`` lists, in lockstep on an (S, n)
-    array. Returns (alphas, curves, sigma): the stepsize of each step, the
-    (mean, SE, loss, aiming-min) curves, and the sigma_t of the first seed's
-    estimator diagnostics (NaN where there is none). Each full block of cut
-    steps, and the last, goes to _record_block in one call, as do the rows
-    before a divergence. Iterates with an entry outside the box |x_j| <=
-    reach, which holds only rows within the threshold, go to _divergence as
-    they are kept, so a divergence raises before the next step: every step
-    and every moment computation runs once, under the caller's np.errstate,
-    and none runs past it. Each
-    diagnostic goes into ``diags`` by step when given (a one-seed run must
-    give it), else only a seed-0 divergence record at its step keeps it.
-    With one seed the curves are that seed's rows, so its DivergenceError
-    holds its records of steps 0 .. k. A fault names the lowest failing
-    seed by its stream index. The footprint is three history arrays of cut
-    rows of S x n floats (64 rows at 200 seeds x 4 coordinates, at most
-    256), one chunk of noise, the recorder's scratch for as many rows and
-    the curves."""
+    array. Returns (alphas, curves, sigma, diags): the stepsize of each step,
+    the (mean, SE, loss, aiming-min) curves, the sigma_t of the first seed's
+    estimator diagnostics (NaN where there is none), and the diagnostics by
+    step that only a one-seed run keeps. Each pass over s fills the noise
+    chunk s starts, keeps row s and, before T, steps and box-tests the new
+    iterates. Each full block of cut rows, and the last, goes to
+    _record_block in one call, as do the rows before a divergence. Iterates
+    with an entry outside the box |x_j| <= reach, which holds only rows
+    within the threshold, go to _divergence as they are kept, so a
+    divergence raises before the next step: every step and every moment
+    computation runs once, under the caller's np.errstate, and none runs
+    past it. With one seed the curves are that seed's rows, so its
+    DivergenceError holds its records of steps 0 .. k; with more, only a
+    seed-0 divergence record keeps its diagnostic. A fault names the lowest
+    failing seed by its stream index. The footprint is three history arrays
+    of cut rows of S x n floats (64 rows at 200 seeds x 4 coordinates, at
+    most 256), one chunk of noise, the recorder's scratch for as many rows
+    and the curves."""
     partition, start = _start(problem, config, T, x0, partition)
     S = len(seeds)
     conceptual = config.algorithm == "conceptual_bcos"
@@ -312,9 +311,78 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
         0.0 if x_star is None else float(np.abs(x_star).max()))
     box = np.empty_like(X)
 
-    def advance(Z, s, moments):
-        """Write the iterates after step s for the draws Z, from the
-        direction's moments at X, into spare, and update the states."""
+    # the iterates before each step of the current block and the exact
+    # moments of the direction each seed takes there, NaN without an oracle
+    # (no problem oracle, or a momentum not yet primed); a block is one
+    # recorder slice
+    cut = max(1, min(_BLOCK, T + 1, _SLICE // (S * problem.dim)))
+    history = np.empty((cut, S, problem.dim))
+    mean_history = np.full_like(history, np.nan)
+    second_history = np.full((cut, S, partition.num_blocks), np.nan)
+    curves = tuple(np.empty(T + 1) for _ in range(4))
+    sigma = np.full(T + 1, np.nan)
+    diags = {}
+    scratch = _scratch(cut, S, problem.dim, partition.num_blocks)
+    t0 = 0  # first step whose iterate is not yet recorded
+
+    def flush(t_end: int) -> None:
+        nonlocal t0
+        k = t_end - t0
+        _record_block(problem, config, partition, history[:k], mean_history[:k],
+                      second_history[:k], t0, curves, scratch)
+        t0 = t_end
+
+    # a zero-width draw gives the shape and type of one draw and takes none
+    probe = problem.draw(rngs[0], (0,))
+    chunk = min(_BLOCK, max(1, int(1_000_000 / max(1, S * probe.shape[-1]))))
+    # time-major, so each step reads one contiguous (S, k) slice
+    noise_buffer = np.empty((min(chunk, T), S) + probe.shape[1:], probe.dtype)
+    inside = False  # the start goes to the exact threshold test
+    for s in range(T + 1):
+        j = s % chunk
+        if j == 0 and s < T:
+            width = min(chunk, T - s)
+            noise = noise_buffer[:width]
+            for i, rng in enumerate(rngs):
+                noise[:, i] = problem.draw(rng, (width,))
+            finite_chunk = not conceptual or np.isfinite(noise).all()
+
+        # keep row s for the recorder, with its direction moments (None
+        # without an oracle) and the diagnostic due at s
+        k = s - t0
+        moments = None
+        if not momentum or s > 0:
+            # the conceptual moments go straight into the history rows
+            out = (mean_history[k], second_history[k]) if conceptual else (None, None)
+            moments = _direction_moments(problem, config, X, M, partition, out)
+        history[k] = X
+        diag = None
+        if not conceptual:
+            if moments is not None:
+                mean_history[k], second_history[k] = moments
+            diag = _estimator_diag(problem, config, states[0], X[0], s, sigma_every,
+                                   base_seed, partition)
+            if diag is not None:
+                sigma[s] = diag.sigma_t
+                if S == 1:
+                    diags[s] = diag
+        if not inside and (error := _divergence(problem, config, partition, s, X,
+                                                 mean_history[k], second_history[k], seeds,
+                                                 alphas[s], diag)):
+            flush(s)
+            if S == 1:
+                # one seed: its records of steps 0 .. s-1 are the rows
+                # recorded so far, and the error holds that of step s
+                error.records[:0] = [_record(curves, t, t, alphas[t], diags.get(t))
+                                     for t in range(s)]
+            raise error
+        if k + 1 == cut or s == T:
+            flush(s + 1)
+        if s == T:
+            break
+
+        # step s: the iterates after it go into spare, which swaps with X
+        Z = noise[j]
         if conceptual:
             mean, second = moments
             # a non-finite draw fails as its replay does, after the rows
@@ -332,110 +400,31 @@ def _lockstep(problem, config, schedule, T, base_seed, seeds, x0, partition, sig
                     raise fault(config, seeds[i], s)
             direction = np.subtract(mean, Z, out=spare)
             conceptual_update(X, direction, second, alphas[s], lam, partition, out=direction)
-            return
-        # one call on every row equals the per-row calls bit for bit. step
-        # checks its gradient before it computes anything, so the first bad
-        # row fails as its replay does, named by what was non-finite
-        G = problem.gradient(X, Z)
-        for i in range(S):
-            try:
-                spare[i], state = step(config, states[i], X[i], G[i], alphas[s], partition)
-            except NonFiniteError as exc:
-                fault = _nonfinite if np.isfinite(G[i]).all() else _nonfinite_gradient
-                raise fault(config, seeds[i], s) from exc
-            if momentum:
-                M[i] = state.m
-            states[i] = state
-
-    # the iterates before each step of the current block and the exact
-    # moments of the direction each seed takes there, NaN without an oracle
-    # (no problem oracle, or a momentum not yet primed); a block is one
-    # recorder slice
-    cut = max(1, min(_BLOCK, T + 1, _SLICE // (S * problem.dim)))
-    history = np.empty((cut, S, problem.dim))
-    mean_history = np.full_like(history, np.nan)
-    second_history = np.full((cut, S, partition.num_blocks), np.nan)
-    curves = tuple(np.empty(T + 1) for _ in range(4))
-    sigma = np.full(T + 1, np.nan)
-    scratch = _scratch(cut, S, problem.dim, partition.num_blocks)
-    t0 = 0  # first step whose iterate is not yet recorded
-
-    def flush(t_end: int) -> None:
-        nonlocal t0
-        k = t_end - t0
-        _record_block(problem, config, partition, history[:k], mean_history[:k],
-                      second_history[:k], t0, curves, scratch)
-        t0 = t_end
-
-    def keep(s: int, inside: bool):
-        """Keep the iterates before step s and their direction moments for
-        the recorder and make the diagnostic due at s; returns the moments
-        (None without an oracle). Iterates not ``inside`` the box are
-        checked against the threshold here, so a divergence at s raises
-        before step s runs, once the rows before s are recorded. The block
-        ends here when it is full or s is the last step."""
-        k = s - t0
-        kept = None
-        if not momentum or s > 0:
-            # the conceptual moments go straight into the history rows
-            out = (mean_history[k], second_history[k]) if conceptual else (None, None)
-            kept = _direction_moments(problem, config, X, M, partition, out)
-        history[k] = X
-        diag = None
-        if not conceptual:
-            if kept is not None:
-                mean_history[k], second_history[k] = kept
-            diag = _estimator_diag(problem, config, states[0], X[0], s, sigma_every,
-                                   base_seed, partition)
-            if diag is not None:
-                sigma[s] = diag.sigma_t
-                if diags is not None:
-                    diags[s] = diag
-        if not inside and (error := _divergence(problem, config, partition, s, X,
-                                                 mean_history[k], second_history[k], seeds,
-                                                 alphas[s], diag)):
-            flush(s)
-            if S == 1:
-                # one seed: its records of steps 0 .. s-1 are the rows
-                # recorded so far, and the error holds that of step s
-                error.records[:0] = [_record(curves, t, t, alphas[t], diags.get(t))
-                                     for t in range(s)]
-            raise error
-        if k + 1 == cut or s == T:
-            flush(s + 1)
-        return kept
-
-    def within() -> bool:
+        else:
+            # one call on every row equals the per-row calls bit for bit.
+            # step checks its gradient before it computes anything, so the
+            # first bad row fails as its replay does, named by what was
+            # non-finite
+            G = problem.gradient(X, Z)
+            for i in range(S):
+                try:
+                    spare[i], state = step(config, states[i], X[i], G[i], alphas[s], partition)
+                except NonFiniteError as exc:
+                    fault = _nonfinite if np.isfinite(G[i]).all() else _nonfinite_gradient
+                    raise fault(config, seeds[i], s) from exc
+                if momentum:
+                    M[i] = state.m
+                states[i] = state
+        X, spare = spare, X
         # a NaN entry fails the comparison; the method form skips np.max's
         # dispatch, about 1 us a step
-        return np.abs(X, out=box).max() <= reach
-
-    # a zero-width draw gives the shape and type of one draw and takes none
-    probe = problem.draw(rngs[0], (0,))
-    chunk = min(_BLOCK, max(1, int(1_000_000 / max(1, S * probe.shape[-1]))))
-    # time-major, so each step reads one contiguous (S, k) slice
-    noise_buffer = np.empty((min(chunk, T), S) + probe.shape[1:], probe.dtype)
-    inside = within()
-    t = 0
-    while t < T:
-        width = min(chunk, T - t)
-        noise = noise_buffer[:width]
-        for i, rng in enumerate(rngs):
-            noise[:, i] = problem.draw(rng, (width,))
-        finite_chunk = not conceptual or np.isfinite(noise).all()
-        for j in range(width):
-            s = t + j
-            advance(noise[j], s, keep(s, inside))
-            X, spare = spare, X
-            inside = within()
-            # a practical step raises on a non-finite row itself
-            if conceptual and not inside:
-                bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-                if bad.size:
-                    raise _nonfinite(config, seeds[bad[0]], s)
-        t += width
-    keep(T, inside)
-    return alphas, curves, sigma
+        inside = np.abs(X, out=box).max() <= reach
+        # a practical step raises on a non-finite row itself
+        if conceptual and not inside:
+            bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+            if bad.size:
+                raise _nonfinite(config, seeds[bad[0]], s)
+    return alphas, curves, sigma, diags
 
 
 def _record_block(problem, config, partition, X, mean, second, t0, curves, scratch) -> None:
@@ -609,7 +598,7 @@ def one_step_contraction_check(
     if moments is None or problem.x_star is None:
         raise AnalysisError("contraction check needs exact moments and a target")
     mean, second = moments
-    if np.any(second <= 0):
+    if not np.all(second > 0):  # NaN fails it too
         raise AnalysisError("contraction check needs strictly positive second moments")
     partition = BlockPartition.singleton(problem.dim)
     d0 = x - problem.x_star
@@ -635,6 +624,8 @@ def one_step_contraction_check(
 def mc_mean_se(samples: np.ndarray) -> np.ndarray:
     """Standard error of the sample mean along axis 0."""
     samples = np.asarray(samples)
+    if samples.ndim == 0 or samples.shape[0] < 2:
+        raise AnalysisError("a standard error needs at least 2 samples")
     return samples.std(axis=0, ddof=1) / math.sqrt(samples.shape[0])
 
 
@@ -642,6 +633,8 @@ def mc_variance_se(samples: np.ndarray) -> np.ndarray:
     """Standard error of the sample variance along axis 0, from the fourth
     central moment: Var(s^2) ~ (mu4 - sigma^4)/n."""
     samples = np.asarray(samples)
+    if samples.ndim == 0 or samples.shape[0] < 2:
+        raise AnalysisError("a standard error needs at least 2 samples")
     n = samples.shape[0]
     squares = np.square(samples - samples.mean(axis=0))
     # samples.var(axis=0, ddof=1) bit for bit: numpy's _var does this very sum
@@ -718,7 +711,7 @@ def estimator_stats(
     if spec.direction == "momentum" and config.bias_correction == "zero_init_rescale":
         # the step divides the corrected momentum m/c1
         exact_d2 = exact_d2 / (1.0 - config.beta1 ** (state.t + 1)) ** 2
-    if np.any(exact_d2 <= 0):
+    if not np.all(exact_d2 > 0):  # NaN fails it too
         raise AnalysisError("estimator stats need E[d^2] > 0 on every block")
     G = problem.sample_gradients(x, make_rng(seed, MC_STREAM, *key), n_mc)
     if config.fold_lambda:
@@ -802,7 +795,7 @@ def step_gap_bound(stats: EstimatorStats, tau: float) -> StepGapBound:
 def neighborhood_radius(sigma_bound: float, eps_term: float, lam: float, n: int) -> float:
     """Worst-case radius of the ball the practical method settles in:
     2 sqrt(n) (sigma + eps) / lambda, using ||.||_1 <= sqrt(n) ||.||."""
-    if lam <= 0:
+    if not lam > 0:  # NaN fails it too
         raise AnalysisError("the radius is defined only for lambda > 0")
     return 2.0 * math.sqrt(n) * (sigma_bound + eps_term) / lam
 

@@ -85,7 +85,7 @@ class OptimizerState:
     v: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.v is not None and (np.asarray(self.v) < 0).any():
+        if self.v is not None and not (np.asarray(self.v) >= 0).all():  # NaN fails it too
             raise OptimizerError("second-moment state must be nonnegative")
 
 
@@ -327,7 +327,7 @@ def optimal_stepsizes(x: np.ndarray, x_star: np.ndarray, mean: np.ndarray,
     direction with per-coordinate mean E[d] and per-block second moments
     E[||d_k||^2]. They can be positive or negative. The mean-variance split
     forces each second moment to be at least its squared block mean."""
-    if np.any(second <= 0):
+    if not np.all(second > 0):  # NaN fails it too
         raise OptimizerError("optimal stepsizes need strictly positive second moments")
     if np.any(second < partition.block_sums(mean * mean) * (1.0 - 1e-12) - 1e-300):
         raise OptimizerError("second moment below squared block mean; not a valid moment pair")

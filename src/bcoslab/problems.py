@@ -120,22 +120,23 @@ class NoisyQuadratic(StochasticProblem):
         df = _STUDENT_DF
         self._noise_scale = sigma * (1.0 if noise == "gaussian" else math.sqrt((df - 2.0) / df))
         self._variance = (h * sigma) ** 2
-        self._tiles = (None,)
+        self._tiles = {}
 
-    def _coefficients(self, x):
-        """(x*, h, h^2 sigma^2) in a shape that broadcasts against the array
-        x. For a stack of rows they are (rows, n) tiles, kept for the last row
+    def _tiled(self, use: str, rows: int, arrays: tuple) -> tuple:
+        """The (n,) arrays tiled to (rows, n), kept per use for its last row
         count: numpy applies a broadcast (n,) operand one short row at a time,
         about three times slower on the ensemble's (200, 4) arrays, for equal
         values."""
+        tiles = self._tiles.get(use)
+        if tiles is None or tiles[0] != rows:
+            tiles = self._tiles[use] = (rows, *(np.tile(a, (rows, 1)) for a in arrays))
+        return tiles[1:]
+
+    def _coefficients(self, x):
+        """(x*, h, h^2 sigma^2) broadcasting against x, tiled for a stack of rows."""
         if x.ndim < 2:
             return self.x_star, self.h, self._variance
-        rows = x.shape[-2]
-        tiles = self._tiles
-        if tiles[0] != rows:
-            tiles = self._tiles = (rows, *(np.tile(a, (rows, 1))
-                                           for a in (self.x_star, self.h, self._variance)))
-        return tiles[1:]
+        return self._tiled("coefficients", x.shape[-2], (self.x_star, self.h, self._variance))
 
     def loss(self, x: np.ndarray, out=(None, None, None)):
         """0.5 * sum h (x - x*)^2 at x, or at each row of a (..., n) stack;
@@ -152,8 +153,11 @@ class NoisyQuadratic(StochasticProblem):
         size = shape + (self.dim,)
         z = (rng.standard_normal(size) if self.noise == "gaussian"
              else rng.standard_t(_STUDENT_DF, size=size))
-        z *= self._noise_scale
-        z *= self.h
+        scale, h = self._noise_scale, self.h
+        if len(shape) == 1 and shape[0] <= 256:  # a noise chunk, not a Monte Carlo stack
+            scale, h = self._tiled("draw", shape[0], (scale, h))
+        z *= scale
+        z *= h
         return z
 
     def gradient(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -906,7 +906,7 @@ class TestEnsembleBlockRecorder:
     @given(
         S=st.integers(2, 300),
         n=st.integers(1, 12),
-        T=st.integers(0, 3 * analysis._BLOCK).filter(lambda T: T % analysis._BLOCK != 0 or T == 0),
+        T=st.integers(0, 3 * analysis._BLOCK),
         lam=st.sampled_from([0.0, 0.7, 1.5]),
         seed=st.integers(0, 2**16),
         far=st.booleans(),
@@ -921,6 +921,10 @@ class TestEnsembleBlockRecorder:
     # and block edges differ across three blocks
     @example(S=300, n=14, T=600, lam=1.5, seed=0, far=False)
     @example(S=2, n=1, T=0, lam=0.0, seed=0, far=False)
+    # T a multiple of the noise chunk and of the block: no chunk starts at
+    # the last row, which a one-row block records
+    @example(S=3, n=2, T=analysis._BLOCK, lam=0.7, seed=1, far=False)
+    @example(S=7, n=3, T=2 * analysis._BLOCK, lam=1.5, seed=2, far=False)
     # a target at 6e5 puts every row outside the engine's box, so every
     # row is checked against the threshold, which no distance nears
     @example(S=50, n=4, T=600, lam=0.0, seed=0, far=True)
@@ -1182,6 +1186,12 @@ class TestContraction:
         with pytest.raises(AnalysisError, match="strictly positive second moments"):
             one_step_contraction_check(noiseless, noiseless.x_star.copy(), 0.1, 0.0)
 
+    def test_refuses_a_nan_iterate(self):
+        """A NaN entry makes its second moment NaN, which is not positive:
+        an error, not a check of NaNs that reads as failed."""
+        with pytest.raises(AnalysisError, match="strictly positive second moments"):
+            one_step_contraction_check(centered_quadratic(n=2), np.array([np.nan, 1.0]), 0.3, 0.4)
+
     @pytest.mark.parametrize("n_mc", [0, 1])
     def test_refuses_fewer_than_two_draws(self, n_mc):
         """No draw has no mean and one draw no standard error: either is an
@@ -1289,6 +1299,10 @@ class TestNeighborhoodRadius:
         with pytest.raises(AnalysisError):
             neighborhood_radius(0.1, 0.0, 0.0, 3)
 
+    def test_lambda_nan_undefined(self):
+        with pytest.raises(AnalysisError, match="defined only for lambda > 0"):
+            neighborhood_radius(0.1, 0.0, float("nan"), 4)
+
 
 class TestEstimatorStats:
     def test_sign_mode_unbiased(self):
@@ -1343,6 +1357,14 @@ class TestEstimatorStats:
             estimator_stats(prob, np.zeros(3), state, OptimizerConfig(alg), n_mc,
                             partition=partition)
         assert type(err.value) is error and str(err.value) == message
+
+    def test_rejects_a_nan_iterate(self):
+        """At a NaN entry E[d^2] is NaN, which is not positive: an error, not
+        a sigma_t of inf that reads as a bound undefined at tau >= 1."""
+        with pytest.raises(AnalysisError, match=r"^estimator stats need E\[d\^2\] > 0 on every "
+                                                r"block$"):
+            estimator_stats(centered_quadratic(), np.array([np.nan, 1.0, 0.5]), OptimizerState(),
+                            OptimizerConfig("bcos_g"), 10**4)
 
     def test_block_conditional_closed_form(self):
         """With Gaussian noise the coordinates are independent, so the
@@ -1621,6 +1643,14 @@ class TestMcHelpers:
     def test_mean_se_shape(self):
         x = np.ones((100, 3))
         assert np.all(mc_mean_se(x) == 0.0)
+
+    @pytest.mark.parametrize("se", [mc_mean_se, mc_variance_se])
+    @pytest.mark.parametrize("samples", [np.ones((1, 3)), np.ones(1), np.ones((0, 2)), 1.0],
+                             ids=["one_row", "one_float", "none", "scalar"])
+    def test_fewer_than_two_samples_have_no_standard_error(self, se, samples):
+        """An error, not a NaN with a RuntimeWarning."""
+        with pytest.raises(AnalysisError, match="^a standard error needs at least 2 samples$"):
+            se(samples)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 400), m=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),

@@ -253,6 +253,11 @@ class TestStateLayout:
         with pytest.raises(OptimizerError):
             OptimizerState(t=1, v=np.array([-1.0]))
 
+    def test_nan_v_state_rejected(self):
+        """A NaN estimate is not a nonnegative one."""
+        with pytest.raises(OptimizerError, match="^second-moment state must be nonnegative$"):
+            OptimizerState(t=1, v=np.array([np.nan, 1.0]))
+
 
 class TestBlockMode:
     def test_block_estimate_uses_block_norm(self):
@@ -428,6 +433,13 @@ class TestOptimalStepsizes:
         with pytest.raises(OptimizerError, match="^optimal stepsizes need strictly positive "
                                                  "second moments$"):
             optimal_stepsizes(np.ones(1), np.zeros(1), np.zeros(1), np.zeros(1), part)
+
+    def test_rejects_nan_second_moment(self):
+        """A NaN second moment leaves its stepsize undefined, as a zero one does."""
+        part = BlockPartition.singleton(2)
+        with pytest.raises(OptimizerError, match="^optimal stepsizes need strictly positive "
+                                                 "second moments$"):
+            optimal_stepsizes(np.ones(2), np.zeros(2), np.ones(2), np.array([np.nan, 2.0]), part)
 
 
 class TestGoldenTrace:

@@ -44,6 +44,30 @@ class TestNoisyQuadratic:
         z0 = prob.draw(make_rng(4, TRAJECTORY_STREAM))
         assert g.tobytes() == prob.gradient(x[0], z0).tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.integers(0, 300), min_size=1, max_size=6),
+           noise=st.sampled_from(["gaussian", "student_t"]), n=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    # the conceptual ensemble's order: a 256-row noise chunk, moments on 200
+    # rows, the next chunk, a Monte Carlo stack
+    @example(rows=[256, 200, 256, 300, 1, 0], noise="gaussian", n=4, seed=0)
+    def test_draw_matches_the_broadcast_scaling_bitwise(self, rows, noise, n, seed):
+        """draw scales a short stack by tiles kept for the last row count,
+        which the moments' own tiles do not disturb: the bits are those of
+        the broadcast (n,) scaling at every row count, in any order."""
+        prob = NoisyQuadratic(h=np.linspace(0.5, 2.0, n), sigma=np.linspace(0.1, 1.5, n),
+                              x_star=np.zeros(n), noise=noise)
+        scale = prob.sigma * (1.0 if noise == "gaussian" else np.sqrt((5.0 - 2.0) / 5.0))
+        rng, ref_rng = make_rng(seed, TRAJECTORY_STREAM), make_rng(seed, TRAJECTORY_STREAM)
+        for k in rows:
+            z = prob.draw(rng, (k,))
+            ref = (ref_rng.standard_normal((k, n)) if noise == "gaussian"
+                   else ref_rng.standard_t(5.0, size=(k, n)))
+            ref *= scale
+            ref *= prob.h
+            assert z.tobytes() == ref.tobytes()
+            prob.moments(np.ones((k + 1, n)))
+
     def test_zero_noise_gradient_exact(self):
         prob = default_quadratic(sigma=0.0)
         x = np.array([1.0, 1.0, 1.0])
